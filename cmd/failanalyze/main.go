@@ -390,7 +390,7 @@ func runOnFiles(study failscope.Study, dataPath, monitorPath string) (*failscope
 	defer df.Close()
 	data, err := failscope.ReadDataset(df)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", dataPath, err)
 	}
 
 	monitor := failscope.NewEmptyMonitor(study.Generator.MonitorEpoch, study.Generator.MonitorRetention)
@@ -401,7 +401,7 @@ func runOnFiles(study failscope.Study, dataPath, monitorPath string) (*failscope
 		}
 		defer mf.Close()
 		if monitor, err = failscope.ReadMonitor(mf); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", monitorPath, err)
 		}
 	}
 

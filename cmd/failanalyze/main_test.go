@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -98,5 +100,38 @@ func TestDetectionGate(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "detect_resolved") || !strings.Contains(err.Error(), "detection") {
 		t.Errorf("gate error %q does not name the failed band and layer", err)
+	}
+}
+
+// TestRunOnFilesNamesCorruptFile checks a dump decode error names both the
+// file and the offending line.
+func TestRunOnFilesNamesCorruptFile(t *testing.T) {
+	dir := t.TempDir()
+	dataPath := filepath.Join(dir, "tickets.jsonl")
+	monPath := filepath.Join(dir, "monitor.jsonl")
+	dataset := `{"kind":"header","header":{"start":"2012-07-01T00:00:00Z","end":"2013-07-01T00:00:00Z"}}` + "\n"
+	monitor := `{"kind":"header","epoch":"2011-07-01T00:00:00Z","retentionHours":17520}` + "\n" +
+		`{"kind":"sample","machine":"m","metric":1,"time":"2012-08-05T00:00:00Z","value":1}` + "\n" +
+		`{"kind":"sample","machine":"m","metric":1,"time":"2012-08-12T00:00:00Z","value":` + "\n"
+	if err := os.WriteFile(dataPath, []byte(dataset), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(monPath, []byte(monitor), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := runOnFiles(failscope.SmallStudy(), dataPath, monPath)
+	if err == nil {
+		t.Fatal("corrupt monitor dump accepted")
+	}
+	if !strings.Contains(err.Error(), monPath) || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("error %q does not name %s and line 3", err, monPath)
+	}
+
+	if err := os.WriteFile(dataPath, []byte(dataset+dataset), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = runOnFiles(failscope.SmallStudy(), dataPath, "")
+	if err == nil || !strings.Contains(err.Error(), dataPath) || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("duplicate-header dataset: error %v does not name %s and line 2", err, dataPath)
 	}
 }

@@ -174,7 +174,8 @@ func TestDecodeErrors(t *testing.T) {
 		"{\"kind\":\"bogus\"}\n",   // unknown kind
 		"not json\n",               // malformed
 		"{\"kind\":\"machine\"}\n", // machine without body
-		"{\"kind\":\"header\"}\n{\"kind\":\"ticket\"}\n", // ticket without body
+		"{\"kind\":\"header\"}\n{\"kind\":\"ticket\"}\n",                             // ticket without body
+		"{\"kind\":\"header\",\"header\":{}}\n{\"kind\":\"header\",\"header\":{}}\n", // duplicate header
 	}
 	for _, in := range cases {
 		if _, err := Decode(bytes.NewBufferString(in)); err == nil {

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 	"time"
 
+	"failscope/internal/jsonl"
 	"failscope/internal/model"
 )
 
@@ -117,32 +119,161 @@ func (db *DB) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decode reads a database written with Encode.
-func Decode(r io.Reader) (*DB, error) {
+// decodeFast / decodeFallback count, process-wide, how many dump lines
+// Decode scanned itself versus handed to encoding/json. The parity tests
+// use them to prove canonical Encode output never falls back.
+var decodeFast, decodeFallback atomic.Int64
+
+var recordKinds = []string{"header", "sample", "power", "placement"}
+
+// recordKeys lists monitorRecord's JSON keys for the case-fold check.
+var recordKeys = []string{"kind", "epoch", "retentionHours", "machine", "time", "metric", "value", "on", "host"}
+
+// scanner holds the fast path's per-decode state: the parser, the storage
+// a record's pointer fields point into (Decode copies the values out), and
+// the last machine and host IDs, reused while consecutive lines repeat
+// them — a dump lists each series' samples back to back.
+type scanner struct {
+	p         jsonl.Parser
+	epoch, at time.Time
+	on        bool
+	machine   model.MachineID
+	host      model.MachineID
+}
+
+// id decodes a machine-ID string, returning *last instead of a new string
+// when the bytes repeat it.
+func (s *scanner) id(last *model.MachineID) (model.MachineID, bool) {
+	b, ok := s.p.StringBytes()
+	if ok && string(b) != string(*last) {
+		*last = model.MachineID(b)
+	}
+	return *last, ok
+}
+
+// parse scans one line into rec, or reports that it must fall back.
+func (s *scanner) parse(line []byte, rec *monitorRecord) bool {
+	p := &s.p
+	p.Reset(line)
+	ok := p.Object(func(key []byte) bool {
+		var ok bool
+		switch string(key) {
+		case "kind":
+			rec.Kind, ok = p.Enum(recordKinds)
+		case "epoch":
+			ok = s.timePtr(&rec.Epoch, &s.epoch)
+		case "retentionHours":
+			rec.Retention, ok = p.Int64()
+		case "machine":
+			rec.Machine, ok = s.id(&s.machine)
+		case "time":
+			ok = s.timePtr(&rec.Time, &s.at)
+		case "metric":
+			var v int
+			v, ok = p.Int()
+			rec.Metric = Metric(v)
+		case "value":
+			rec.Value, ok = p.Float()
+		case "on":
+			if p.Null() {
+				rec.On = nil
+				return true
+			}
+			s.on, ok = p.Bool()
+			rec.On = &s.on
+		case "host":
+			rec.Host, ok = s.id(&s.host)
+		default:
+			ok = p.UnknownKey(key, recordKeys)
+		}
+		return ok
+	})
+	return ok && p.End()
+}
+
+// timePtr scans a *time.Time field: null clears it, a timestamp lands in
+// storage.
+func (s *scanner) timePtr(dst **time.Time, storage *time.Time) bool {
+	if s.p.Null() {
+		*dst = nil
+		return true
+	}
+	t, ok := s.p.Time()
+	*storage = t
+	*dst = storage
+	return ok
+}
+
+// Decode reads a database written with Encode. Lines the jsonl scanner
+// cannot decode exactly as encoding/json would go to json.Unmarshal, and
+// each run of consecutive samples of one series lands in one AddSeries
+// call, so the result re-encodes byte-identically to decodeJSONOnly's.
+func Decode(r io.Reader) (*DB, error) { return decode(r, true) }
+
+// decodeJSONOnly is Decode without the fast path: every line through
+// json.Unmarshal, every sample through Add. It is the reference the parity
+// tests and the fuzz target hold Decode to.
+func decodeJSONOnly(r io.Reader) (*DB, error) { return decode(r, false) }
+
+func decode(r io.Reader, fast bool) (*DB, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	var db *DB
-	line := 0
+	var (
+		db         *DB
+		s          scanner
+		rec        monitorRecord
+		nFast, nFB int64
+		line       int
+		// run is the pending batch of consecutive samples of one series.
+		run       []Sample
+		runID     model.MachineID
+		runMetric Metric
+	)
+	defer func() {
+		decodeFast.Add(nFast)
+		decodeFallback.Add(nFB)
+	}()
 	for sc.Scan() {
 		line++
-		if len(sc.Bytes()) == 0 {
+		raw := sc.Bytes()
+		if len(raw) == 0 {
 			continue
 		}
-		var rec monitorRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("monitordb: decode line %d: %w", line, err)
+		rec = monitorRecord{}
+		if fast && s.parse(raw, &rec) {
+			nFast++
+		} else {
+			if fast {
+				nFB++
+				rec = monitorRecord{}
+			}
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				return nil, fmt.Errorf("monitordb: decode line %d: %w", line, err)
+			}
+		}
+		if len(run) > 0 && (rec.Kind != "sample" || rec.Machine != runID || rec.Metric != runMetric) {
+			db.AddSeries(runID, runMetric, run)
+			run = run[:0]
 		}
 		switch rec.Kind {
 		case "header":
 			if rec.Epoch == nil {
 				return nil, fmt.Errorf("monitordb: line %d: header without epoch", line)
 			}
+			if db != nil {
+				return nil, fmt.Errorf("monitordb: line %d: duplicate header record", line)
+			}
 			db = New(*rec.Epoch, time.Duration(rec.Retention)*time.Hour)
 		case "sample":
 			if db == nil || rec.Time == nil {
 				return nil, fmt.Errorf("monitordb: line %d: sample before header or without time", line)
 			}
-			db.Add(rec.Machine, rec.Metric, Sample{Time: *rec.Time, Value: rec.Value})
+			if !fast {
+				db.Add(rec.Machine, rec.Metric, Sample{Time: *rec.Time, Value: rec.Value})
+				continue
+			}
+			runID, runMetric = rec.Machine, rec.Metric
+			run = append(run, Sample{Time: *rec.Time, Value: rec.Value})
 		case "power":
 			if db == nil || rec.Time == nil || rec.On == nil {
 				return nil, fmt.Errorf("monitordb: line %d: malformed power event", line)
@@ -163,5 +294,6 @@ func Decode(r io.Reader) (*DB, error) {
 	if db == nil {
 		return nil, fmt.Errorf("monitordb: missing header record")
 	}
+	db.AddSeries(runID, runMetric, run)
 	return db, nil
 }

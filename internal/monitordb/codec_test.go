@@ -71,6 +71,7 @@ func TestDecodeErrors(t *testing.T) {
 		"{\"kind\":\"bogus\"}\n",                    // unknown kind
 		"{\"kind\":\"header\"}\n",                   // header without epoch
 		"{\"kind\":\"header\",\"epoch\":\"2011-07-01T00:00:00Z\",\"retentionHours\":17520}\n{\"kind\":\"power\",\"machine\":\"m\"}\n", // malformed power
+		"{\"kind\":\"header\",\"epoch\":\"2011-07-01T00:00:00Z\"}\n{\"kind\":\"header\",\"epoch\":\"2011-07-01T00:00:00Z\"}\n",        // duplicate header
 	}
 	for _, in := range cases {
 		if _, err := Decode(strings.NewReader(in)); err == nil {

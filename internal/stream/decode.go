@@ -5,29 +5,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
-	"unicode/utf16"
-	"unicode/utf8"
-	"unsafe"
 
+	"failscope/internal/jsonl"
 	"failscope/internal/mempool"
 	"failscope/internal/model"
 	"failscope/internal/monitordb"
 )
 
 // This file is the zero-copy JSONL event decoder: it scans the known Event
-// schema directly out of the raw line buffer — no intermediate maps, no
-// reflection, no per-field boxing — and lands the decoded payloads in a
-// pooled Batch whose arenas are recycled across requests. The contract
-// mirrors PR5's tokenizer rewrite: the fast path only accepts input it can
-// decode bit-for-bit the way encoding/json would; anything it is not
-// certain about (non-UTC timezones, duplicate struct keys, surrogate
-// escapes, malformed syntax) falls back to json.Unmarshal for that line,
-// so observable behavior — values and error text alike — is unchanged.
-// TestDecodeJSONLMatchesLegacy holds the two decoders equal.
+// schema with the shared jsonl.Parser (machines, tickets and incidents
+// through model's typed scanners) and lands the decoded payloads in a
+// pooled Batch whose arenas are recycled across requests. The fast path
+// only accepts input it can decode bit-for-bit the way encoding/json
+// would; anything it is not certain about (non-UTC timezones, surrogate
+// escapes, invalid UTF-8, malformed syntax) falls back to json.Unmarshal
+// for that line, so observable behavior — values and error text alike —
+// is unchanged. TestDecodeJSONLIntoMatchesLegacy and FuzzDecodeJSONL hold
+// the two decoders equal.
 
 // decodeFastLines / decodeFallbackLines count, process-wide, how many
 // lines the scanner decoded itself versus delegated. The equivalence tests
@@ -54,8 +50,8 @@ type Batch struct {
 	tickets   []model.Ticket
 	incidents []model.Incident
 
-	scratch []byte // string-unescape scratch
-	readBuf []byte // initial bufio.Scanner buffer
+	parser  jsonl.Parser // keeps its unescape scratch across batches
+	readBuf []byte       // initial bufio.Scanner buffer
 }
 
 const batchReadBufSize = 1 << 20
@@ -86,7 +82,7 @@ func (b *Batch) reset() {
 	b.machines = b.machines[:0]
 	b.tickets = b.tickets[:0]
 	b.incidents = b.incidents[:0]
-	b.scratch = b.scratch[:0]
+	b.parser.Reset(nil) // drop the view of the last request's read buffer
 }
 
 func clearSlice[T any](s []T) {
@@ -137,715 +133,22 @@ func (b *Batch) DecodeJSONLInto(r io.Reader) (int, error) {
 	return len(b.Events) - start, nil
 }
 
-// bytesString views b as a string without copying. The result must not
-// outlive b or be retained; it is only handed to non-retaining stdlib
-// parsers (strconv) and comparisons.
-func bytesString(b []byte) string {
-	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
-// fastParser scans one line. pos is the cursor; fail() marks the line for
-// fallback.
-type fastParser struct {
-	b   *Batch
-	in  []byte
-	pos int
-	bad bool
-}
-
-func (p *fastParser) fail() bool { p.bad = true; return false }
-
-func (p *fastParser) skipWS() {
-	for p.pos < len(p.in) {
-		switch p.in[p.pos] {
-		case ' ', '\t', '\r', '\n':
-			p.pos++
-		default:
-			return
-		}
-	}
-}
-
-// eat consumes c or fails.
-func (p *fastParser) eat(c byte) bool {
-	if p.pos < len(p.in) && p.in[p.pos] == c {
-		p.pos++
-		return true
-	}
-	return p.fail()
-}
-
-func (p *fastParser) peek() (byte, bool) {
-	if p.pos < len(p.in) {
-		return p.in[p.pos], true
-	}
-	return 0, false
-}
-
-// literal consumes the exact bytes of s or fails.
-func (p *fastParser) literal(s string) bool {
-	if len(p.in)-p.pos < len(s) || bytesString(p.in[p.pos:p.pos+len(s)]) != s {
-		return p.fail()
-	}
-	p.pos += len(s)
-	return true
-}
-
-// tryNull consumes "null" if present, reporting whether it did.
-func (p *fastParser) tryNull() bool {
-	if len(p.in)-p.pos >= 4 && bytesString(p.in[p.pos:p.pos+4]) == "null" {
-		p.pos += 4
-		return true
-	}
-	return false
-}
-
-// scanRawString consumes a quoted string, returning the bytes between the
-// quotes and whether any escape sequence is present. It validates that raw
-// control characters do not appear (encoding/json rejects them) but leaves
-// escape decoding to the caller.
-func (p *fastParser) scanRawString() (raw []byte, hasEsc, ok bool) {
-	if !p.eat('"') {
-		return nil, false, false
-	}
-	start := p.pos
-	for p.pos < len(p.in) {
-		c := p.in[p.pos]
-		switch {
-		case c == '"':
-			raw = p.in[start:p.pos]
-			p.pos++
-			return raw, hasEsc, true
-		case c == '\\':
-			hasEsc = true
-			p.pos++
-			if p.pos >= len(p.in) {
-				return nil, false, p.fail()
-			}
-			p.pos++
-		case c < 0x20:
-			return nil, false, p.fail()
-		default:
-			p.pos++
-		}
-	}
-	return nil, false, p.fail()
-}
-
-// unescape decodes raw (a string body containing at least one escape) into
-// the batch scratch buffer. Surrogate escapes fall back — pairing rules
-// are encoding/json's business.
-func (p *fastParser) unescape(raw []byte) ([]byte, bool) {
-	out := p.b.scratch[:0]
-	for i := 0; i < len(raw); {
-		c := raw[i]
-		if c != '\\' {
-			out = append(out, c)
-			i++
-			continue
-		}
-		i++
-		if i >= len(raw) {
-			return nil, p.fail()
-		}
-		switch raw[i] {
-		case '"':
-			out = append(out, '"')
-		case '\\':
-			out = append(out, '\\')
-		case '/':
-			out = append(out, '/')
-		case 'b':
-			out = append(out, '\b')
-		case 'f':
-			out = append(out, '\f')
-		case 'n':
-			out = append(out, '\n')
-		case 'r':
-			out = append(out, '\r')
-		case 't':
-			out = append(out, '\t')
-		case 'u':
-			if len(raw)-i < 5 {
-				return nil, p.fail()
-			}
-			r := 0
-			for _, h := range raw[i+1 : i+5] {
-				d := hexVal(h)
-				if d < 0 {
-					return nil, p.fail()
-				}
-				r = r<<4 | d
-			}
-			if utf16.IsSurrogate(rune(r)) {
-				return nil, p.fail()
-			}
-			out = utf8.AppendRune(out, rune(r))
-			i += 4
-		default:
-			return nil, p.fail()
-		}
-		i++
-	}
-	p.b.scratch = out[:0]
-	return out, true
-}
-
-func hexVal(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	case c >= 'A' && c <= 'F':
-		return int(c-'A') + 10
-	}
-	return -1
-}
-
-// validBody reports whether a string body is valid UTF-8 (encoding/json
-// substitutes U+FFFD for invalid sequences — the fast path delegates those
-// lines instead of reimplementing the substitution).
-func validBody(b []byte) bool {
-	for _, c := range b {
-		if c >= utf8.RuneSelf {
-			return utf8.Valid(b)
-		}
-	}
-	return true
-}
-
-// parseStringValue decodes a JSON string into a freshly allocated Go
-// string — the one unavoidable allocation for retained text.
-func (p *fastParser) parseStringValue() (string, bool) {
-	raw, hasEsc, ok := p.scanRawString()
-	if !ok {
-		return "", false
-	}
-	if hasEsc {
-		dec, ok := p.unescape(raw)
-		if !ok {
-			return "", false
-		}
-		raw = dec
-	}
-	if !validBody(raw) {
-		return "", p.fail()
-	}
-	return string(raw), true
-}
-
-// parseKey decodes an object key without allocating (escaped keys land in
-// scratch).
-func (p *fastParser) parseKey() ([]byte, bool) {
-	raw, hasEsc, ok := p.scanRawString()
-	if !ok {
-		return nil, false
-	}
-	if hasEsc {
-		return p.unescape(raw)
-	}
-	return raw, true
-}
-
-// scanNumber consumes a JSON number token, reporting whether it is an
-// integer (no fraction or exponent).
-func (p *fastParser) scanNumber() (tok []byte, isInt bool, ok bool) {
-	start := p.pos
-	isInt = true
-	if c, ok := p.peek(); ok && c == '-' {
-		p.pos++
-	}
-	// Integer part: 0 | [1-9][0-9]*
-	c, have := p.peek()
-	if !have || c < '0' || c > '9' {
-		return nil, false, p.fail()
-	}
-	if c == '0' {
-		p.pos++
-	} else {
-		for p.pos < len(p.in) && p.in[p.pos] >= '0' && p.in[p.pos] <= '9' {
-			p.pos++
-		}
-	}
-	if p.pos < len(p.in) && p.in[p.pos] == '.' {
-		isInt = false
-		p.pos++
-		n := 0
-		for p.pos < len(p.in) && p.in[p.pos] >= '0' && p.in[p.pos] <= '9' {
-			p.pos++
-			n++
-		}
-		if n == 0 {
-			return nil, false, p.fail()
-		}
-	}
-	if p.pos < len(p.in) && (p.in[p.pos] == 'e' || p.in[p.pos] == 'E') {
-		isInt = false
-		p.pos++
-		if p.pos < len(p.in) && (p.in[p.pos] == '+' || p.in[p.pos] == '-') {
-			p.pos++
-		}
-		n := 0
-		for p.pos < len(p.in) && p.in[p.pos] >= '0' && p.in[p.pos] <= '9' {
-			p.pos++
-			n++
-		}
-		if n == 0 {
-			return nil, false, p.fail()
-		}
-	}
-	return p.in[start:p.pos], isInt, true
-}
-
-// parseInt parses an integer-typed field. Numbers with a fraction or
-// exponent fall back (encoding/json rejects them for int fields, and the
-// fallback produces its exact error); null falls back too, since json
-// no-ops it rather than assigning zero.
-func (p *fastParser) parseInt() (int, bool) {
-	if p.tryNull() {
-		return 0, p.fail()
-	}
-	tok, isInt, ok := p.scanNumber()
-	if !ok || !isInt {
-		return 0, p.fail()
-	}
-	v, err := strconv.ParseInt(bytesString(tok), 10, 64)
-	if err != nil || int64(int(v)) != v {
-		return 0, p.fail()
-	}
-	return int(v), true
-}
-
-// parseFloat parses a float64 field via strconv on a no-copy string view —
-// bit-exact with encoding/json, which uses the same parser.
-func (p *fastParser) parseFloat() (float64, bool) {
-	if p.tryNull() {
-		return 0, p.fail()
-	}
-	tok, _, ok := p.scanNumber()
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(bytesString(tok), 64)
-	if err != nil {
-		return 0, p.fail()
-	}
-	return v, true
-}
-
-func (p *fastParser) parseBool() (v, null, ok bool) {
-	if p.tryNull() {
-		return false, true, true
-	}
-	if c, have := p.peek(); have && c == 't' {
-		return true, false, p.literal("true")
-	}
-	return false, false, p.literal("false")
-}
-
-// parseTime parses a quoted RFC3339 UTC timestamp ("...Z", optionally with
-// a fractional second) the way time.Time.UnmarshalJSON does. Offsets other
-// than Z fall back: time.Parse resolves them against the local zone
-// database and the fast path refuses to guess.
-func (p *fastParser) parseTime() (time.Time, bool) {
-	raw, hasEsc, ok := p.scanRawString()
-	if !ok || hasEsc {
-		return time.Time{}, p.fail()
-	}
-	// Minimum form: 2006-01-02T15:04:05Z (20 bytes).
-	if len(raw) < 20 || raw[len(raw)-1] != 'Z' {
-		return time.Time{}, p.fail()
-	}
-	digits := func(b []byte) (int, bool) {
-		v := 0
-		for _, c := range b {
-			if c < '0' || c > '9' {
-				return 0, false
-			}
-			v = v*10 + int(c-'0')
-		}
-		return v, true
-	}
-	if raw[4] != '-' || raw[7] != '-' || raw[10] != 'T' || raw[13] != ':' || raw[16] != ':' {
-		return time.Time{}, p.fail()
-	}
-	y, ok1 := digits(raw[0:4])
-	mo, ok2 := digits(raw[5:7])
-	d, ok3 := digits(raw[8:10])
-	h, ok4 := digits(raw[11:13])
-	mi, ok5 := digits(raw[14:16])
-	s, ok6 := digits(raw[17:19])
-	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6) {
-		return time.Time{}, p.fail()
-	}
-	if mo < 1 || mo > 12 || d < 1 || d > daysIn(y, mo) || h > 23 || mi > 59 || s > 59 {
-		return time.Time{}, p.fail()
-	}
-	ns := 0
-	if frac := raw[19 : len(raw)-1]; len(frac) > 0 {
-		if frac[0] != '.' || len(frac) < 2 || len(frac) > 10 {
-			return time.Time{}, p.fail()
-		}
-		v, ok := digits(frac[1:])
-		if !ok {
-			return time.Time{}, p.fail()
-		}
-		for n := len(frac) - 1; n < 9; n++ {
-			v *= 10
-		}
-		ns = v
-	}
-	return time.Date(y, time.Month(mo), d, h, mi, s, ns, time.UTC), true
-}
-
-func daysIn(y, m int) int {
-	switch m {
-	case 1, 3, 5, 7, 8, 10, 12:
-		return 31
-	case 4, 6, 9, 11:
-		return 30
-	}
-	if y%4 == 0 && (y%100 != 0 || y%400 == 0) {
-		return 29
-	}
-	return 28
-}
-
-// skipValue consumes any JSON value (an unknown field's payload),
-// validating just enough syntax that acceptance matches encoding/json.
-func (p *fastParser) skipValue() bool {
-	p.skipWS()
-	c, have := p.peek()
-	if !have {
-		return p.fail()
-	}
-	switch c {
-	case '"':
-		_, _, ok := p.scanRawString()
-		return ok
-	case '{':
-		p.pos++
-		p.skipWS()
-		if c, _ := p.peek(); c == '}' {
-			p.pos++
-			return true
-		}
-		for {
-			p.skipWS()
-			if _, ok := p.parseKey(); !ok {
-				return false
-			}
-			p.skipWS()
-			if !p.eat(':') {
-				return false
-			}
-			if !p.skipValue() {
-				return false
-			}
-			p.skipWS()
-			c, have := p.peek()
-			if !have {
-				return p.fail()
-			}
-			p.pos++
-			if c == '}' {
-				return true
-			}
-			if c != ',' {
-				return p.fail()
-			}
-		}
-	case '[':
-		p.pos++
-		p.skipWS()
-		if c, _ := p.peek(); c == ']' {
-			p.pos++
-			return true
-		}
-		for {
-			if !p.skipValue() {
-				return false
-			}
-			p.skipWS()
-			c, have := p.peek()
-			if !have {
-				return p.fail()
-			}
-			p.pos++
-			if c == ']' {
-				return true
-			}
-			if c != ',' {
-				return p.fail()
-			}
-		}
-	case 't':
-		return p.literal("true")
-	case 'f':
-		return p.literal("false")
-	case 'n':
-		return p.literal("null")
-	default:
-		_, _, ok := p.scanNumber()
-		return ok
-	}
-}
-
-// eventKeys / machineKeys / ticketKeys / incidentKeys / capacityKeys list
-// each struct's JSON keys for the case-insensitive-match check: a key that
-// is not an exact match but case-folds to a known one would be assigned by
-// encoding/json, so the fast path delegates.
-var (
-	eventKeys    = []string{"type", "machine", "ticket", "incident", "serverID", "metric", "time", "value", "on", "host", "ref"}
-	machineKeys  = []string{"id", "kind", "system", "capacity", "hostID", "created"}
-	ticketKeys   = []string{"id", "serverID", "incidentID", "system", "opened", "closed", "description", "resolution", "isCrash", "class"}
-	incidentKeys = []string{"id", "class", "time", "servers"}
-	capacityKeys = []string{"cpus", "memoryGB", "diskGB", "disks"}
-)
-
-// unknownKey decides what to do with a key that matched no case: skip its
-// value if encoding/json would ignore it too, fall back if json's
-// case-insensitive field matching would have assigned it.
-func (p *fastParser) unknownKey(key []byte, known []string) bool {
-	for _, k := range known {
-		if strings.EqualFold(bytesString(key), k) {
-			return p.fail()
-		}
-	}
-	return p.skipValue()
-}
-
-// objectEach drives one object: fn receives each key with the cursor on
-// its value and must consume it.
-func (p *fastParser) objectEach(fn func(key []byte) bool) bool {
-	p.skipWS()
-	if !p.eat('{') {
-		return false
-	}
-	p.skipWS()
-	if c, _ := p.peek(); c == '}' {
-		p.pos++
-		return true
-	}
-	for {
-		p.skipWS()
-		key, ok := p.parseKey()
-		if !ok {
-			return false
-		}
-		p.skipWS()
-		if !p.eat(':') {
-			return false
-		}
-		p.skipWS()
-		if !fn(key) {
-			return false
-		}
-		p.skipWS()
-		c, have := p.peek()
-		if !have {
-			return p.fail()
-		}
-		p.pos++
-		if c == '}' {
-			return true
-		}
-		if c != ',' {
-			return p.fail()
-		}
-	}
-}
-
-func (p *fastParser) parseCapacityInto(c *model.Capacity) bool {
-	if p.tryNull() {
-		return true
-	}
-	return p.objectEach(func(key []byte) bool {
-		var ok bool
-		switch string(key) {
-		case "cpus":
-			c.CPUs, ok = p.parseInt()
-		case "memoryGB":
-			c.MemoryGB, ok = p.parseFloat()
-		case "diskGB":
-			c.DiskGB, ok = p.parseFloat()
-		case "disks":
-			c.Disks, ok = p.parseInt()
-		default:
-			ok = p.unknownKey(key, capacityKeys)
-		}
-		return ok
-	})
-}
-
-func (p *fastParser) parseMachineInto(m *model.Machine) bool {
-	return p.objectEach(func(key []byte) bool {
-		var ok bool
-		switch string(key) {
-		case "id":
-			var s string
-			if s, ok = p.parseStringValue(); ok {
-				m.ID = model.MachineID(s)
-			}
-		case "kind":
-			var v int
-			if v, ok = p.parseInt(); ok {
-				m.Kind = model.MachineKind(v)
-			}
-		case "system":
-			var v int
-			if v, ok = p.parseInt(); ok {
-				m.System = model.System(v)
-			}
-		case "capacity":
-			ok = p.parseCapacityInto(&m.Capacity)
-		case "hostID":
-			var s string
-			if s, ok = p.parseStringValue(); ok {
-				m.HostID = model.MachineID(s)
-			}
-		case "created":
-			ok = p.parseTimeField(&m.Created)
-		default:
-			ok = p.unknownKey(key, machineKeys)
-		}
-		return ok
-	})
-}
-
-// parseTimeField handles a time.Time value field: null is a no-op, exactly
-// as time.Time.UnmarshalJSON treats it.
-func (p *fastParser) parseTimeField(dst *time.Time) bool {
-	if p.tryNull() {
-		return true
-	}
-	t, ok := p.parseTime()
-	if ok {
-		*dst = t
-	}
-	return ok
-}
-
-func (p *fastParser) parseTicketInto(t *model.Ticket) bool {
-	return p.objectEach(func(key []byte) bool {
-		var ok bool
-		switch string(key) {
-		case "id":
-			t.ID, ok = p.parseStringValue()
-		case "serverID":
-			var s string
-			if s, ok = p.parseStringValue(); ok {
-				t.ServerID = model.MachineID(s)
-			}
-		case "incidentID":
-			t.IncidentID, ok = p.parseStringValue()
-		case "system":
-			var v int
-			if v, ok = p.parseInt(); ok {
-				t.System = model.System(v)
-			}
-		case "opened":
-			ok = p.parseTimeField(&t.Opened)
-		case "closed":
-			ok = p.parseTimeField(&t.Closed)
-		case "description":
-			t.Description, ok = p.parseStringValue()
-		case "resolution":
-			t.Resolution, ok = p.parseStringValue()
-		case "isCrash":
-			var v, null bool
-			if v, null, ok = p.parseBool(); ok && !null {
-				t.IsCrash = v
-			}
-		case "class":
-			var v int
-			if v, ok = p.parseInt(); ok {
-				t.Class = model.FailureClass(v)
-			}
-		default:
-			ok = p.unknownKey(key, ticketKeys)
-		}
-		return ok
-	})
-}
-
-func (p *fastParser) parseIncidentInto(inc *model.Incident) bool {
-	return p.objectEach(func(key []byte) bool {
-		var ok bool
-		switch string(key) {
-		case "id":
-			inc.ID, ok = p.parseStringValue()
-		case "class":
-			var v int
-			if v, ok = p.parseInt(); ok {
-				inc.Class = model.FailureClass(v)
-			}
-		case "time":
-			ok = p.parseTimeField(&inc.Time)
-		case "servers":
-			ok = p.parseServers(&inc.Servers)
-		default:
-			ok = p.unknownKey(key, incidentKeys)
-		}
-		return ok
-	})
-}
-
-func (p *fastParser) parseServers(dst *[]model.MachineID) bool {
-	if p.tryNull() {
-		*dst = nil
-		return true
-	}
-	if !p.eat('[') {
-		return false
-	}
-	p.skipWS()
-	out := (*dst)[:0]
-	if out == nil {
-		// json replaces a nil slice with an empty non-nil one even for [].
-		out = make([]model.MachineID, 0)
-	}
-	if c, _ := p.peek(); c == ']' {
-		p.pos++
-		*dst = out
-		return true
-	}
-	for {
-		p.skipWS()
-		s, ok := p.parseStringValue()
-		if !ok {
-			return false
-		}
-		out = append(out, model.MachineID(s))
-		p.skipWS()
-		c, have := p.peek()
-		if !have {
-			return p.fail()
-		}
-		p.pos++
-		if c == ']' {
-			*dst = out
-			return true
-		}
-		if c != ',' {
-			return p.fail()
-		}
-	}
-}
+// eventKeys lists Event's JSON keys for the case-fold check.
+var eventKeys = []string{"type", "machine", "ticket", "incident", "serverID", "metric", "time", "value", "on", "host", "ref"}
 
 // fastParseEvent parses one line into ev, using the batch arenas for the
 // pointer payloads. Returns false (leaving ev in an undefined state the
 // caller must reset) when the line needs the encoding/json fallback.
 func (b *Batch) fastParseEvent(line []byte, ev *Event) bool {
-	p := fastParser{b: b, in: line}
-	ok := p.objectEach(func(key []byte) bool {
+	p := &b.parser
+	p.Reset(line)
+	ok := p.Object(func(key []byte) bool {
 		var ok bool
 		switch string(key) {
 		case "type":
-			ev.Type, ok = p.parseStringValue()
+			ev.Type, ok = p.String()
 		case "machine":
-			if p.tryNull() {
+			if p.Null() {
 				ev.Machine = nil
 				return true
 			}
@@ -853,9 +156,9 @@ func (b *Batch) fastParseEvent(line []byte, ev *Event) bool {
 				b.machines = append(b.machines, model.Machine{})
 				ev.Machine = &b.machines[len(b.machines)-1]
 			}
-			ok = p.parseMachineInto(ev.Machine)
+			ok = model.ParseMachine(p, ev.Machine)
 		case "ticket":
-			if p.tryNull() {
+			if p.Null() {
 				ev.Ticket = nil
 				return true
 			}
@@ -863,9 +166,9 @@ func (b *Batch) fastParseEvent(line []byte, ev *Event) bool {
 				b.tickets = append(b.tickets, model.Ticket{})
 				ev.Ticket = &b.tickets[len(b.tickets)-1]
 			}
-			ok = p.parseTicketInto(ev.Ticket)
+			ok = model.ParseTicket(p, ev.Ticket)
 		case "incident":
-			if p.tryNull() {
+			if p.Null() {
 				ev.Incident = nil
 				return true
 			}
@@ -873,74 +176,55 @@ func (b *Batch) fastParseEvent(line []byte, ev *Event) bool {
 				b.incidents = append(b.incidents, model.Incident{})
 				ev.Incident = &b.incidents[len(b.incidents)-1]
 			}
-			ok = p.parseIncidentInto(ev.Incident)
+			ok = model.ParseIncident(p, ev.Incident)
 		case "serverID":
 			var s string
-			if s, ok = p.parseStringValue(); ok {
-				ev.ServerID = model.MachineID(s)
-			}
+			s, ok = p.String()
+			ev.ServerID = model.MachineID(s)
 		case "metric":
 			var v int
-			if v, ok = p.parseInt(); ok {
-				ev.Metric = monitordb.Metric(v)
-			}
+			v, ok = p.Int()
+			ev.Metric = monitordb.Metric(v)
 		case "time":
-			if p.tryNull() {
+			if p.Null() {
 				ev.Time = nil
 				return true
 			}
-			t, tok := p.parseTime()
-			if !tok {
-				return false
+			var t time.Time
+			if t, ok = p.Time(); ok {
+				if ev.Time == nil {
+					b.times = append(b.times, t)
+					ev.Time = &b.times[len(b.times)-1]
+				} else {
+					*ev.Time = t
+				}
 			}
-			if ev.Time == nil {
-				b.times = append(b.times, t)
-				ev.Time = &b.times[len(b.times)-1]
-			} else {
-				*ev.Time = t
-			}
-			ok = true
 		case "value":
-			ev.Value, ok = p.parseFloat()
+			ev.Value, ok = p.Float()
 		case "host":
 			var s string
-			if s, ok = p.parseStringValue(); ok {
-				ev.Host = model.MachineID(s)
-			}
+			s, ok = p.String()
+			ev.Host = model.MachineID(s)
 		case "on":
-			if p.tryNull() {
+			if p.Null() {
 				ev.On = nil
 				return true
 			}
-			v, null, bok := p.parseBool()
-			if !bok || null {
-				return false
+			var v bool
+			if v, ok = p.Bool(); ok {
+				if ev.On == nil {
+					b.bools = append(b.bools, v)
+					ev.On = &b.bools[len(b.bools)-1]
+				} else {
+					*ev.On = v
+				}
 			}
-			if ev.On == nil {
-				b.bools = append(b.bools, v)
-				ev.On = &b.bools[len(b.bools)-1]
-			} else {
-				*ev.On = v
-			}
-			ok = true
 		case "ref":
-			v, null, bok := p.parseBool()
-			if !bok || null {
-				return false
-			}
-			ev.Ref = v
-			ok = true
+			ev.Ref, ok = p.Bool()
 		default:
-			ok = p.unknownKey(key, eventKeys)
+			ok = p.UnknownKey(key, eventKeys)
 		}
 		return ok
 	})
-	if !ok {
-		return false
-	}
-	p.skipWS()
-	if p.pos != len(p.in) {
-		return false // trailing bytes: json errors, let it
-	}
-	return true
+	return ok && p.End()
 }

@@ -104,6 +104,39 @@ func TestDecodeJSONLIntoMatchesLegacy(t *testing.T) {
 	}
 }
 
+// trickyEventLines are lines a canonical encoder would never produce —
+// reordered keys, whitespace, escapes, unicode, nulls, unknown fields,
+// exponents, duplicate keys, non-Z timezones.
+var trickyEventLines = []string{
+	// Whitespace and key reorder.
+	`  { "value" : 3.5 , "type" : "sample" , "serverID" : "a" , "metric" : 1 , "time" : "2012-08-05T00:00:00Z" }  `,
+	// Escapes, unicode, \u escape (non-surrogate).
+	`{"type":"ticket","ticket":{"id":"T1","serverID":"s","system":1,"opened":"2012-08-01T10:00:00Z","closed":"2012-08-01T11:00:00Z","description":"tab\there \"quoted\" caf\u00e9 naïve","resolution":"done\\","isCrash":false}}`,
+	// Nulls for pointers and unknown fields with nested payloads.
+	`{"type":"advance","time":"2012-09-01T00:00:00Z","machine":null,"on":null,"future":{"a":[1,2,{"b":null}],"c":"x"}}`,
+	// Exponent and negative floats, int zero.
+	`{"type":"sample","serverID":"s","metric":0,"time":"2012-08-05T00:00:00Z","value":-1.25e+2}`,
+	`{"type":"sample","serverID":"s","metric":2,"time":"2012-08-05T00:00:00Z","value":5e-324}`,
+	// Duplicate scalar key: last one wins in both decoders.
+	`{"type":"sample","serverID":"a","serverID":"b","metric":1,"time":"2012-08-05T00:00:00Z","value":1}`,
+	// Duplicate struct key: both decoders merge into the same value.
+	`{"type":"machine","machine":{"id":"a"},"machine":{"kind":2}}`,
+	// Non-Z timezone: fast path defers to time.Parse via the fallback.
+	`{"type":"advance","time":"2012-09-01T02:00:00+02:00"}`,
+	// Fractional seconds at full precision.
+	`{"type":"advance","time":"2012-09-01T00:00:00.123456789Z"}`,
+	// Case-insensitive key match: json assigns it, fast path defers.
+	`{"Type":"advance","TIME":"2012-09-01T00:00:00Z"}`,
+	// Incident with empty and null servers.
+	`{"type":"incident","incident":{"id":"i1","class":1,"time":"2012-08-01T00:00:00Z","servers":[]}}`,
+	`{"type":"incident","incident":{"id":"i2","class":1,"time":"2012-08-01T00:00:00Z","servers":null}}`,
+	// Empty object payloads.
+	`{"type":"machine","machine":{}}`,
+	`{"type":"machine","machine":{"id":"m","capacity":{}}}`,
+	// Nesting past the scanner's depth bound falls back.
+	`{"type":"advance","x":` + strings.Repeat("[", 100) + strings.Repeat("]", 100) + `}`,
+}
+
 // TestDecodeJSONLIntoTrickyLines feeds both decoders hand-written lines a
 // canonical encoder would never produce — reordered keys, whitespace,
 // escapes, unicode, nulls, unknown fields, exponents, duplicate keys,
@@ -111,34 +144,7 @@ func TestDecodeJSONLIntoMatchesLegacy(t *testing.T) {
 // the fast path cannot certify fall back; either way the two decoders must
 // agree.
 func TestDecodeJSONLIntoTrickyLines(t *testing.T) {
-	lines := []string{
-		// Whitespace and key reorder.
-		`  { "value" : 3.5 , "type" : "sample" , "serverID" : "a" , "metric" : 1 , "time" : "2012-08-05T00:00:00Z" }  `,
-		// Escapes, unicode, \u escape (non-surrogate).
-		`{"type":"ticket","ticket":{"id":"T1","serverID":"s","system":1,"opened":"2012-08-01T10:00:00Z","closed":"2012-08-01T11:00:00Z","description":"tab\there \"quoted\" caf\u00e9 naïve","resolution":"done\\","isCrash":false}}`,
-		// Nulls for pointers and unknown fields with nested payloads.
-		`{"type":"advance","time":"2012-09-01T00:00:00Z","machine":null,"on":null,"future":{"a":[1,2,{"b":null}],"c":"x"}}`,
-		// Exponent and negative floats, int zero.
-		`{"type":"sample","serverID":"s","metric":0,"time":"2012-08-05T00:00:00Z","value":-1.25e+2}`,
-		`{"type":"sample","serverID":"s","metric":2,"time":"2012-08-05T00:00:00Z","value":5e-324}`,
-		// Duplicate scalar key: last one wins in both decoders.
-		`{"type":"sample","serverID":"a","serverID":"b","metric":1,"time":"2012-08-05T00:00:00Z","value":1}`,
-		// Duplicate struct key: encoding/json merges — fast path must defer.
-		`{"type":"machine","machine":{"id":"a"},"machine":{"kind":2}}`,
-		// Non-Z timezone: fast path defers to time.Parse via the fallback.
-		`{"type":"advance","time":"2012-09-01T02:00:00+02:00"}`,
-		// Fractional seconds at full precision.
-		`{"type":"advance","time":"2012-09-01T00:00:00.123456789Z"}`,
-		// Case-insensitive key match: json assigns it, fast path defers.
-		`{"Type":"advance","TIME":"2012-09-01T00:00:00Z"}`,
-		// Incident with empty and null servers.
-		`{"type":"incident","incident":{"id":"i1","class":1,"time":"2012-08-01T00:00:00Z","servers":[]}}`,
-		`{"type":"incident","incident":{"id":"i2","class":1,"time":"2012-08-01T00:00:00Z","servers":null}}`,
-		// Empty object payloads.
-		`{"type":"machine","machine":{}}`,
-		`{"type":"machine","machine":{"id":"m","capacity":{}}}`,
-	}
-	for i, line := range lines {
+	for i, line := range trickyEventLines {
 		legacy, lerr := DecodeJSONL(strings.NewReader(line))
 		b := GetBatch()
 		n, ferr := b.DecodeJSONLInto(strings.NewReader(line))
@@ -165,21 +171,25 @@ func TestDecodeJSONLIntoTrickyLines(t *testing.T) {
 	}
 }
 
+// malformedEventInputs must fail in both decoders with identical text.
+var malformedEventInputs = []string{
+	"{\"type\":\"advance\"}\nnot json",
+	`{"type":""}`,
+	`{}`,
+	`{"type":"sample","metric":1.5}`,
+	`{"type":"sample","value":"nope"}`,
+	`{"type":"advance","time":"2012-13-40T00:00:00Z"}`,
+	`{"type":"advance"} trailing`,
+	`{"type":"adv` + "\x01" + `ance"}`,
+	`{"type":"machine","machine":{"capacity":{"cpus":01}}}`,
+	`{"type":"advance","x":"\q"}`,
+	`{"type":"advance","x":` + strings.Repeat("[", 100) + strings.Repeat("]", 100) + `}}`,
+}
+
 // TestDecodeJSONLIntoErrors pins error parity on malformed input: both
 // decoders must fail with the same message and line number.
 func TestDecodeJSONLIntoErrors(t *testing.T) {
-	inputs := []string{
-		"{\"type\":\"advance\"}\nnot json",
-		`{"type":""}`,
-		`{}`,
-		`{"type":"sample","metric":1.5}`,
-		`{"type":"sample","value":"nope"}`,
-		`{"type":"advance","time":"2012-13-40T00:00:00Z"}`,
-		`{"type":"advance"} trailing`,
-		`{"type":"adv` + "\x01" + `ance"}`,
-		`{"type":"machine","machine":{"capacity":{"cpus":01}}}`,
-	}
-	for i, in := range inputs {
+	for i, in := range malformedEventInputs {
 		_, lerr := DecodeJSONL(strings.NewReader(in))
 		b := GetBatch()
 		_, ferr := b.DecodeJSONLInto(strings.NewReader(in))
@@ -271,4 +281,41 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if perEvent > 2 {
 		t.Fatalf("pooled decode allocates %.2f allocs/event (%.0f total), budget 2/event", perEvent, avg)
 	}
+}
+
+// FuzzDecodeJSONL holds the pooled zero-copy decoder to the legacy
+// json.Unmarshal decoder on arbitrary input: equal events, or identical
+// error text.
+func FuzzDecodeJSONL(f *testing.F) {
+	var buf bytes.Buffer
+	if err := EncodeJSONL(&buf, decodeTestEvents()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, line := range trickyEventLines {
+		f.Add([]byte(line))
+	}
+	for _, in := range malformedEventInputs {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		legacy, lerr := DecodeJSONL(bytes.NewReader(in))
+		b := GetBatch()
+		defer b.Release()
+		n, ferr := b.DecodeJSONLInto(bytes.NewReader(in))
+		if (lerr == nil) != (ferr == nil) || (lerr != nil && lerr.Error() != ferr.Error()) {
+			t.Fatalf("error mismatch on %q:\nfast:   %v\nlegacy: %v", in, ferr, lerr)
+		}
+		if lerr != nil {
+			return
+		}
+		if n != len(legacy) {
+			t.Fatalf("decoded %d events, legacy %d", n, len(legacy))
+		}
+		for i := range legacy {
+			if !reflect.DeepEqual(b.Events[i], legacy[i]) {
+				t.Fatalf("event %d of %q:\nfast:   %#v\nlegacy: %#v", i, in, b.Events[i], legacy[i])
+			}
+		}
+	})
 }
