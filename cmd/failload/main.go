@@ -42,7 +42,6 @@ import (
 	"failscope/internal/model"
 	"failscope/internal/monitordb"
 	"failscope/internal/obs"
-	"failscope/internal/sketch"
 	"failscope/internal/stream"
 	"failscope/internal/xrand"
 )
@@ -175,9 +174,11 @@ func run() error {
 
 	type connResult struct {
 		events, batches, rejected int64
-		lat                       *sketch.Quantile
 		err                       error
 	}
+	// Request latency has one source: the failload.request_ms histogram,
+	// whose quantiles the summary line and the RunReport both read.
+	reqHist := o.Metrics().Histogram("failload.request_ms", requestBucketsMS...)
 	onePass := *source == "study" || *duration <= 0
 	deadline := time.Now().Add(*duration)
 	driveSpan := o.Start("drive")
@@ -189,8 +190,6 @@ func run() error {
 		go func(c int) {
 			defer wg.Done()
 			res := &results[c]
-			res.lat = sketch.NewQuantile(sketch.DefaultK)
-			reqHist := o.Metrics().Histogram("failload.request_ms", requestBucketsMS...)
 			for pass := 0; ; pass++ {
 				for _, body := range perConn[c] {
 					if !onePass && time.Now().After(deadline) {
@@ -198,9 +197,7 @@ func run() error {
 					}
 					r0 := time.Now()
 					ok, n, err := postBatch(client, base, body)
-					ms := float64(time.Since(r0)) / float64(time.Millisecond)
-					res.lat.Add(ms)
-					reqHist.Observe(ms)
+					reqHist.Observe(float64(time.Since(r0)) / float64(time.Millisecond))
 					res.batches++
 					if err != nil {
 						res.err = err
@@ -223,7 +220,6 @@ func run() error {
 	driveSpan.End()
 
 	var events, nbatches, rejected int64
-	lat := sketch.NewQuantile(sketch.DefaultK)
 	for _, res := range results {
 		if res.err != nil {
 			return res.err
@@ -231,7 +227,6 @@ func run() error {
 		events += res.events
 		nbatches += res.batches
 		rejected += res.rejected
-		lat.Merge(res.lat)
 	}
 	evPerSec := float64(events) / wall.Seconds()
 
@@ -248,14 +243,9 @@ func run() error {
 		events, wall.Round(time.Millisecond), evPerSec, nbatches, rejected,
 		float64(totalBytes)/(1<<20))
 	fmt.Printf("  latency  p50 %.2fms  p95 %.2fms  p99 %.2fms\n",
-		lat.Query(0.5), lat.Query(0.95), lat.Query(0.99))
+		reqHist.Quantile(0.5), reqHist.Quantile(0.95), reqHist.Quantile(0.99))
 
-	return ofl.Emit("failload", o, func(rep *obs.RunReport) {
-		rep.Meta.Shards = shards
-		rep.Metrics["failload.request_ms_p50"] = lat.Query(0.5)
-		rep.Metrics["failload.request_ms_p95"] = lat.Query(0.95)
-		rep.Metrics["failload.request_ms_p99"] = lat.Query(0.99)
-	})
+	return ofl.Emit("failload", o, func(rep *obs.RunReport) { rep.Meta.Shards = shards })
 }
 
 // daemonShards reads the daemon's shard count from /healthz (1 when the

@@ -258,7 +258,7 @@ func run() error {
 		recovery:        recovery,
 	})
 	defer api.Close()
-	srv := &http.Server{Handler: api}
+	srv := newHTTPServer(api)
 	fmt.Fprintf(os.Stderr, "failscoped: serving on http://%s/\n", l.Addr())
 
 	replayDone := make(chan error, 1)

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/debug"
 	"sync"
@@ -21,7 +23,7 @@ var metricHelp = map[string]string{
 	"serve.requests":                    "HTTP requests accepted by the daemon, any endpoint",
 	"serve.events_ingested":             "events applied to the streaming engine via /v1/events",
 	"serve.batch_events":                "events per ingested batch",
-	"serve.rejected_batches":            "POST /v1/events batches rejected with a 400, by reason",
+	"serve.rejected_batches":            "POST /v1/events batches rejected, by reason (decode and apply: 400, too_large: 413)",
 	"serve.request_errors":              "requests answered with an error status",
 	"http.requests":                     "requests completed, by endpoint",
 	"http.errors":                       "requests answered >= 400, by endpoint and status code",
@@ -53,6 +55,35 @@ var metricHelp = map[string]string{
 	"shard.events":                      "events applied, by shard",
 	"shard.queue_depth":                 "batches waiting in a shard's ingest queue",
 	"shard.merge_ms":                    "cross-shard snapshot merge latency in milliseconds",
+}
+
+// maxBatchBytes caps a POST /v1/events body; a larger one is refused with
+// a 413 before anything from it is applied. It sits well below the WAL's
+// 64 MiB record bound because the journal re-encodes each batch
+// canonically, which can be many times longer than a terse body (every
+// payload field written out, "<" escaped to six bytes), so
+// durable.Store.Append keeps its own bound behind this one.
+const maxBatchBytes = 8 << 20
+
+// Connection timeouts: how long a client may take to send its request
+// headers, to send the whole request (a body of up to maxBatchBytes), and
+// to idle between keep-alive requests. Generous for a batch over a slow
+// link, short enough that a client trickling bytes cannot pin a
+// connection.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in failscoped's http.Server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // serverOptions sizes the telemetry attached to the HTTP surface. The zero
@@ -147,23 +178,33 @@ func (s *server) fail(w http.ResponseWriter, r *http.Request, code int, err erro
 }
 
 // handleEvents ingests one JSONL event batch. Malformed input is a 400
-// whose error names the offending line; nothing from a bad batch is
-// applied. The body decodes into a pooled zero-copy batch and commits
-// through the engine's group-commit path, so concurrent posts share one
-// engine-lock acquisition per group instead of contending per batch. The
-// request trace carries a span per stage — decode, group-commit (queueing
-// plus apply), engine-apply (this batch's own time under the engine lock).
+// whose error names the offending line, a body over maxBatchBytes a 413;
+// nothing from a refused batch is applied. The body decodes into a pooled
+// zero-copy batch and commits through the engine's group-commit path, so
+// concurrent posts share one engine-lock acquisition per group instead of
+// contending per batch. The request trace carries a span per stage —
+// decode, group-commit (queueing plus apply), engine-apply (this batch's
+// own time under the engine lock).
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
+	if r.ContentLength > maxBatchBytes {
+		s.rejectTooLarge(w, r)
+		return
+	}
+	body := &cappedBody{r: http.MaxBytesReader(w, r.Body, maxBatchBytes)}
 	a := telemetry.ActiveFrom(r.Context())
 	b := stream.GetBatch()
 	defer b.Release()
 	endDecode := a.StartSpan("decode")
-	n, err := b.DecodeJSONLInto(r.Body)
+	n, err := b.DecodeJSONLInto(body)
 	endDecode()
+	if body.over {
+		s.rejectTooLarge(w, r)
+		return
+	}
 	if err != nil {
 		s.obs.Metrics().Add(telemetry.Labeled("serve.rejected_batches", "reason", "decode"), 1)
 		s.fail(w, r, http.StatusBadRequest, err)
@@ -182,6 +223,29 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.obs.Metrics().Add("serve.events_ingested", int64(n))
 	s.obs.Metrics().Histogram("serve.batch_events", 10, 100, 1000, 10000, 100000).Observe(float64(n))
 	s.writeJSON(w, map[string]int{"applied": n})
+}
+
+// cappedBody records whether its http.MaxBytesReader hit the cap. The
+// decoder cannot be relied on to surface that error: the read that trips
+// the cap ends the body mid-line, and the truncated line's syntax error
+// comes first.
+type cappedBody struct {
+	r    io.Reader
+	over bool
+}
+
+func (c *cappedBody) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		c.over = true
+	}
+	return n, err
+}
+
+func (s *server) rejectTooLarge(w http.ResponseWriter, r *http.Request) {
+	s.obs.Metrics().Add(telemetry.Labeled("serve.rejected_batches", "reason", "too_large"), 1)
+	s.fail(w, r, http.StatusRequestEntityTooLarge, fmt.Errorf("batch body exceeds %d bytes", maxBatchBytes))
 }
 
 // seqHeader stamps the response with the engine's apply generation so

@@ -38,6 +38,38 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkWALAppendStudy is BenchmarkWALAppend on the traffic a durable
+// daemon journals: 1,000-event batches of the small study's stream, 90%
+// samples, cycling through the whole stream.
+func BenchmarkWALAppendStudy(b *testing.B) {
+	batches, err := studyBatches()
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	seq, events := int64(1), 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch := batches[i%len(batches)]
+		if err := st.Append(seq, batch); err != nil {
+			b.Fatal(err)
+		}
+		seq += int64(len(batch))
+		events += len(batch)
+		if i%8 == 7 {
+			if err := st.Sync(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
 // BenchmarkRecovery measures a full boot-time recovery: checkpoint
 // restore plus WAL tail replay over a directory holding 200 batches with
 // a checkpoint at the midpoint.

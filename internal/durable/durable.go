@@ -3,7 +3,6 @@ package durable
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -89,11 +88,15 @@ type Store struct {
 	ckptSeq    int64
 }
 
-// walEncPool recycles the JSONL encode buffers the WAL appends through;
-// steady-state appends stay allocation-free above the encoder itself.
+// walRecord is one pooled WAL record buffer: the frame header followed by
+// the batch's JSONL payload, written to the segment in a single call.
+type walRecord struct{ b []byte }
+
+// walEncPool recycles the record buffers the WAL appends through, so
+// steady-state appends allocate nothing.
 var walEncPool = mempool.New("durable.walenc", 16,
-	func() *bytes.Buffer { return new(bytes.Buffer) },
-	func(b *bytes.Buffer) *bytes.Buffer { b.Reset(); return b },
+	func() *walRecord { return &walRecord{b: make([]byte, 0, 64<<10)} },
+	func(r *walRecord) *walRecord { r.b = r.b[:0]; return r },
 )
 
 // fsyncBucketsMS / checkpointBucketsMS are the latency histogram bounds.
@@ -182,15 +185,17 @@ type manifest struct {
 // current segment, rotating first when the segment is full. Called by the
 // engine under its apply lock, immediately before the batch is applied.
 func (s *Store) Append(startSeq int64, events []stream.Event) error {
-	enc := walEncPool.Get()
-	defer walEncPool.Put(enc)
-	if err := stream.EncodeJSONL(enc, events); err != nil {
+	rec := walEncPool.Get()
+	defer walEncPool.Put(rec)
+	b, err := stream.AppendJSONL(append(rec.b[:0], make([]byte, recHeaderSize)...), events)
+	rec.b = b // keep any growth for the next batch
+	if err != nil {
 		return err
 	}
-	payload := enc.Bytes()
-	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("durable: batch of %d bytes exceeds the record bound", len(payload))
+	if len(b)-recHeaderSize > maxRecordBytes {
+		return fmt.Errorf("durable: batch of %d bytes exceeds the record bound", len(b)-recHeaderSize)
 	}
+	frameRecord(b, startSeq, len(events))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -205,20 +210,10 @@ func (s *Store) Append(startSeq int64, events []stream.Event) error {
 		}
 	}
 
-	var hdr [recHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(startSeq))
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(len(events)))
-	crc := crc32.ChecksumIEEE(hdr[8:20])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	if _, err := s.w.Write(hdr[:]); err != nil {
+	if _, err := s.w.Write(b); err != nil {
 		return fmt.Errorf("durable: wal append: %w", err)
 	}
-	if _, err := s.w.Write(payload); err != nil {
-		return fmt.Errorf("durable: wal append: %w", err)
-	}
-	n := int64(recHeaderSize + len(payload))
+	n := int64(len(b))
 	s.segSize += n
 	s.walBytes += n
 	s.walRecords++

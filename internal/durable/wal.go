@@ -27,7 +27,7 @@ import (
 //	  u32 CRC32-IEEE       (over the 12 seq/count bytes + payload)
 //	  u64 start sequence   (engine seq the record's first event takes)
 //	  u32 event count
-//	  payload              (JSONL via the stream wire codec)
+//	  payload              (JSONL via the stream wire codec, stream.AppendJSONL)
 //
 // Segments are named wal-%016x.log by the start sequence of their first
 // record. A torn record at the tail of the *last* segment is the expected
@@ -43,18 +43,25 @@ const (
 	maxRecordBytes = 64 << 20
 )
 
-// appendRecord appends the framed record to dst and returns the extended
-// slice.
-func appendRecord(dst []byte, startSeq int64, count int, payload []byte) []byte {
-	var hdr [recHeaderSize]byte
+// frameRecord fills in the header of rec, a record laid out as
+// recHeaderSize header bytes followed by its payload.
+func frameRecord(rec []byte, startSeq int64, count int) {
+	hdr, payload := rec[:recHeaderSize], rec[recHeaderSize:]
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(startSeq))
 	binary.LittleEndian.PutUint32(hdr[16:20], uint32(count))
 	crc := crc32.ChecksumIEEE(hdr[8:20])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+}
+
+// appendRecord appends the framed record to dst and returns the extended
+// slice.
+func appendRecord(dst []byte, startSeq int64, count int, payload []byte) []byte {
+	n := len(dst)
+	dst = append(append(dst, make([]byte, recHeaderSize)...), payload...)
+	frameRecord(dst[n:], startSeq, count)
+	return dst
 }
 
 // errTornRecord marks a record that ends before its framing says it

@@ -22,28 +22,92 @@ type jsonlRecord struct {
 	Incident *Incident `json:"incident,omitempty"`
 }
 
-// Encode writes the dataset to w as JSON Lines.
+// encodeFallbacks counts, process-wide, the records Encode handed to
+// json.Marshal because a value was outside what the appenders certify.
+// The parity tests use it to prove canonical datasets never fall back.
+var encodeFallbacks atomic.Int64
+
+// Encode writes the dataset to w as JSON Lines: encoding/json's bytes for
+// each record, appended without reflection (see AppendMachine and
+// friends). On error, w has received a prefix of whole lines.
 func (d *Dataset) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	records := make([]jsonlRecord, 0, 1+len(d.Machines)+len(d.Tickets)+len(d.Incidents))
-	obs := d.Observation
-	records = append(records, jsonlRecord{Kind: "header", Header: &obs})
-	for _, m := range d.Machines {
-		records = append(records, jsonlRecord{Kind: "machine", Machine: m})
-	}
-	for i := range d.Tickets {
-		records = append(records, jsonlRecord{Kind: "ticket", Ticket: &d.Tickets[i]})
-	}
-	for i := range d.Incidents {
-		records = append(records, jsonlRecord{Kind: "incident", Incident: &d.Incidents[i]})
-	}
-	for _, rec := range records {
-		if err := enc.Encode(rec); err != nil {
+	buf := make([]byte, 0, jsonl.ChunkSize+1024)
+	emit := func(rec *jsonlRecord) error {
+		var err error
+		if buf, err = appendRecord(buf, rec); err != nil {
 			return fmt.Errorf("model: encode dataset: %w", err)
 		}
+		buf, err = jsonl.Flush(w, buf, false)
+		return err
 	}
-	return bw.Flush()
+	obs := d.Observation
+	if err := emit(&jsonlRecord{Kind: "header", Header: &obs}); err != nil {
+		return err
+	}
+	for _, m := range d.Machines {
+		if err := emit(&jsonlRecord{Kind: "machine", Machine: m}); err != nil {
+			return err
+		}
+	}
+	for i := range d.Tickets {
+		if err := emit(&jsonlRecord{Kind: "ticket", Ticket: &d.Tickets[i]}); err != nil {
+			return err
+		}
+	}
+	for i := range d.Incidents {
+		if err := emit(&jsonlRecord{Kind: "incident", Incident: &d.Incidents[i]}); err != nil {
+			return err
+		}
+	}
+	_, err := jsonl.Flush(w, buf, true)
+	return err
+}
+
+// appendRecord appends rec and a newline: the appenders' bytes when they
+// can certify every value, json.Marshal's bytes or error otherwise.
+func appendRecord(dst []byte, rec *jsonlRecord) ([]byte, error) {
+	n := len(dst)
+	if out, ok := appendRecordFast(dst, rec); ok {
+		return append(out, '\n'), nil
+	}
+	encodeFallbacks.Add(1)
+	v := *rec // marshal a copy, so rec itself does not escape
+	b, err := json.Marshal(&v)
+	if err != nil {
+		return dst[:n], err
+	}
+	return append(append(dst[:n], b...), '\n'), nil
+}
+
+func appendRecordFast(dst []byte, rec *jsonlRecord) ([]byte, bool) {
+	dst = append(dst, `{"kind":`...)
+	dst = jsonl.AppendString(dst, rec.Kind)
+	ok := true
+	if rec.Header != nil {
+		dst = append(dst, `,"header":`...)
+		if dst, ok = AppendWindow(dst, rec.Header); !ok {
+			return dst, false
+		}
+	}
+	if rec.Machine != nil {
+		dst = append(dst, `,"machine":`...)
+		if dst, ok = AppendMachine(dst, rec.Machine); !ok {
+			return dst, false
+		}
+	}
+	if rec.Ticket != nil {
+		dst = append(dst, `,"ticket":`...)
+		if dst, ok = AppendTicket(dst, rec.Ticket); !ok {
+			return dst, false
+		}
+	}
+	if rec.Incident != nil {
+		dst = append(dst, `,"incident":`...)
+		if dst, ok = AppendIncident(dst, rec.Incident); !ok {
+			return dst, false
+		}
+	}
+	return append(dst, '}'), true
 }
 
 // decodeFast / decodeFallback count, process-wide, how many dump lines

@@ -40,22 +40,36 @@ type monitorRecord struct {
 	Host model.MachineID `json:"host,omitempty"`
 }
 
-// Encode writes the database as JSON Lines. Records are emitted in a
-// deterministic order (machines sorted, then series time-sorted).
-func (db *DB) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+// encodeFallbacks counts, process-wide, the records Encode handed to
+// json.Marshal because a value was outside what the appenders certify.
+// The parity tests use it to prove canonical databases never fall back.
+var encodeFallbacks atomic.Int64
 
+// Encode writes the database as JSON Lines: encoding/json's bytes for each
+// record, appended without reflection. Records are emitted in a
+// deterministic order (machines sorted, then series time-sorted). On
+// error, w has received a prefix of whole lines.
+func (db *DB) Encode(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 
+	buf := make([]byte, 0, jsonl.ChunkSize+1024)
+	emit := func(what string, rec *monitorRecord) error {
+		var err error
+		if buf, err = appendRecord(buf, rec); err != nil {
+			return fmt.Errorf("monitordb: encode %s: %w", what, err)
+		}
+		buf, err = jsonl.Flush(w, buf, false)
+		return err
+	}
+
 	epoch := db.epoch
-	if err := enc.Encode(monitorRecord{
+	if err := emit("header", &monitorRecord{
 		Kind:      "header",
 		Epoch:     &epoch,
 		Retention: int64(db.retention / time.Hour),
 	}); err != nil {
-		return fmt.Errorf("monitordb: encode header: %w", err)
+		return err
 	}
 
 	keys := make([]seriesKey, 0, len(db.series))
@@ -68,19 +82,19 @@ func (db *DB) Encode(w io.Writer) error {
 		}
 		return keys[i].metric < keys[j].metric
 	})
+	var at time.Time
+	rec := monitorRecord{Kind: "sample", Time: &at}
 	for _, k := range keys {
 		var encErr error
+		rec.Machine, rec.Metric = k.id, k.metric
 		db.series[k].each(func(t int64, v float64) {
-			if encErr != nil {
-				return
+			if encErr == nil {
+				at, rec.Value = sampleTime(t), v
+				encErr = emit("sample", &rec)
 			}
-			at := sampleTime(t)
-			encErr = enc.Encode(monitorRecord{
-				Kind: "sample", Machine: k.id, Metric: k.metric, Time: &at, Value: v,
-			})
 		})
 		if encErr != nil {
-			return fmt.Errorf("monitordb: encode sample: %w", encErr)
+			return encErr
 		}
 	}
 
@@ -89,14 +103,16 @@ func (db *DB) Encode(w io.Writer) error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var on bool
+	rec = monitorRecord{Kind: "power", Time: &at, On: &on}
 	for _, id := range ids {
 		events := append([]PowerEvent(nil), db.power[id]...)
 		sort.Slice(events, func(i, j int) bool { return events[i].Time.Before(events[j].Time) })
+		rec.Machine = id
 		for _, ev := range events {
-			at := ev.Time
-			on := ev.On
-			if err := enc.Encode(monitorRecord{Kind: "power", Machine: id, Time: &at, On: &on}); err != nil {
-				return fmt.Errorf("monitordb: encode power event: %w", err)
+			at, on = ev.Time, ev.On
+			if err := emit("power event", &rec); err != nil {
+				return err
 			}
 		}
 	}
@@ -106,17 +122,83 @@ func (db *DB) Encode(w io.Writer) error {
 		vms = append(vms, id)
 	}
 	sort.Slice(vms, func(i, j int) bool { return vms[i] < vms[j] })
+	rec = monitorRecord{Kind: "placement", Time: &at}
 	for _, id := range vms {
 		recs := append([]placementRecord(nil), db.placement[id]...)
 		sort.Slice(recs, func(i, j int) bool { return recs[i].month.Before(recs[j].month) })
-		for _, rec := range recs {
-			at := rec.month
-			if err := enc.Encode(monitorRecord{Kind: "placement", Machine: id, Time: &at, Host: rec.host}); err != nil {
-				return fmt.Errorf("monitordb: encode placement: %w", err)
+		rec.Machine = id
+		for _, pr := range recs {
+			at, rec.Host = pr.month, pr.host
+			if err := emit("placement", &rec); err != nil {
+				return err
 			}
 		}
 	}
-	return bw.Flush()
+	_, err := jsonl.Flush(w, buf, true)
+	return err
+}
+
+// appendRecord appends rec and a newline: the appenders' bytes when they
+// can certify every value, json.Marshal's bytes or error otherwise.
+func appendRecord(dst []byte, rec *monitorRecord) ([]byte, error) {
+	n := len(dst)
+	if out, ok := appendRecordFast(dst, rec); ok {
+		return append(out, '\n'), nil
+	}
+	encodeFallbacks.Add(1)
+	v := *rec // marshal a copy, so rec itself does not escape
+	b, err := json.Marshal(&v)
+	if err != nil {
+		return dst[:n], err
+	}
+	return append(append(dst[:n], b...), '\n'), nil
+}
+
+// appendRecordFast writes monitorRecord's fields in declaration order with
+// their omitempty rules, or reports false for the json.Marshal fallback.
+func appendRecordFast(dst []byte, rec *monitorRecord) ([]byte, bool) {
+	dst = append(dst, `{"kind":`...)
+	dst = jsonl.AppendString(dst, rec.Kind)
+	ok := true
+	if rec.Epoch != nil {
+		dst = append(dst, `,"epoch":`...)
+		if dst, ok = jsonl.AppendTime(dst, *rec.Epoch); !ok {
+			return dst, false
+		}
+	}
+	if rec.Retention != 0 {
+		dst = append(dst, `,"retentionHours":`...)
+		dst = jsonl.AppendInt(dst, rec.Retention)
+	}
+	if rec.Machine != "" {
+		dst = append(dst, `,"machine":`...)
+		dst = jsonl.AppendString(dst, string(rec.Machine))
+	}
+	if rec.Time != nil {
+		dst = append(dst, `,"time":`...)
+		if dst, ok = jsonl.AppendTime(dst, *rec.Time); !ok {
+			return dst, false
+		}
+	}
+	if rec.Metric != 0 {
+		dst = append(dst, `,"metric":`...)
+		dst = jsonl.AppendInt(dst, int64(rec.Metric))
+	}
+	if rec.Value != 0 {
+		dst = append(dst, `,"value":`...)
+		if dst, ok = jsonl.AppendFloat(dst, rec.Value); !ok {
+			return dst, false
+		}
+	}
+	if rec.On != nil {
+		dst = append(dst, `,"on":`...)
+		dst = jsonl.AppendBool(dst, *rec.On)
+	}
+	if rec.Host != "" {
+		dst = append(dst, `,"host":`...)
+		dst = jsonl.AppendString(dst, string(rec.Host))
+	}
+	return append(dst, '}'), true
 }
 
 // decodeFast / decodeFallback count, process-wide, how many dump lines

@@ -16,8 +16,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 	"time"
 
+	"failscope/internal/jsonl"
 	"failscope/internal/model"
 	"failscope/internal/monitordb"
 	"failscope/internal/ticketdb"
@@ -103,16 +105,119 @@ func DecodeJSONL(r io.Reader) ([]Event, error) {
 	return events, nil
 }
 
-// EncodeJSONL writes events one JSON object per line.
+// EncodeJSONL writes events one JSON object per line, byte-identical to a
+// json.Encoder's output (see AppendEvent). On error, w has received a
+// prefix of whole lines.
 func EncodeJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i, ev := range events {
-		if err := enc.Encode(ev); err != nil {
+	// Sized for the batch up to one chunk, plus room for the line that
+	// crosses the chunk boundary.
+	buf := make([]byte, 0, min(256*len(events), jsonl.ChunkSize)+1024)
+	for i := range events {
+		var err error
+		if buf, err = AppendEvent(buf, &events[i]); err != nil {
 			return fmt.Errorf("stream: encode event %d: %w", i, err)
 		}
+		if buf, err = jsonl.Flush(w, append(buf, '\n'), i == len(events)-1); err != nil {
+			return err
+		}
 	}
-	return bw.Flush()
+	return nil
+}
+
+// AppendJSONL appends events to dst one JSON object per line, exactly the
+// bytes EncodeJSONL writes. On error dst is returned as it was.
+func AppendJSONL(dst []byte, events []Event) ([]byte, error) {
+	n := len(dst)
+	for i := range events {
+		var err error
+		if dst, err = AppendEvent(dst, &events[i]); err != nil {
+			return dst[:n], fmt.Errorf("stream: encode event %d: %w", i, err)
+		}
+		dst = append(dst, '\n')
+	}
+	return dst, nil
+}
+
+// encodeFallbacks counts, process-wide, the events AppendEvent handed to
+// json.Marshal because a value was outside what the appenders certify.
+// The parity tests use it to prove canonical streams never fall back.
+var encodeFallbacks atomic.Int64
+
+// AppendEvent appends ev's JSON object (no newline), byte-identical to
+// json.Marshal(ev), without reflection. An event holding a value the
+// appenders cannot certify — a NaN or infinite float, a time MarshalJSON
+// refuses — is marshalled by encoding/json instead, so the bytes or the
+// error text are json's own. On error dst is returned as it was.
+func AppendEvent(dst []byte, ev *Event) ([]byte, error) {
+	n := len(dst)
+	if out, ok := appendEventFast(dst, ev); ok {
+		return out, nil
+	}
+	encodeFallbacks.Add(1)
+	v := *ev // marshal a copy, so ev itself does not escape
+	b, err := json.Marshal(&v)
+	if err != nil {
+		return dst[:n], err
+	}
+	return append(dst[:n], b...), nil
+}
+
+// appendEventFast writes Event's fields in declaration order with their
+// omitempty rules, or reports false for the json.Marshal fallback.
+func appendEventFast(dst []byte, ev *Event) ([]byte, bool) {
+	dst = append(dst, `{"type":`...)
+	dst = jsonl.AppendString(dst, ev.Type)
+	ok := true
+	if ev.Machine != nil {
+		dst = append(dst, `,"machine":`...)
+		if dst, ok = model.AppendMachine(dst, ev.Machine); !ok {
+			return dst, false
+		}
+	}
+	if ev.Ticket != nil {
+		dst = append(dst, `,"ticket":`...)
+		if dst, ok = model.AppendTicket(dst, ev.Ticket); !ok {
+			return dst, false
+		}
+	}
+	if ev.Incident != nil {
+		dst = append(dst, `,"incident":`...)
+		if dst, ok = model.AppendIncident(dst, ev.Incident); !ok {
+			return dst, false
+		}
+	}
+	if ev.ServerID != "" {
+		dst = append(dst, `,"serverID":`...)
+		dst = jsonl.AppendString(dst, string(ev.ServerID))
+	}
+	if ev.Metric != 0 {
+		dst = append(dst, `,"metric":`...)
+		dst = jsonl.AppendInt(dst, int64(ev.Metric))
+	}
+	if ev.Time != nil {
+		dst = append(dst, `,"time":`...)
+		if dst, ok = jsonl.AppendTime(dst, *ev.Time); !ok {
+			return dst, false
+		}
+	}
+	if ev.Value != 0 {
+		dst = append(dst, `,"value":`...)
+		if dst, ok = jsonl.AppendFloat(dst, ev.Value); !ok {
+			return dst, false
+		}
+	}
+	if ev.On != nil {
+		dst = append(dst, `,"on":`...)
+		dst = jsonl.AppendBool(dst, *ev.On)
+	}
+	if ev.Host != "" {
+		dst = append(dst, `,"host":`...)
+		dst = jsonl.AppendString(dst, string(ev.Host))
+	}
+	if ev.Ref {
+		dst = append(dst, `,"ref":true`...)
+	}
+	return append(dst, '}'), true
 }
 
 // EventsFromField flattens a generated (or ingested) field dataset into
