@@ -13,6 +13,9 @@
 // case-insensitively, deep nesting, malformed syntax — makes the scan
 // return false, and the caller hands that line to json.Unmarshal, so
 // values and error text stay exactly encoding/json's.
+//
+// The package also holds the encode side those three formats share: the
+// append-style writers in append.go, under the same contract in reverse.
 package jsonl
 
 import (
