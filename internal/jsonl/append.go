@@ -1,9 +1,10 @@
 package jsonl
 
 import (
-	"io"
+	"encoding/json"
 	"math"
 	"strconv"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 )
@@ -19,21 +20,23 @@ import (
 // a float json refuses (NaN, ±Inf), a time json refuses (year outside
 // [0, 9999], zone hour outside [0, 23]) — reports false instead, and the
 // caller hands the whole record to json.Marshal, which produces either the
-// same bytes or the exact error text.
+// same bytes or the exact error text. AppendOr applies that rule for a
+// typed appender.
 
-// ChunkSize is the write granularity of the JSONL encoders: each appends
-// whole lines to one buffer and hands it to Flush after every line, so the
-// destination sees a write per ChunkSize bytes rather than per record.
-const ChunkSize = 64 << 10
-
-// Flush writes buf to w once it holds at least ChunkSize bytes, or when
-// final is set and it holds any, and returns it emptied after a write.
-func Flush(w io.Writer, buf []byte, final bool) ([]byte, error) {
-	if len(buf) < ChunkSize && (!final || len(buf) == 0) {
-		return buf, nil
+// AppendOr appends v as fast writes it when fast can certify every value,
+// and otherwise as json.Marshal writes it, counting the record in
+// fallbacks. On error dst is returned as it was, with json's error.
+func AppendOr[T any](dst []byte, v *T, fast func([]byte, *T) ([]byte, bool), fallbacks *atomic.Int64) ([]byte, error) {
+	n := len(dst)
+	if out, ok := fast(dst, v); ok {
+		return out, nil
 	}
-	_, err := w.Write(buf)
-	return buf[:0], err
+	fallbacks.Add(1)
+	b, err := json.Marshal(v)
+	if err != nil {
+		return dst[:n], err
+	}
+	return append(dst[:n], b...), nil
 }
 
 const hexDigits = "0123456789abcdef"
@@ -134,27 +137,12 @@ func AppendInt(dst []byte, v int64) []byte { return strconv.AppendInt(dst, v, 10
 // AppendBool appends true or false.
 func AppendBool(dst []byte, v bool) []byte { return strconv.AppendBool(dst, v) }
 
-// Unix-second bounds of the years time.Time.MarshalJSON accepts in UTC:
-// 0000-01-01T00:00:00Z and 9999-12-31T23:59:59Z.
-const (
-	minJSONUnix = -62167219200
-	maxJSONUnix = 253402300799
-)
-
 // AppendTime appends t as time.Time.MarshalJSON writes it: quoted
-// RFC 3339 with nanoseconds, trailing fractional zeros trimmed. UTC times
-// take a direct formatting path; others go through time.AppendFormat and
-// the same range checks MarshalJSON applies. It reports false when
-// MarshalJSON would fail: a year outside [0, 9999] or a zone offset of 24
-// hours or more.
+// RFC 3339 with nanoseconds, trailing fractional zeros trimmed, through
+// time.AppendFormat and the range checks MarshalJSON applies. It reports
+// false when MarshalJSON would fail: a year outside [0, 9999] or a zone
+// offset of 24 hours or more.
 func AppendTime(dst []byte, t time.Time) ([]byte, bool) {
-	if t.Location() == time.UTC {
-		sec := t.Unix()
-		if sec < minJSONUnix || sec > maxJSONUnix {
-			return dst, false
-		}
-		return appendUTC(dst, sec, t.Nanosecond()), true
-	}
 	dst = append(dst, '"')
 	n0 := len(dst)
 	dst = t.AppendFormat(dst, time.RFC3339Nano)
@@ -169,60 +157,4 @@ func AppendTime(dst []byte, t time.Time) ([]byte, bool) {
 		}
 	}
 	return append(dst, '"'), true
-}
-
-// appendUTC formats a UTC instant of a year in [0, 9999] as quoted
-// RFC 3339 with trimmed nanoseconds.
-func appendUTC(dst []byte, sec int64, nsec int) []byte {
-	days := (sec - minJSONUnix) / 86400 // days since 0000-01-01, non-negative
-	clock := int((sec - minJSONUnix) % 86400)
-	year, month, day := civil(days)
-	dst = append(dst, '"',
-		byte('0'+year/1000), byte('0'+year/100%10), byte('0'+year/10%10), byte('0'+year%10), '-',
-		byte('0'+month/10), byte('0'+month%10), '-',
-		byte('0'+day/10), byte('0'+day%10), 'T')
-	h, m, s := clock/3600, clock/60%60, clock%60
-	dst = append(dst,
-		byte('0'+h/10), byte('0'+h%10), ':',
-		byte('0'+m/10), byte('0'+m%10), ':',
-		byte('0'+s/10), byte('0'+s%10))
-	if nsec != 0 {
-		var frac [10]byte
-		frac[0] = '.'
-		for i, v := 9, nsec; i > 0; i-- {
-			frac[i] = byte('0' + v%10)
-			v /= 10
-		}
-		n := 10
-		for frac[n-1] == '0' {
-			n--
-		}
-		dst = append(dst, frac[:n]...)
-	}
-	return append(dst, 'Z', '"')
-}
-
-// civil converts a day count since 0000-01-01 (proleptic Gregorian) to a
-// calendar date, by the era arithmetic of Howard Hinnant's days_from_civil
-// inverse with March-based years.
-func civil(days int64) (year, month, day int) {
-	z := days - 60 // days since 0000-03-01
-	era := z / 146097
-	if z < 0 {
-		era = (z - 146096) / 146097
-	}
-	doe := z - era*146097                                  // [0, 146096]
-	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365 // [0, 399]
-	doy := doe - (365*yoe + yoe/4 - yoe/100)               // [0, 365]
-	mp := (5*doy + 2) / 153                                // [0, 11], March = 0
-	day = int(doy - (153*mp+2)/5 + 1)
-	month = int(mp + 3)
-	if month > 12 {
-		month -= 12
-	}
-	year = int(yoe + era*400)
-	if month <= 2 {
-		year++
-	}
-	return year, month, day
 }

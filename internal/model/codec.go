@@ -29,54 +29,47 @@ var encodeFallbacks atomic.Int64
 
 // Encode writes the dataset to w as JSON Lines: encoding/json's bytes for
 // each record, appended without reflection (see AppendMachine and
-// friends). On error, w has received a prefix of whole lines.
+// friends).
 func (d *Dataset) Encode(w io.Writer) error {
-	buf := make([]byte, 0, jsonl.ChunkSize+1024)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var line []byte
 	emit := func(rec *jsonlRecord) error {
 		var err error
-		if buf, err = appendRecord(buf, rec); err != nil {
+		if line, err = jsonl.AppendOr(line[:0], rec, appendRecordFast, &encodeFallbacks); err != nil {
 			return fmt.Errorf("model: encode dataset: %w", err)
 		}
-		buf, err = jsonl.Flush(w, buf, false)
+		line = append(line, '\n')
+		_, err = bw.Write(line)
 		return err
 	}
+	// One record, refilled per line, so no line allocates.
 	obs := d.Observation
-	if err := emit(&jsonlRecord{Kind: "header", Header: &obs}); err != nil {
+	rec := jsonlRecord{Kind: "header", Header: &obs}
+	if err := emit(&rec); err != nil {
 		return err
 	}
+	rec = jsonlRecord{Kind: "machine"}
 	for _, m := range d.Machines {
-		if err := emit(&jsonlRecord{Kind: "machine", Machine: m}); err != nil {
+		rec.Machine = m
+		if err := emit(&rec); err != nil {
 			return err
 		}
 	}
+	rec = jsonlRecord{Kind: "ticket"}
 	for i := range d.Tickets {
-		if err := emit(&jsonlRecord{Kind: "ticket", Ticket: &d.Tickets[i]}); err != nil {
+		rec.Ticket = &d.Tickets[i]
+		if err := emit(&rec); err != nil {
 			return err
 		}
 	}
+	rec = jsonlRecord{Kind: "incident"}
 	for i := range d.Incidents {
-		if err := emit(&jsonlRecord{Kind: "incident", Incident: &d.Incidents[i]}); err != nil {
+		rec.Incident = &d.Incidents[i]
+		if err := emit(&rec); err != nil {
 			return err
 		}
 	}
-	_, err := jsonl.Flush(w, buf, true)
-	return err
-}
-
-// appendRecord appends rec and a newline: the appenders' bytes when they
-// can certify every value, json.Marshal's bytes or error otherwise.
-func appendRecord(dst []byte, rec *jsonlRecord) ([]byte, error) {
-	n := len(dst)
-	if out, ok := appendRecordFast(dst, rec); ok {
-		return append(out, '\n'), nil
-	}
-	encodeFallbacks.Add(1)
-	v := *rec // marshal a copy, so rec itself does not escape
-	b, err := json.Marshal(&v)
-	if err != nil {
-		return dst[:n], err
-	}
-	return append(append(dst[:n], b...), '\n'), nil
+	return bw.Flush()
 }
 
 func appendRecordFast(dst []byte, rec *jsonlRecord) ([]byte, bool) {

@@ -47,19 +47,20 @@ var encodeFallbacks atomic.Int64
 
 // Encode writes the database as JSON Lines: encoding/json's bytes for each
 // record, appended without reflection. Records are emitted in a
-// deterministic order (machines sorted, then series time-sorted). On
-// error, w has received a prefix of whole lines.
+// deterministic order (machines sorted, then series time-sorted).
 func (db *DB) Encode(w io.Writer) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 
-	buf := make([]byte, 0, jsonl.ChunkSize+1024)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var line []byte
 	emit := func(what string, rec *monitorRecord) error {
 		var err error
-		if buf, err = appendRecord(buf, rec); err != nil {
+		if line, err = jsonl.AppendOr(line[:0], rec, appendRecordFast, &encodeFallbacks); err != nil {
 			return fmt.Errorf("monitordb: encode %s: %w", what, err)
 		}
-		buf, err = jsonl.Flush(w, buf, false)
+		line = append(line, '\n')
+		_, err = bw.Write(line)
 		return err
 	}
 
@@ -134,24 +135,7 @@ func (db *DB) Encode(w io.Writer) error {
 			}
 		}
 	}
-	_, err := jsonl.Flush(w, buf, true)
-	return err
-}
-
-// appendRecord appends rec and a newline: the appenders' bytes when they
-// can certify every value, json.Marshal's bytes or error otherwise.
-func appendRecord(dst []byte, rec *monitorRecord) ([]byte, error) {
-	n := len(dst)
-	if out, ok := appendRecordFast(dst, rec); ok {
-		return append(out, '\n'), nil
-	}
-	encodeFallbacks.Add(1)
-	v := *rec // marshal a copy, so rec itself does not escape
-	b, err := json.Marshal(&v)
-	if err != nil {
-		return dst[:n], err
-	}
-	return append(append(dst[:n], b...), '\n'), nil
+	return bw.Flush()
 }
 
 // appendRecordFast writes monitorRecord's fields in declaration order with

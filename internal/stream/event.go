@@ -106,22 +106,21 @@ func DecodeJSONL(r io.Reader) ([]Event, error) {
 }
 
 // EncodeJSONL writes events one JSON object per line, byte-identical to a
-// json.Encoder's output (see AppendEvent). On error, w has received a
-// prefix of whole lines.
+// json.Encoder's output (see AppendEvent).
 func EncodeJSONL(w io.Writer, events []Event) error {
-	// Sized for the batch up to one chunk, plus room for the line that
-	// crosses the chunk boundary.
-	buf := make([]byte, 0, min(256*len(events), jsonl.ChunkSize)+1024)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var line []byte
 	for i := range events {
 		var err error
-		if buf, err = AppendEvent(buf, &events[i]); err != nil {
+		if line, err = AppendEvent(line[:0], &events[i]); err != nil {
 			return fmt.Errorf("stream: encode event %d: %w", i, err)
 		}
-		if buf, err = jsonl.Flush(w, append(buf, '\n'), i == len(events)-1); err != nil {
+		line = append(line, '\n')
+		if _, err = bw.Write(line); err != nil {
 			return err
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 // AppendJSONL appends events to dst one JSON object per line, exactly the
@@ -149,17 +148,7 @@ var encodeFallbacks atomic.Int64
 // refuses — is marshalled by encoding/json instead, so the bytes or the
 // error text are json's own. On error dst is returned as it was.
 func AppendEvent(dst []byte, ev *Event) ([]byte, error) {
-	n := len(dst)
-	if out, ok := appendEventFast(dst, ev); ok {
-		return out, nil
-	}
-	encodeFallbacks.Add(1)
-	v := *ev // marshal a copy, so ev itself does not escape
-	b, err := json.Marshal(&v)
-	if err != nil {
-		return dst[:n], err
-	}
-	return append(dst[:n], b...), nil
+	return jsonl.AppendOr(dst, ev, appendEventFast, &encodeFallbacks)
 }
 
 // appendEventFast writes Event's fields in declaration order with their
