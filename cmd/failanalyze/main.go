@@ -20,6 +20,8 @@ import (
 
 	"failscope"
 	"failscope/internal/clikit"
+	"failscope/internal/model"
+	"failscope/internal/monitordb"
 	"failscope/internal/report"
 )
 
@@ -381,14 +383,19 @@ func exportCSV(dir string, r *failscope.AnalysisReport) error {
 }
 
 // runOnFiles analyzes a persisted dataset (and, optionally, a persisted
-// monitoring database) instead of generating fresh field data.
+// monitoring database) instead of generating fresh field data. Both dumps
+// decode on the study's worker count, each under its own span.
 func runOnFiles(study failscope.Study, dataPath, monitorPath string) (*failscope.Result, error) {
+	o := study.Observer
 	df, err := os.Open(dataPath)
 	if err != nil {
 		return nil, err
 	}
 	defer df.Close()
-	data, err := failscope.ReadDataset(df)
+	sp := o.Start("read-dataset")
+	data, st, err := model.DecodeParallel(df, study.Parallelism)
+	sp.AddPool(st)
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", dataPath, err)
 	}
@@ -400,12 +407,15 @@ func runOnFiles(study failscope.Study, dataPath, monitorPath string) (*failscope
 			return nil, err
 		}
 		defer mf.Close()
-		if monitor, err = failscope.ReadMonitor(mf); err != nil {
+		sp := o.Start("read-monitor")
+		monitor, st, err = monitordb.DecodeParallel(mf, study.Parallelism)
+		sp.AddPool(st)
+		sp.End()
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", monitorPath, err)
 		}
 	}
 
-	o := study.Observer
 	opts := study.Collect
 	opts.Observation = data.Observation
 	colSpan := o.Start("collect")

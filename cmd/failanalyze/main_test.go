@@ -135,3 +135,38 @@ func TestRunOnFilesNamesCorruptFile(t *testing.T) {
 		t.Errorf("duplicate-header dataset: error %v does not name %s and line 2", err, dataPath)
 	}
 }
+
+// TestRunOnFilesDecodeSpans checks both dump decodes report under their
+// own spans, with the record count and the study's worker count.
+func TestRunOnFilesDecodeSpans(t *testing.T) {
+	dir := t.TempDir()
+	dataPath := filepath.Join(dir, "tickets.jsonl")
+	monPath := filepath.Join(dir, "monitor.jsonl")
+	dataset := `{"kind":"header","header":{"start":"2012-07-01T00:00:00Z","end":"2013-07-01T00:00:00Z"}}` + "\n" +
+		`{"kind":"machine","machine":{"id":"m","kind":1,"system":1,"created":"2011-07-01T00:00:00Z"}}` + "\n" +
+		`{"kind":"ticket","ticket":{"id":"T1","serverID":"m","system":1,"opened":"2012-08-01T00:00:00Z","closed":"2012-08-01T02:00:00Z","isCrash":true,"class":1}}` + "\n"
+	monitor := `{"kind":"header","epoch":"2011-07-01T00:00:00Z","retentionHours":17520}` + "\n" +
+		`{"kind":"sample","machine":"m","metric":1,"time":"2012-08-05T00:00:00Z","value":1}` + "\n"
+	if err := os.WriteFile(dataPath, []byte(dataset), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(monPath, []byte(monitor), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := failscope.NewObserver("test")
+	study := failscope.SmallStudy().WithParallelism(2).WithObserver(o)
+	study.Collect.SkipClassification = true
+	if _, err := runOnFiles(study, dataPath, monPath); err != nil {
+		t.Fatal(err)
+	}
+	rep := o.Span().Report()
+	for name, items := range map[string]int64{"read-dataset": 3, "read-monitor": 2} {
+		sp := rep.Find(name)
+		if sp == nil {
+			t.Fatalf("no %s span in %+v", name, rep)
+		}
+		if sp.Items != items || sp.Workers != 2 {
+			t.Errorf("%s: %d items on %d workers, want %d on 2", name, sp.Items, sp.Workers, items)
+		}
+	}
+}

@@ -15,7 +15,9 @@
 // values and error text stay exactly encoding/json's.
 //
 // The package also holds the encode side those three formats share: the
-// append-style writers in append.go, under the same contract in reverse.
+// append-style writers in append.go, under the same contract in reverse;
+// and Decode in pipeline.go, which runs a dump decoder's per-line parse on
+// several workers and folds the records back in file order.
 package jsonl
 
 import (

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"failscope/internal/jsonl"
+	"failscope/internal/par"
 )
 
 // The on-disk format is JSON Lines: a header record followed by one record
@@ -103,7 +104,7 @@ func appendRecordFast(dst []byte, rec *jsonlRecord) ([]byte, bool) {
 	return append(dst, '}'), true
 }
 
-// decodeFast / decodeFallback count, process-wide, how many dump lines
+// decodeFast / decodeFallback count, process-wide, how many dump records
 // Decode scanned itself versus handed to encoding/json. The parity tests
 // use them to prove canonical Encode output never falls back.
 var decodeFast, decodeFallback atomic.Int64
@@ -117,154 +118,169 @@ var recordKeys = []string{"kind", "header", "machine", "ticket", "incident"}
 // out pointers into slabs instead of allocating each machine alone.
 const machineSlab = 256
 
-// scanner holds the fast path's per-decode state: the parser and the
-// storage its records point into. Header, ticket and incident are copied
-// out by Decode, so one value of each is reused; machines are retained by
-// pointer, so they come from slabs.
-type scanner struct {
-	p        jsonl.Parser
-	window   Window
-	ticket   Ticket
-	incident Incident
-	machines []Machine
+// record is one decoded dump line: jsonlRecord with its bodies held by
+// value, so a block of records stays valid after the worker that parsed
+// it moves on. The has* flags stand for jsonlRecord's non-nil pointers.
+type record struct {
+	kind                                          string
+	hasWindow, hasMachine, hasTicket, hasIncident bool
+	fallback                                      bool // decoded by json.Unmarshal
+	window                                        Window
+	machine                                       Machine
+	ticket                                        Ticket
+	incident                                      Incident
 }
 
-// parse scans one line into rec, or reports that it must fall back.
-func (s *scanner) parse(line []byte, rec *jsonlRecord) bool {
-	p := &s.p
+// setFrom copies a json.Unmarshal result into rec.
+func (rec *record) setFrom(jr *jsonlRecord) {
+	*rec = record{kind: jr.Kind, fallback: true}
+	if jr.Header != nil {
+		rec.hasWindow, rec.window = true, *jr.Header
+	}
+	if jr.Machine != nil {
+		rec.hasMachine, rec.machine = true, *jr.Machine
+	}
+	if jr.Ticket != nil {
+		rec.hasTicket, rec.ticket = true, *jr.Ticket
+	}
+	if jr.Incident != nil {
+		rec.hasIncident, rec.incident = true, *jr.Incident
+	}
+}
+
+// parseRecord scans one line into rec, or reports that it must fall back.
+func parseRecord(p *jsonl.Parser, line []byte, rec *record) bool {
 	p.Reset(line)
 	ok := p.Object(func(key []byte) bool {
 		switch string(key) {
 		case "kind":
 			var ok bool
-			rec.Kind, ok = p.Enum(recordKinds)
+			rec.kind, ok = p.Enum(recordKinds)
 			return ok
 		case "header":
-			if p.Null() {
-				rec.Header = nil
-				return true
-			}
-			if rec.Header == nil {
-				s.window = Window{}
-				rec.Header = &s.window
-			}
-			return parseWindow(p, rec.Header)
+			return parseBody(p, &rec.hasWindow, &rec.window, parseWindow)
 		case "machine":
-			if p.Null() {
-				rec.Machine = nil
-				return true
-			}
-			if rec.Machine == nil {
-				if len(s.machines) == cap(s.machines) {
-					s.machines = make([]Machine, 0, machineSlab)
-				}
-				s.machines = append(s.machines, Machine{})
-				rec.Machine = &s.machines[len(s.machines)-1]
-			}
-			return ParseMachine(p, rec.Machine)
+			return parseBody(p, &rec.hasMachine, &rec.machine, ParseMachine)
 		case "ticket":
-			if p.Null() {
-				rec.Ticket = nil
-				return true
-			}
-			if rec.Ticket == nil {
-				s.ticket = Ticket{}
-				rec.Ticket = &s.ticket
-			}
-			return ParseTicket(p, rec.Ticket)
+			return parseBody(p, &rec.hasTicket, &rec.ticket, ParseTicket)
 		case "incident":
-			if p.Null() {
-				rec.Incident = nil
-				return true
-			}
-			if rec.Incident == nil {
-				s.incident = Incident{}
-				rec.Incident = &s.incident
-			}
-			return ParseIncident(p, rec.Incident)
+			return parseBody(p, &rec.hasIncident, &rec.incident, ParseIncident)
 		}
 		return p.UnknownKey(key, recordKeys)
 	})
 	return ok && p.End()
 }
 
-// Decode reads a dataset previously written with Encode. Lines the
-// jsonl scanner cannot decode exactly as encoding/json would go to
-// json.Unmarshal, so values and error text match decodeJSONOnly.
-func Decode(r io.Reader) (*Dataset, error) { return decode(r, true) }
+// parseBody scans one of jsonlRecord's pointer fields the way json fills
+// a pointer: null clears it, an object merges into the present value or
+// into a fresh zero one.
+func parseBody[T any](p *jsonl.Parser, has *bool, v *T, parse func(*jsonl.Parser, *T) bool) bool {
+	if p.Null() {
+		*has = false
+		return true
+	}
+	if !*has {
+		var zero T
+		*v, *has = zero, true
+	}
+	return parse(p, v)
+}
 
-// decodeJSONOnly is Decode with every line through json.Unmarshal: the
-// reference the parity tests and the fuzz target hold Decode to.
-func decodeJSONOnly(r io.Reader) (*Dataset, error) { return decode(r, false) }
+// parseLine is the pipeline's per-line step, on one worker's parser: the
+// scanner, else json.Unmarshal, so values and error text match
+// encoding/json's.
+func parseLine(p *jsonl.Parser, line []byte, num int, rec *record) error {
+	*rec = record{}
+	if parseRecord(p, line, rec) {
+		return nil
+	}
+	var jr jsonlRecord
+	if err := json.Unmarshal(line, &jr); err != nil {
+		return fmt.Errorf("model: decode line %d: %w", num, err)
+	}
+	rec.setFrom(&jr)
+	return nil
+}
 
-func decode(r io.Reader, fast bool) (*Dataset, error) {
+// Decode reads a dataset previously written with Encode, parsing on
+// GOMAXPROCS workers.
+func Decode(r io.Reader) (*Dataset, error) {
+	d, _, err := DecodeParallel(r, 0)
+	return d, err
+}
+
+// DecodeParallel is Decode on par.Workers(parallelism) workers; the
+// dataset is the same at every worker count. The stats count the records
+// and the workers' parse time.
+func DecodeParallel(r io.Reader, parallelism int) (*Dataset, par.Stats, error) {
+	return decode(r, par.Workers(parallelism), jsonl.BlockLines)
+}
+
+// decode runs the jsonl block pipeline over r. The fold checks every
+// record in file order, so the first error in the file is the one
+// reported, with its line number.
+func decode(r io.Reader, workers, blockLines int) (*Dataset, par.Stats, error) {
 	d := &Dataset{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	var (
-		s          scanner
-		rec        jsonlRecord
 		nFast, nFB int64
-		line       int
 		sawHeader  bool
+		machines   []Machine
 	)
 	defer func() {
 		decodeFast.Add(nFast)
 		decodeFallback.Add(nFB)
 	}()
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		rec = jsonlRecord{}
-		if fast && s.parse(raw, &rec) {
-			nFast++
+	st, err := jsonl.Decode(sc, workers, blockLines, parseLine, func(line int, rec *record) error {
+		if rec.fallback {
+			nFB++
 		} else {
-			if fast {
-				nFB++
-				rec = jsonlRecord{}
-			}
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return nil, fmt.Errorf("model: decode line %d: %w", line, err)
-			}
+			nFast++
 		}
-		switch rec.Kind {
+		switch rec.kind {
 		case "header":
-			if rec.Header == nil {
-				return nil, fmt.Errorf("model: line %d: header record without window", line)
+			if !rec.hasWindow {
+				return fmt.Errorf("model: line %d: header record without window", line)
 			}
 			if sawHeader {
-				return nil, fmt.Errorf("model: line %d: duplicate header record", line)
+				return fmt.Errorf("model: line %d: duplicate header record", line)
 			}
-			d.Observation = *rec.Header
+			d.Observation = rec.window
 			sawHeader = true
 		case "machine":
-			if rec.Machine == nil {
-				return nil, fmt.Errorf("model: line %d: machine record without body", line)
+			if !rec.hasMachine {
+				return fmt.Errorf("model: line %d: machine record without body", line)
 			}
-			d.Machines = append(d.Machines, rec.Machine)
+			if len(machines) == cap(machines) {
+				machines = make([]Machine, 0, machineSlab)
+			}
+			machines = append(machines, rec.machine)
+			d.Machines = append(d.Machines, &machines[len(machines)-1])
 		case "ticket":
-			if rec.Ticket == nil {
-				return nil, fmt.Errorf("model: line %d: ticket record without body", line)
+			if !rec.hasTicket {
+				return fmt.Errorf("model: line %d: ticket record without body", line)
 			}
-			d.Tickets = append(d.Tickets, *rec.Ticket)
+			d.Tickets = append(d.Tickets, rec.ticket)
 		case "incident":
-			if rec.Incident == nil {
-				return nil, fmt.Errorf("model: line %d: incident record without body", line)
+			if !rec.hasIncident {
+				return fmt.Errorf("model: line %d: incident record without body", line)
 			}
-			d.Incidents = append(d.Incidents, *rec.Incident)
+			d.Incidents = append(d.Incidents, rec.incident)
 		default:
-			return nil, fmt.Errorf("model: line %d: unknown record kind %q", line, rec.Kind)
+			return fmt.Errorf("model: line %d: unknown record kind %q", line, rec.kind)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, st, err
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("model: read dataset: %w", err)
+		return nil, st, fmt.Errorf("model: read dataset: %w", err)
 	}
 	if !sawHeader {
-		return nil, fmt.Errorf("model: dataset missing header record")
+		return nil, st, fmt.Errorf("model: dataset missing header record")
 	}
 	d.Index()
-	return d, nil
+	return d, st, nil
 }

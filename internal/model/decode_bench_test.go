@@ -38,3 +38,17 @@ func benchDatasetDecode(b *testing.B, decode func(io.Reader) (*model.Dataset, er
 func BenchmarkDatasetDecodeLegacy(b *testing.B) { benchDatasetDecode(b, model.DecodeJSONOnly) }
 
 func BenchmarkDatasetDecodeFast(b *testing.B) { benchDatasetDecode(b, model.Decode) }
+
+// BenchmarkDatasetDecodeFast_Workers{1,Max} pin Decode's worker count: the
+// inline sequential path, and one worker per GOMAXPROCS.
+func BenchmarkDatasetDecodeFast_Workers1(b *testing.B) { benchDatasetDecode(b, decodeOn(1)) }
+
+func BenchmarkDatasetDecodeFast_WorkersMax(b *testing.B) { benchDatasetDecode(b, decodeOn(0)) }
+
+// decodeOn returns DecodeParallel at parallelism p, stats dropped.
+func decodeOn(p int) func(io.Reader) (*model.Dataset, error) {
+	return func(r io.Reader) (*model.Dataset, error) {
+		v, _, err := model.DecodeParallel(r, p)
+		return v, err
+	}
+}

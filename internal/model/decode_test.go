@@ -2,11 +2,16 @@ package model
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
+
+	"failscope/internal/jsonl"
 )
 
 // canonicalDataset builds a dataset exercising every field Encode writes,
@@ -97,19 +102,53 @@ var malformedDatasetInputs = []string{
 	datasetHeader + "\n" + `{"kind":"machine","machine":{"capacity":{"memoryGB":1e400}}}`,
 	datasetHeader + "\n" + datasetHeader,
 	`{"kind":"machine","machine":{"id":"m"}}`,
+	datasetHeader + "\n" + datasetHeader + "\nnot json\n" + datasetHeader,
 }
 
-// checkDatasetParity decodes in through both decoders and reports any
-// difference in value or error text.
-func checkDatasetParity(t *testing.T, in []byte) {
+// pipelineConfig is a worker count and block size the parity checks
+// decode at.
+type pipelineConfig struct{ workers, blockLines int }
+
+var (
+	// everyConfig crosses the sequential path and several worker counts
+	// with blocks so small that every record boundary is a block
+	// boundary, and with the production size.
+	everyConfig = func() (cs []pipelineConfig) {
+		for _, w := range []int{1, 2, 4} {
+			for _, n := range []int{1, 2, 3, jsonl.BlockLines} {
+				cs = append(cs, pipelineConfig{w, n})
+			}
+		}
+		return cs
+	}()
+	// fuzzConfigs keeps one fuzz execution to two decodes, both with
+	// tiny blocks: inline, and on several workers.
+	fuzzConfigs = []pipelineConfig{{1, 1}, {4, 2}}
+)
+
+// checkDatasetParity decodes in through the json-only reference and
+// through the pipeline at every configuration, and reports any difference
+// in value or error text.
+func checkDatasetParity(t *testing.T, in []byte, configs []pipelineConfig) {
 	t.Helper()
-	want, werr := decodeJSONOnly(bytes.NewReader(in))
-	got, gerr := Decode(bytes.NewReader(in))
-	if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
-		t.Fatalf("error mismatch on %q:\nfast:      %v\njson-only: %v", in, gerr, werr)
-	}
-	if werr == nil && !reflect.DeepEqual(got, want) {
-		t.Fatalf("dataset mismatch on %q:\nfast:      %+v\njson-only: %+v", in, got, want)
+	checkDatasetReaderParity(t, fmt.Sprintf("%q", in), configs, func() io.Reader { return bytes.NewReader(in) })
+}
+
+// checkDatasetReaderParity is checkDatasetParity over readers: open must
+// return a fresh reader of the same stream on every call.
+func checkDatasetReaderParity(t *testing.T, name string, configs []pipelineConfig, open func() io.Reader) {
+	t.Helper()
+	want, werr := decodeJSONOnly(open())
+	for _, c := range configs {
+		got, _, gerr := decode(open(), c.workers, c.blockLines)
+		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("error mismatch on %s at %d workers, %d-line blocks:\nfast:      %v\njson-only: %v",
+				name, c.workers, c.blockLines, gerr, werr)
+		}
+		if werr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("dataset mismatch on %s at %d workers, %d-line blocks:\nfast:      %+v\njson-only: %+v",
+				name, c.workers, c.blockLines, got, want)
+		}
 	}
 }
 
@@ -120,14 +159,109 @@ func TestDecodeMatchesJSONOnly(t *testing.T) {
 	if err := canonicalDataset().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
+	checkDatasetParity(t, buf.Bytes(), everyConfig)
 	fast0, fb0 := decodeFast.Load(), decodeFallback.Load()
-	checkDatasetParity(t, buf.Bytes())
+	if _, err := Decode(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
 	lines := int64(bytes.Count(buf.Bytes(), []byte("\n")))
 	if fb := decodeFallback.Load() - fb0; fb != 0 {
 		t.Fatalf("canonical lines fell back to encoding/json: %d", fb)
 	}
 	if n := decodeFast.Load() - fast0; n != lines {
 		t.Fatalf("fast-path lines = %d, want %d", n, lines)
+	}
+}
+
+// TestDecodeBlockBoundaries holds the pipeline to the json-only reference
+// where block boundaries could show: line endings, blank lines, an
+// over-long line, a reader that fails mid-stream, and a bad line in the
+// first, a middle and the last block.
+func TestDecodeBlockBoundaries(t *testing.T) {
+	var buf bytes.Buffer
+	if err := canonicalDataset().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dump := buf.Bytes()
+	lines := strings.SplitAfter(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	cases := map[string][]byte{
+		"canonical":        dump,
+		"crlf":             bytes.ReplaceAll(dump, []byte("\n"), []byte("\r\n")),
+		"blank":            []byte("\n\n" + strings.Join(lines, "\n\r\n") + "\n\n"),
+		"no final newline": bytes.TrimSuffix(dump, []byte("\n")),
+	}
+	for _, at := range []int{1, len(lines) / 2, len(lines) - 1} {
+		bad := append([]string(nil), lines...)
+		bad[at] = "{\"kind\":\"ticket\",\"ticket\":{\"isCrash\":1}}\n"
+		cases[fmt.Sprintf("bad line %d", at+1)] = []byte(strings.Join(bad, ""))
+		bad[at] = "{\"kind\":\"machine\"}\n"
+		cases[fmt.Sprintf("bodiless line %d", at+1)] = []byte(strings.Join(bad, ""))
+		cases[fmt.Sprintf("blank, bodiless line %d", at+1)] = []byte("\n" + strings.Join(bad, "\n"))
+	}
+	for name, in := range cases {
+		checkDatasetReaderParity(t, name, everyConfig, func() io.Reader { return bytes.NewReader(in) })
+	}
+
+	half := bytes.IndexByte(dump[len(dump)/2:], '\n') + len(dump)/2 + 1
+	errDisk := errors.New("disk on fire")
+	checkDatasetReaderParity(t, "reader failing at a line end", everyConfig, func() io.Reader {
+		return io.MultiReader(bytes.NewReader(dump[:half]), iotest.ErrReader(errDisk))
+	})
+	checkDatasetReaderParity(t, "reader failing mid-line", everyConfig, func() io.Reader {
+		return io.MultiReader(bytes.NewReader(dump[:half+5]), iotest.ErrReader(errDisk))
+	})
+	long := bytes.Repeat([]byte("x"), 1<<24+1)
+	checkDatasetReaderParity(t, "line over 16 MiB", everyConfig, func() io.Reader {
+		return io.MultiReader(bytes.NewReader(dump[:half]), bytes.NewReader(long))
+	})
+}
+
+// repeatReader serves head, then line n times, counting the bytes it
+// hands out.
+type repeatReader struct {
+	head, line []byte
+	n          int
+	read       int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	k := 0
+	for k < len(p) {
+		if len(r.head) == 0 {
+			if r.n == 0 {
+				break
+			}
+			r.head, r.n = r.line, r.n-1
+		}
+		c := copy(p[k:], r.head)
+		r.head, k = r.head[c:], k+c
+	}
+	r.read += k
+	if k == 0 {
+		return 0, io.EOF
+	}
+	return k, nil
+}
+
+// TestDecodeStopsAtFirstError decodes a ~30 MB dump whose third line is
+// bad: every configuration must report that line and stop reading within
+// a few blocks of it (the scanner's 1 MiB buffer plus the blocks in
+// flight), not parse the rest of the file.
+func TestDecodeStopsAtFirstError(t *testing.T) {
+	ticket := []byte(`{"kind":"ticket","ticket":{"id":"T000001","serverID":"S1-VM-0001","system":1,"opened":"2012-08-01T10:00:00Z","closed":"2012-08-01T14:45:30Z","description":"server unreachable","resolution":"rebooted","isCrash":true,"class":3}}` + "\n")
+	head := datasetHeader + "\n" + string(ticket) + "not json\n"
+	const n = 125_000
+	for _, workers := range []int{1, 2, 4} {
+		r := &repeatReader{head: []byte(head), line: ticket, n: n}
+		_, _, err := decode(r, workers, jsonl.BlockLines)
+		if want := "model: decode line 3: invalid character 'o' in literal null (expecting 'u')"; err == nil || err.Error() != want {
+			t.Fatalf("%d workers: err = %v, want %q", workers, err, want)
+		}
+		total := len(head) + n*len(ticket)
+		t.Logf("%d workers: read %d of %d bytes", workers, r.read, total)
+		if r.read > 2<<20 {
+			t.Fatalf("%d workers: read %d of %d bytes after an error on line 3", workers, r.read, total)
+		}
 	}
 }
 
@@ -141,7 +275,7 @@ func TestDecodeDuplicateHeader(t *testing.T) {
 func TestDecodeTrickyLines(t *testing.T) {
 	for i, line := range trickyDatasetLines {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
-			checkDatasetParity(t, []byte(datasetHeader+"\n"+line))
+			checkDatasetParity(t, []byte(datasetHeader+"\n"+line), everyConfig)
 		})
 	}
 }
@@ -152,7 +286,7 @@ func TestDecodeMalformedErrorText(t *testing.T) {
 			if _, err := Decode(strings.NewReader(in)); err == nil {
 				t.Fatalf("Decode(%q) accepted", in)
 			}
-			checkDatasetParity(t, []byte(in))
+			checkDatasetParity(t, []byte(in), everyConfig)
 		})
 	}
 }
@@ -200,6 +334,6 @@ func FuzzDecodeDataset(f *testing.F) {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		checkDatasetParity(t, in)
+		checkDatasetParity(t, in, fuzzConfigs)
 	})
 }

@@ -11,6 +11,7 @@ import (
 
 	"failscope/internal/jsonl"
 	"failscope/internal/model"
+	"failscope/internal/par"
 )
 
 // The on-disk format is JSON Lines: a header record (epoch + retention)
@@ -185,7 +186,7 @@ func appendRecordFast(dst []byte, rec *monitorRecord) ([]byte, bool) {
 	return append(dst, '}'), true
 }
 
-// decodeFast / decodeFallback count, process-wide, how many dump lines
+// decodeFast / decodeFallback count, process-wide, how many dump records
 // Decode scanned itself versus handed to encoding/json. The parity tests
 // use them to prove canonical Encode output never falls back.
 var decodeFast, decodeFallback atomic.Int64
@@ -195,16 +196,47 @@ var recordKinds = []string{"header", "sample", "power", "placement"}
 // recordKeys lists monitorRecord's JSON keys for the case-fold check.
 var recordKeys = []string{"kind", "epoch", "retentionHours", "machine", "time", "metric", "value", "on", "host"}
 
-// scanner holds the fast path's per-decode state: the parser, the storage
-// a record's pointer fields point into (Decode copies the values out), and
-// the last machine and host IDs, reused while consecutive lines repeat
-// them — a dump lists each series' samples back to back.
+// record is one decoded dump line: monitorRecord with its pointer fields
+// held by value, so a block of records stays valid after the worker that
+// parsed it moves on. The has* flags stand for monitorRecord's non-nil
+// pointers.
+type record struct {
+	kind                     string
+	machine, host            model.MachineID
+	epoch, at                time.Time
+	retention                int64
+	metric                   Metric
+	value                    float64
+	hasEpoch, hasTime, hasOn bool
+	on                       bool
+	fallback                 bool // decoded by json.Unmarshal
+}
+
+// setFrom copies a json.Unmarshal result into rec.
+func (rec *record) setFrom(mr *monitorRecord) {
+	*rec = record{
+		kind: mr.Kind, machine: mr.Machine, host: mr.Host,
+		retention: mr.Retention, metric: mr.Metric, value: mr.Value,
+		fallback: true,
+	}
+	if mr.Epoch != nil {
+		rec.hasEpoch, rec.epoch = true, *mr.Epoch
+	}
+	if mr.Time != nil {
+		rec.hasTime, rec.at = true, *mr.Time
+	}
+	if mr.On != nil {
+		rec.hasOn, rec.on = true, *mr.On
+	}
+}
+
+// scanner is one decode worker's fast-path state: the parser and the last
+// machine and host IDs, reused while consecutive lines repeat them — a
+// dump lists each series' samples back to back.
 type scanner struct {
-	p         jsonl.Parser
-	epoch, at time.Time
-	on        bool
-	machine   model.MachineID
-	host      model.MachineID
+	p       jsonl.Parser
+	machine model.MachineID
+	host    model.MachineID
 }
 
 // id decodes a machine-ID string, returning *last instead of a new string
@@ -218,37 +250,37 @@ func (s *scanner) id(last *model.MachineID) (model.MachineID, bool) {
 }
 
 // parse scans one line into rec, or reports that it must fall back.
-func (s *scanner) parse(line []byte, rec *monitorRecord) bool {
+func (s *scanner) parse(line []byte, rec *record) bool {
 	p := &s.p
 	p.Reset(line)
 	ok := p.Object(func(key []byte) bool {
 		var ok bool
 		switch string(key) {
 		case "kind":
-			rec.Kind, ok = p.Enum(recordKinds)
+			rec.kind, ok = p.Enum(recordKinds)
 		case "epoch":
-			ok = s.timePtr(&rec.Epoch, &s.epoch)
+			ok = s.timeField(&rec.hasEpoch, &rec.epoch)
 		case "retentionHours":
-			rec.Retention, ok = p.Int64()
+			rec.retention, ok = p.Int64()
 		case "machine":
-			rec.Machine, ok = s.id(&s.machine)
+			rec.machine, ok = s.id(&s.machine)
 		case "time":
-			ok = s.timePtr(&rec.Time, &s.at)
+			ok = s.timeField(&rec.hasTime, &rec.at)
 		case "metric":
 			var v int
 			v, ok = p.Int()
-			rec.Metric = Metric(v)
+			rec.metric = Metric(v)
 		case "value":
-			rec.Value, ok = p.Float()
+			rec.value, ok = p.Float()
 		case "on":
 			if p.Null() {
-				rec.On = nil
+				rec.hasOn = false
 				return true
 			}
-			s.on, ok = p.Bool()
-			rec.On = &s.on
+			rec.on, ok = p.Bool()
+			rec.hasOn = true
 		case "host":
-			rec.Host, ok = s.id(&s.host)
+			rec.host, ok = s.id(&s.host)
 		default:
 			ok = p.UnknownKey(key, recordKeys)
 		}
@@ -257,39 +289,58 @@ func (s *scanner) parse(line []byte, rec *monitorRecord) bool {
 	return ok && p.End()
 }
 
-// timePtr scans a *time.Time field: null clears it, a timestamp lands in
-// storage.
-func (s *scanner) timePtr(dst **time.Time, storage *time.Time) bool {
+// timeField scans a *time.Time field: null clears it, a timestamp lands
+// in dst.
+func (s *scanner) timeField(has *bool, dst *time.Time) bool {
 	if s.p.Null() {
-		*dst = nil
+		*has = false
 		return true
 	}
 	t, ok := s.p.Time()
-	*storage = t
-	*dst = storage
+	*dst, *has = t, true
 	return ok
 }
 
-// Decode reads a database written with Encode. Lines the jsonl scanner
-// cannot decode exactly as encoding/json would go to json.Unmarshal, and
-// each run of consecutive samples of one series lands in one AddSeries
-// call, so the result re-encodes byte-identically to decodeJSONOnly's.
-func Decode(r io.Reader) (*DB, error) { return decode(r, true) }
+// parseLine is the pipeline's per-line step: the scanner, else
+// json.Unmarshal, so values and error text match encoding/json's.
+func parseLine(s *scanner, line []byte, num int, rec *record) error {
+	*rec = record{}
+	if s.parse(line, rec) {
+		return nil
+	}
+	var mr monitorRecord
+	if err := json.Unmarshal(line, &mr); err != nil {
+		return fmt.Errorf("monitordb: decode line %d: %w", num, err)
+	}
+	rec.setFrom(&mr)
+	return nil
+}
 
-// decodeJSONOnly is Decode without the fast path: every line through
-// json.Unmarshal, every sample through Add. It is the reference the parity
-// tests and the fuzz target hold Decode to.
-func decodeJSONOnly(r io.Reader) (*DB, error) { return decode(r, false) }
+// Decode reads a database written with Encode, parsing on GOMAXPROCS
+// workers. Each run of consecutive samples of one series lands in one
+// AddSeries call, so the result re-encodes byte-identically to what
+// decoding every line with json.Unmarshal and Add would build.
+func Decode(r io.Reader) (*DB, error) {
+	db, _, err := DecodeParallel(r, 0)
+	return db, err
+}
 
-func decode(r io.Reader, fast bool) (*DB, error) {
+// DecodeParallel is Decode on par.Workers(parallelism) workers; the
+// database is the same at every worker count. The stats count the records
+// and the workers' parse time.
+func DecodeParallel(r io.Reader, parallelism int) (*DB, par.Stats, error) {
+	return decode(r, par.Workers(parallelism), jsonl.BlockLines)
+}
+
+// decode runs the jsonl block pipeline over r. The fold checks every
+// record in file order, so the first error in the file is the one
+// reported, with its line number.
+func decode(r io.Reader, workers, blockLines int) (*DB, par.Stats, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	var (
 		db         *DB
-		s          scanner
-		rec        monitorRecord
 		nFast, nFB int64
-		line       int
 		// run is the pending batch of consecutive samples of one series.
 		run       []Sample
 		runID     model.MachineID
@@ -299,67 +350,55 @@ func decode(r io.Reader, fast bool) (*DB, error) {
 		decodeFast.Add(nFast)
 		decodeFallback.Add(nFB)
 	}()
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		rec = monitorRecord{}
-		if fast && s.parse(raw, &rec) {
-			nFast++
+	st, err := jsonl.Decode(sc, workers, blockLines, parseLine, func(line int, rec *record) error {
+		if rec.fallback {
+			nFB++
 		} else {
-			if fast {
-				nFB++
-				rec = monitorRecord{}
-			}
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return nil, fmt.Errorf("monitordb: decode line %d: %w", line, err)
-			}
+			nFast++
 		}
-		if len(run) > 0 && (rec.Kind != "sample" || rec.Machine != runID || rec.Metric != runMetric) {
+		if len(run) > 0 && (rec.kind != "sample" || rec.machine != runID || rec.metric != runMetric) {
 			db.AddSeries(runID, runMetric, run)
 			run = run[:0]
 		}
-		switch rec.Kind {
+		switch rec.kind {
 		case "header":
-			if rec.Epoch == nil {
-				return nil, fmt.Errorf("monitordb: line %d: header without epoch", line)
+			if !rec.hasEpoch {
+				return fmt.Errorf("monitordb: line %d: header without epoch", line)
 			}
 			if db != nil {
-				return nil, fmt.Errorf("monitordb: line %d: duplicate header record", line)
+				return fmt.Errorf("monitordb: line %d: duplicate header record", line)
 			}
-			db = New(*rec.Epoch, time.Duration(rec.Retention)*time.Hour)
+			db = New(rec.epoch, time.Duration(rec.retention)*time.Hour)
 		case "sample":
-			if db == nil || rec.Time == nil {
-				return nil, fmt.Errorf("monitordb: line %d: sample before header or without time", line)
+			if db == nil || !rec.hasTime {
+				return fmt.Errorf("monitordb: line %d: sample before header or without time", line)
 			}
-			if !fast {
-				db.Add(rec.Machine, rec.Metric, Sample{Time: *rec.Time, Value: rec.Value})
-				continue
-			}
-			runID, runMetric = rec.Machine, rec.Metric
-			run = append(run, Sample{Time: *rec.Time, Value: rec.Value})
+			runID, runMetric = rec.machine, rec.metric
+			run = append(run, Sample{Time: rec.at, Value: rec.value})
 		case "power":
-			if db == nil || rec.Time == nil || rec.On == nil {
-				return nil, fmt.Errorf("monitordb: line %d: malformed power event", line)
+			if db == nil || !rec.hasTime || !rec.hasOn {
+				return fmt.Errorf("monitordb: line %d: malformed power event", line)
 			}
-			db.AddPowerEvent(rec.Machine, PowerEvent{Time: *rec.Time, On: *rec.On})
+			db.AddPowerEvent(rec.machine, PowerEvent{Time: rec.at, On: rec.on})
 		case "placement":
-			if db == nil || rec.Time == nil || rec.Host == "" {
-				return nil, fmt.Errorf("monitordb: line %d: malformed placement", line)
+			if db == nil || !rec.hasTime || rec.host == "" {
+				return fmt.Errorf("monitordb: line %d: malformed placement", line)
 			}
-			db.SetPlacement(rec.Machine, rec.Host, *rec.Time)
+			db.SetPlacement(rec.machine, rec.host, rec.at)
 		default:
-			return nil, fmt.Errorf("monitordb: line %d: unknown record kind %q", line, rec.Kind)
+			return fmt.Errorf("monitordb: line %d: unknown record kind %q", line, rec.kind)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, st, err
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("monitordb: read: %w", err)
+		return nil, st, fmt.Errorf("monitordb: read: %w", err)
 	}
 	if db == nil {
-		return nil, fmt.Errorf("monitordb: missing header record")
+		return nil, st, fmt.Errorf("monitordb: missing header record")
 	}
 	db.AddSeries(runID, runMetric, run)
-	return db, nil
+	return db, st, nil
 }

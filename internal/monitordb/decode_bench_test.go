@@ -39,3 +39,17 @@ func benchMonitorDecode(b *testing.B, decode func(io.Reader) (*monitordb.DB, err
 func BenchmarkMonitorDecodeLegacy(b *testing.B) { benchMonitorDecode(b, monitordb.DecodeJSONOnly) }
 
 func BenchmarkMonitorDecodeFast(b *testing.B) { benchMonitorDecode(b, monitordb.Decode) }
+
+// BenchmarkMonitorDecodeFast_Workers{1,Max} pin Decode's worker count: the
+// inline sequential path, and one worker per GOMAXPROCS.
+func BenchmarkMonitorDecodeFast_Workers1(b *testing.B) { benchMonitorDecode(b, decodeOn(1)) }
+
+func BenchmarkMonitorDecodeFast_WorkersMax(b *testing.B) { benchMonitorDecode(b, decodeOn(0)) }
+
+// decodeOn returns DecodeParallel at parallelism p, stats dropped.
+func decodeOn(p int) func(io.Reader) (*monitordb.DB, error) {
+	return func(r io.Reader) (*monitordb.DB, error) {
+		v, _, err := monitordb.DecodeParallel(r, p)
+		return v, err
+	}
+}

@@ -2,12 +2,16 @@ package monitordb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
+	"failscope/internal/jsonl"
 	"failscope/internal/model"
 )
 
@@ -88,6 +92,7 @@ var malformedMonitorInputs = []string{
 	monitorHeader + "\n" + `{"kind":"header","retentionHours":1.5}`,
 	monitorHeader + "\n" + monitorHeader,
 	`{"kind":"sample","machine":"a","time":"2012-08-05T00:00:00Z"}`,
+	monitorHeader + "\n" + monitorHeader + "\nnot json\n" + monitorHeader,
 }
 
 // dbImage renders everything Decode populates: the re-encoded dump plus
@@ -107,19 +112,58 @@ func dbImage(t *testing.T, db *DB) string {
 	return buf.String()
 }
 
-// checkMonitorParity decodes in through both decoders and reports any
-// difference in the decoded database or the error text.
-func checkMonitorParity(t *testing.T, in []byte) (fast, ref *DB) {
-	t.Helper()
-	ref, rerr := decodeJSONOnly(bytes.NewReader(in))
-	fast, ferr := Decode(bytes.NewReader(in))
-	if (rerr == nil) != (ferr == nil) || (rerr != nil && rerr.Error() != ferr.Error()) {
-		t.Fatalf("error mismatch on %q:\nfast:      %v\njson-only: %v", in, ferr, rerr)
-	}
-	if rerr == nil {
-		if got, want := dbImage(t, fast), dbImage(t, ref); got != want {
-			t.Fatalf("database mismatch on %q:\nfast:\n%s\njson-only:\n%s", in, got, want)
+// pipelineConfig is a worker count and block size the parity checks
+// decode at.
+type pipelineConfig struct{ workers, blockLines int }
+
+var (
+	// everyConfig crosses the sequential path and several worker counts
+	// with blocks so small that every record boundary is a block
+	// boundary, and with the production size.
+	everyConfig = func() (cs []pipelineConfig) {
+		for _, w := range []int{1, 2, 4} {
+			for _, n := range []int{1, 2, 3, jsonl.BlockLines} {
+				cs = append(cs, pipelineConfig{w, n})
+			}
 		}
+		return cs
+	}()
+	// fuzzConfigs keeps one fuzz execution to two decodes, both with
+	// tiny blocks: inline, and on several workers.
+	fuzzConfigs = []pipelineConfig{{1, 1}, {4, 2}}
+)
+
+// checkMonitorParity decodes in through the json-only reference and
+// through the pipeline at every configuration, and reports any difference
+// in the decoded database or the error text. It returns the reference and
+// the production-configuration decode.
+func checkMonitorParity(t *testing.T, in []byte, configs []pipelineConfig) (fast, ref *DB) {
+	t.Helper()
+	return checkMonitorReaderParity(t, fmt.Sprintf("%q", in), configs, func() io.Reader { return bytes.NewReader(in) })
+}
+
+// checkMonitorReaderParity is checkMonitorParity over readers: open must
+// return a fresh reader of the same stream on every call.
+func checkMonitorReaderParity(t *testing.T, name string, configs []pipelineConfig, open func() io.Reader) (fast, ref *DB) {
+	t.Helper()
+	ref, rerr := decodeJSONOnly(open())
+	var want string
+	if rerr == nil {
+		want = dbImage(t, ref)
+	}
+	for _, c := range configs {
+		got, _, ferr := decode(open(), c.workers, c.blockLines)
+		if (rerr == nil) != (ferr == nil) || (rerr != nil && rerr.Error() != ferr.Error()) {
+			t.Fatalf("error mismatch on %s at %d workers, %d-line blocks:\nfast:      %v\njson-only: %v",
+				name, c.workers, c.blockLines, ferr, rerr)
+		}
+		if rerr == nil {
+			if img := dbImage(t, got); img != want {
+				t.Fatalf("database mismatch on %s at %d workers, %d-line blocks:\nfast:\n%s\njson-only:\n%s",
+					name, c.workers, c.blockLines, img, want)
+			}
+		}
+		fast = got
 	}
 	return fast, ref
 }
@@ -132,8 +176,11 @@ func TestDecodeMatchesJSONOnly(t *testing.T) {
 	if err := canonicalDB().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
+	fast, ref := checkMonitorParity(t, buf.Bytes(), everyConfig)
 	fast0, fb0 := decodeFast.Load(), decodeFallback.Load()
-	fast, ref := checkMonitorParity(t, buf.Bytes())
+	if _, err := Decode(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
 	lines := int64(bytes.Count(buf.Bytes(), []byte("\n")))
 	if fb := decodeFallback.Load() - fb0; fb != 0 {
 		t.Fatalf("canonical lines fell back to encoding/json: %d", fb)
@@ -150,6 +197,103 @@ func TestDecodeMatchesJSONOnly(t *testing.T) {
 	}
 }
 
+// TestDecodeBlockBoundaries holds the pipeline to the json-only reference
+// where block boundaries could show: line endings, blank lines, an
+// over-long line, a reader that fails mid-stream, and a bad line in the
+// first, a middle and the last block.
+func TestDecodeBlockBoundaries(t *testing.T) {
+	var buf bytes.Buffer
+	if err := canonicalDB().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dump := buf.Bytes()
+	lines := strings.SplitAfter(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	cases := map[string][]byte{
+		"canonical":        dump,
+		"crlf":             bytes.ReplaceAll(dump, []byte("\n"), []byte("\r\n")),
+		"blank":            []byte("\n\n" + strings.Join(lines, "\n\r\n") + "\n\n"),
+		"no final newline": bytes.TrimSuffix(dump, []byte("\n")),
+	}
+	for _, at := range []int{1, len(lines) / 2, len(lines) - 1} {
+		bad := append([]string(nil), lines...)
+		bad[at] = "{\"kind\":\"sample\",\"machine\":\"a\",\"value\":\"x\"}\n"
+		cases[fmt.Sprintf("bad line %d", at+1)] = []byte(strings.Join(bad, ""))
+		bad[at] = "{\"kind\":\"power\",\"machine\":\"a\"}\n"
+		cases[fmt.Sprintf("malformed power line %d", at+1)] = []byte(strings.Join(bad, ""))
+		cases[fmt.Sprintf("blank, malformed power line %d", at+1)] = []byte("\n" + strings.Join(bad, "\n"))
+	}
+	for name, in := range cases {
+		checkMonitorReaderParity(t, name, everyConfig, func() io.Reader { return bytes.NewReader(in) })
+	}
+
+	half := bytes.IndexByte(dump[len(dump)/2:], '\n') + len(dump)/2 + 1
+	errDisk := errors.New("disk on fire")
+	checkMonitorReaderParity(t, "reader failing at a line end", everyConfig, func() io.Reader {
+		return io.MultiReader(bytes.NewReader(dump[:half]), iotest.ErrReader(errDisk))
+	})
+	checkMonitorReaderParity(t, "reader failing mid-line", everyConfig, func() io.Reader {
+		return io.MultiReader(bytes.NewReader(dump[:half+5]), iotest.ErrReader(errDisk))
+	})
+	long := bytes.Repeat([]byte("x"), 1<<24+1)
+	checkMonitorReaderParity(t, "line over 16 MiB", everyConfig, func() io.Reader {
+		return io.MultiReader(bytes.NewReader(dump[:half]), bytes.NewReader(long))
+	})
+}
+
+// repeatReader serves head, then line n times, counting the bytes it
+// hands out.
+type repeatReader struct {
+	head, line []byte
+	n          int
+	read       int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	k := 0
+	for k < len(p) {
+		if len(r.head) == 0 {
+			if r.n == 0 {
+				break
+			}
+			r.head, r.n = r.line, r.n-1
+		}
+		c := copy(p[k:], r.head)
+		r.head, k = r.head[c:], k+c
+	}
+	r.read += k
+	if k == 0 {
+		return 0, io.EOF
+	}
+	return k, nil
+}
+
+// TestDecodeStopsAtFirstError decodes ~25 MB dumps whose third line is
+// bad — to the parser, then to the fold: every configuration must report
+// that line and stop reading within a few blocks of it (the scanner's
+// 1 MiB buffer plus the blocks in flight), not parse the rest of the file.
+func TestDecodeStopsAtFirstError(t *testing.T) {
+	sample := []byte(`{"kind":"sample","machine":"S1-VM-0001","time":"2012-08-05T00:00:00Z","metric":1,"value":42.5}` + "\n")
+	const n = 250_000
+	for third, want := range map[string]string{
+		"not json\n":         "monitordb: decode line 3: invalid character 'o' in literal null (expecting 'u')",
+		monitorHeader + "\n": "monitordb: line 3: duplicate header record",
+	} {
+		head := monitorHeader + "\n" + string(sample) + third
+		for _, workers := range []int{1, 2, 4} {
+			r := &repeatReader{head: []byte(head), line: sample, n: n}
+			_, _, err := decode(r, workers, jsonl.BlockLines)
+			if err == nil || err.Error() != want {
+				t.Fatalf("%d workers: err = %v, want %q", workers, err, want)
+			}
+			total := len(head) + n*len(sample)
+			t.Logf("%d workers: read %d of %d bytes", workers, r.read, total)
+			if r.read > 2<<20 {
+				t.Fatalf("%d workers: read %d of %d bytes after an error on line 3", workers, r.read, total)
+			}
+		}
+	}
+}
+
 func TestDecodeDuplicateHeader(t *testing.T) {
 	in := monitorHeader + "\n" + `{"kind":"sample","machine":"a","time":"2012-08-05T00:00:00Z"}` + "\n" + monitorHeader + "\n"
 	_, err := Decode(strings.NewReader(in))
@@ -161,7 +305,7 @@ func TestDecodeDuplicateHeader(t *testing.T) {
 func TestDecodeTrickyLines(t *testing.T) {
 	for i, line := range trickyMonitorLines {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
-			checkMonitorParity(t, []byte(monitorHeader+"\n"+line))
+			checkMonitorParity(t, []byte(monitorHeader+"\n"+line), everyConfig)
 		})
 	}
 }
@@ -172,7 +316,7 @@ func TestDecodeMalformedErrorText(t *testing.T) {
 			if _, err := Decode(strings.NewReader(in)); err == nil {
 				t.Fatalf("Decode(%q) accepted", in)
 			}
-			checkMonitorParity(t, []byte(in))
+			checkMonitorParity(t, []byte(in), everyConfig)
 		})
 	}
 }
@@ -226,6 +370,6 @@ func FuzzDecodeMonitor(f *testing.F) {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		checkMonitorParity(t, in)
+		checkMonitorParity(t, in, fuzzConfigs)
 	})
 }

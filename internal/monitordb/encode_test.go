@@ -213,7 +213,7 @@ func FuzzEncodeMonitor(f *testing.F) {
 			// The dump decoders validate what the encoder does not (an
 			// empty placement host, say); the fast decoder must still
 			// agree with the json-only one.
-			checkMonitorParity(t, encoded)
+			checkMonitorParity(t, encoded, fuzzConfigs)
 			return
 		}
 		var again bytes.Buffer
