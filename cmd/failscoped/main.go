@@ -220,6 +220,7 @@ func run() error {
 		defer store.Close()
 		recSpan := o.Start("recover")
 		info, err := store.Recover(eng)
+		recSpan.AddPool(info.Replay)
 		recSpan.End()
 		if err != nil {
 			return err

@@ -3,6 +3,9 @@ package durable
 import (
 	"testing"
 
+	"failscope/internal/dcsim"
+	"failscope/internal/detect"
+	"failscope/internal/par"
 	"failscope/internal/stream"
 )
 
@@ -121,3 +124,71 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 	}
 }
+
+// studyConfig is the engine configuration failscoped runs the small
+// study's stream under.
+func studyConfig() stream.Config {
+	c := dcsim.SmallConfig()
+	return stream.Config{
+		Observation:      c.Observation,
+		FineWindow:       c.FineWindow,
+		MonitorEpoch:     c.MonitorEpoch,
+		MonitorRetention: c.MonitorRetention,
+		Detector:         detect.New(detect.Config{}),
+	}
+}
+
+// benchmarkRecoverStudy measures a boot that replays the whole small
+// study's WAL (271k events in 1,000-event records, no checkpoint) into a
+// fresh engine with a detector, as failscoped's durable boot does, with
+// the records decoded on workers goroutines.
+func benchmarkRecoverStudy(b *testing.B, workers int) {
+	batches, err := studyBatches()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := stream.NewEngine(studyConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.SetJournal(st)
+	events := 0
+	for _, batch := range batches {
+		if err := eng.Apply(batch); err != nil {
+			b.Fatal(err)
+		}
+		events += len(batch)
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fresh, err := stream.NewEngine(studyConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		info, err := st.recoverOn(fresh, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if info.ReplayedEvents != int64(events) {
+			b.Fatalf("replayed %d events, want %d", info.ReplayedEvents, events)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+}
+
+func BenchmarkRecoverStudy_Workers1(b *testing.B)   { benchmarkRecoverStudy(b, 1) }
+func BenchmarkRecoverStudy_WorkersMax(b *testing.B) { benchmarkRecoverStudy(b, par.Workers(0)) }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -17,6 +18,7 @@ import (
 
 	"failscope/internal/mempool"
 	"failscope/internal/obs"
+	"failscope/internal/par"
 	"failscope/internal/stream"
 )
 
@@ -58,6 +60,7 @@ type RecoveryInfo struct {
 	Seq             int64         `json:"seq"`             // engine seq after recovery
 	Duration        time.Duration `json:"-"`
 	DurationMS      float64       `json:"replayMS"`
+	Replay          par.Stats     `json:"-"` // the replay pipeline: workers, records replayed or skipped, decode time
 }
 
 // segment is one on-disk WAL file.
@@ -413,6 +416,11 @@ func (s *Store) pruneLocked(seq int64) {
 // at the tail of the final segment is truncated away; corruption anywhere
 // else aborts recovery.
 func (s *Store) Recover(eng *stream.Engine) (RecoveryInfo, error) {
+	return s.recoverOn(eng, par.Workers(0))
+}
+
+// recoverOn is Recover with the WAL decoded on workers goroutines.
+func (s *Store) recoverOn(eng *stream.Engine, workers int) (RecoveryInfo, error) {
 	t0 := time.Now()
 	var info RecoveryInfo
 
@@ -441,7 +449,7 @@ func (s *Store) Recover(eng *stream.Engine) (RecoveryInfo, error) {
 		break
 	}
 
-	if err := s.replayWAL(eng, &info); err != nil {
+	if err := s.replayWAL(eng, workers, &info); err != nil {
 		return info, err
 	}
 	info.Seq = eng.Seq()
@@ -460,94 +468,149 @@ func (s *Store) Recover(eng *stream.Engine) (RecoveryInfo, error) {
 
 // replayWAL feeds every segment's surviving records into the engine,
 // skipping what the checkpoint already covers.
-func (s *Store) replayWAL(eng *stream.Engine, info *RecoveryInfo) error {
+func (s *Store) replayWAL(eng *stream.Engine, workers int, info *RecoveryInfo) error {
 	s.mu.Lock()
 	segs := append([]segment(nil), s.segs...)
 	s.mu.Unlock()
 
-	var scratch []byte
 	for i, seg := range segs {
-		last := i == len(segs)-1
-		if err := s.replaySegment(eng, seg, last, &scratch, info); err != nil {
+		f, err := os.Open(seg.path)
+		if err != nil {
+			return fmt.Errorf("durable: replay %s: %w", filepath.Base(seg.path), err)
+		}
+		err = s.replaySegment(eng, seg, f, i == len(segs)-1, workers, info)
+		f.Close()
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (s *Store) replaySegment(eng *stream.Engine, seg segment, last bool, scratch *[]byte, info *RecoveryInfo) error {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return fmt.Errorf("durable: replay %s: %w", filepath.Base(seg.path), err)
-	}
-	defer f.Close()
+// replayRecord is one WAL record on its way through the replay pipeline:
+// the reader frames and checks it into payload, a worker decodes it into
+// batch, and the fold applies it.
+type replayRecord struct {
+	startSeq int64
+	count    int
+	payload  []byte // owned by the record slot, reused for its next record
+	err      error  // readRecord's error; io.EOF at a clean end
 
-	br := bufio.NewReaderSize(f, 1<<16)
+	rd    bytes.Reader
+	batch *stream.Batch // nil when the record was not decoded
+	n     int           // events decoded
+	derr  error         // the decode error
+}
+
+func (r *replayRecord) release() {
+	if r.batch != nil {
+		r.batch.Release()
+		r.batch = nil
+	}
+}
+
+// errTruncate ends a replay whose segment tail is to be truncated.
+var errTruncate = errors.New("durable: truncate the wal tail")
+
+// replaySegment replays the segment seg read from r. A reader goroutine
+// frames and checks each record, workers decode the next records while the
+// engine applies this one, and the checks and the Apply run on the caller
+// in record order (par.Ordered), exactly as a sequential loop makes them.
+func (s *Store) replaySegment(eng *stream.Engine, seg segment, r io.Reader, last bool, workers int, info *RecoveryInfo) error {
+	name := filepath.Base(seg.path)
+	br := bufio.NewReaderSize(r, 1<<16)
 	magic := make([]byte, len(walMagic))
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != walMagic {
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return fmt.Errorf("durable: segment %s: %w", name, readError(err))
+		}
 		if last && err != nil {
 			// The segment file was created but the magic never reached
 			// disk: an empty shell from a crash at open. Discard it.
 			return s.truncateTail(seg, 0, info)
 		}
-		return fmt.Errorf("durable: segment %s: bad magic", filepath.Base(seg.path))
+		return fmt.Errorf("durable: segment %s: bad magic", name)
 	}
 
-	offset := int64(len(walMagic))
-	for {
-		startSeq, count, payload, err := readRecord(br, *scratch)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			if last {
-				return s.truncateTail(seg, offset, info)
+	base := eng.Seq() // records ending at or before it are skipped, not decoded
+	records := info.ReplayedRecords + info.SkippedRecords
+	offset, truncAt := int64(len(walMagic)), int64(-1)
+	st, err := par.Ordered(workers,
+		func(rec *replayRecord) bool {
+			var payload []byte
+			rec.startSeq, rec.count, payload, rec.err = readRecord(br, rec.payload)
+			if rec.err != nil {
+				return false
 			}
-			return fmt.Errorf("durable: segment %s at offset %d: %w", filepath.Base(seg.path), offset, err)
-		}
-		if cap(payload) > cap(*scratch) {
-			*scratch = payload[:0]
-		}
-		recBytes := int64(recHeaderSize + len(payload))
-		info.WALBytes += recBytes
+			rec.payload = payload
+			return true
+		},
+		func(_ *struct{}, rec *replayRecord) {
+			if rec.err != nil || rec.startSeq+int64(rec.count)-1 <= base {
+				return
+			}
+			rec.batch = stream.GetBatch()
+			rec.rd.Reset(rec.payload)
+			rec.n, rec.derr = rec.batch.DecodeJSONLInto(&rec.rd)
+		},
+		func(rec *replayRecord) error {
+			defer rec.release()
+			if rec.err == io.EOF {
+				return nil
+			}
+			if rec.err != nil {
+				if last && !errors.Is(rec.err, errWALRead) {
+					truncAt = offset
+					return errTruncate
+				}
+				return fmt.Errorf("durable: segment %s at offset %d: %w", name, offset, rec.err)
+			}
+			recBytes := int64(recHeaderSize + len(rec.payload))
+			info.WALBytes += recBytes
 
-		cur := eng.Seq()
-		if startSeq > cur+1 {
-			return fmt.Errorf("durable: segment %s: wal gap (record seq %d, engine at %d)",
-				filepath.Base(seg.path), startSeq, cur)
-		}
-		skip := cur - startSeq + 1 // events in this record the checkpoint already covers
-		if skip >= int64(count) {
-			info.SkippedRecords++
+			cur := eng.Seq()
+			if rec.startSeq > cur+1 {
+				return fmt.Errorf("durable: segment %s: wal gap (record seq %d, engine at %d)",
+					name, rec.startSeq, cur)
+			}
+			skip := cur - rec.startSeq + 1 // events in this record the checkpoint already covers
+			if skip >= int64(rec.count) {
+				info.SkippedRecords++
+				offset += recBytes
+				return nil
+			}
+
+			if rec.derr != nil || rec.n != rec.count {
+				if last {
+					// The checksum matched, so this is not media corruption —
+					// but a record that no longer decodes to its own framing
+					// cannot be replayed. At the tail, treat like a torn write.
+					truncAt = offset
+					return errTruncate
+				}
+				derr := rec.derr
+				if derr == nil {
+					derr = fmt.Errorf("decoded %d events, header says %d", rec.n, rec.count)
+				}
+				return fmt.Errorf("durable: segment %s record at %d: %w", name, offset, derr)
+			}
+			if err := eng.Apply(rec.batch.Events[skip:]); err != nil {
+				// Live ingest surfaced this as a 400 and carried on with the
+				// partial prefix applied; replay mirrors that exactly.
+				info.ApplyErrors++
+			}
+			info.ReplayedRecords++
+			info.ReplayedEvents += int64(rec.count) - skip
 			offset += recBytes
-			continue
-		}
-
-		b := stream.GetBatch()
-		n, derr := b.DecodeJSONLInto(bytes.NewReader(payload))
-		if derr != nil || n != count {
-			b.Release()
-			if last {
-				// The checksum matched, so this is not media corruption —
-				// but a record that no longer decodes to its own framing
-				// cannot be replayed. At the tail, treat like a torn write.
-				return s.truncateTail(seg, offset, info)
-			}
-			if derr == nil {
-				derr = fmt.Errorf("decoded %d events, header says %d", n, count)
-			}
-			return fmt.Errorf("durable: segment %s record at %d: %w", filepath.Base(seg.path), offset, derr)
-		}
-		if err := eng.Apply(b.Events[skip:]); err != nil {
-			// Live ingest surfaced this as a 400 and carried on with the
-			// partial prefix applied; replay mirrors that exactly.
-			info.ApplyErrors++
-		}
-		b.Release()
-		info.ReplayedRecords++
-		info.ReplayedEvents += int64(count) - skip
-		offset += recBytes
+			return nil
+		})
+	st.Items = int(info.ReplayedRecords + info.SkippedRecords - records)
+	info.Replay.Add(st)
+	if truncAt >= 0 {
+		// The pipeline has returned, so nothing reads the file any more.
+		return s.truncateTail(seg, truncAt, info)
 	}
+	return err
 }
 
 // truncateTail cuts the final segment at offset, discarding a torn tail.

@@ -14,6 +14,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -69,17 +70,29 @@ func appendRecord(dst []byte, startSeq int64, count int, payload []byte) []byte 
 // at the tail of the last segment and refuses them anywhere else.
 var errTornRecord = fmt.Errorf("durable: torn wal record")
 
+// errWALRead marks a failed read of the segment file — an I/O error, not
+// damage in the bytes read. Recovery refuses it in every segment: the
+// bytes on disk may be intact, and truncating them could drop records
+// that were fsynced.
+var errWALRead = errors.New("durable: wal read")
+
+func readError(err error) error { return fmt.Errorf("%w: %w", errWALRead, err) }
+
 // readRecord reads one record from r. It returns (0, 0, nil, io.EOF) at a
-// clean end, errTornRecord when the stream ends inside a record, and a
-// corruption error when the framing is implausible or the checksum fails.
-// buf is the scratch payload buffer, reused when large enough.
+// clean end, errTornRecord when the stream ends inside a record, a
+// corruption error when the framing is implausible or the checksum fails,
+// and an errWALRead error when r itself fails. buf is the scratch payload
+// buffer, reused when large enough.
 func readRecord(r io.Reader, buf []byte) (startSeq int64, count int, payload []byte, err error) {
 	var hdr [recHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
+		switch err {
+		case io.EOF:
 			return 0, 0, nil, io.EOF // clean record boundary
+		case io.ErrUnexpectedEOF:
+			return 0, 0, nil, errTornRecord
 		}
-		return 0, 0, nil, errTornRecord
+		return 0, 0, nil, readError(err)
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	if n > maxRecordBytes {
@@ -94,7 +107,10 @@ func readRecord(r io.Reader, buf []byte) (startSeq int64, count int, payload []b
 		payload = make([]byte, n)
 	}
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, errTornRecord
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return 0, 0, nil, errTornRecord
+		}
+		return 0, 0, nil, readError(err)
 	}
 	crc := crc32.ChecksumIEEE(hdr[8:20])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)

@@ -2,9 +2,6 @@ package jsonl
 
 import (
 	"bufio"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"failscope/internal/par"
 )
@@ -28,7 +25,6 @@ type block[R any] struct {
 	recs  []R
 	errAt int
 	err   error
-	done  chan struct{} // a worker signals here once recs are parsed
 }
 
 // fill packs the next non-blank lines of sc into b, up to n of them, and
@@ -56,9 +52,8 @@ func (b *block[R]) fill(sc *bufio.Scanner, num *int, n int) bool {
 }
 
 // parseBlock runs parse over b's lines with one worker's state s, stopping
-// at the first error, and returns the time it took.
-func parseBlock[R, S any](b *block[R], s *S, parse func(s *S, line []byte, num int, rec *R) error) time.Duration {
-	start := time.Now()
+// at the first error.
+func parseBlock[R, S any](b *block[R], s *S, parse func(s *S, line []byte, num int, rec *R) error) {
 	if cap(b.recs) < len(b.nums) {
 		b.recs = make([]R, len(b.nums))
 	}
@@ -72,7 +67,6 @@ func parseBlock[R, S any](b *block[R], s *S, parse func(s *S, line []byte, num i
 		}
 		lo = hi
 	}
-	return time.Since(start)
 }
 
 // foldBlock hands b's records to fold in order: the first error, fold's
@@ -86,14 +80,15 @@ func foldBlock[R any](b *block[R], fold func(num int, rec *R) error) error {
 	return b.err
 }
 
-// Decode is the ordered block pipeline behind the dump decoders. It packs
-// the non-blank lines sc yields into blocks of blockLines, parses each
-// block on one of workers goroutines — parse fills rec from one line,
-// using the worker's own state s, which persists across that worker's
-// blocks — and hands every record to fold strictly in file order, on the
-// calling goroutine. So the first error in file order wins, whether parse
-// or fold raised it, and reading stops soon after it: no more than
-// workers+2 blocks are ever in flight.
+// Decode is the dump decoders' front end to par.Ordered. It packs the
+// non-blank lines sc yields into blocks of blockLines, parses each block
+// on one of workers goroutines — parse fills rec from one line, using the
+// worker's own state s, which persists across that worker's blocks — and
+// hands every record to fold strictly in file order, on the calling
+// goroutine. So the first error in file order wins, whether parse or fold
+// raised it, and reading stops soon after it: no more than workers+2
+// blocks are ever in flight. A panic in parse or fold is re-raised on the
+// caller.
 //
 // With workers <= 1, parse and fold run inline with no goroutines: that is
 // the sequential path. Decode returns nil once sc is exhausted; the caller
@@ -102,86 +97,14 @@ func foldBlock[R any](b *block[R], fold func(num int, rec *R) error) error {
 func Decode[R, S any](sc *bufio.Scanner, workers, blockLines int,
 	parse func(s *S, line []byte, num int, rec *R) error,
 	fold func(num int, rec *R) error) (par.Stats, error) {
-	if workers <= 1 {
-		return decodeInline(sc, blockLines, parse, fold)
-	}
-	st := par.Stats{Workers: workers}
-	inFlight := workers + 2
-	// Every channel holds at most the inFlight blocks that exist, so no
-	// send blocks: the reader waits only on free, for a recycled block.
-	free := make(chan *block[R], inFlight)
-	work := make(chan *block[R], inFlight)
-	order := make(chan *block[R], inFlight)
-	for i := 0; i < inFlight; i++ {
-		free <- &block[R]{done: make(chan struct{}, 1)}
-	}
-	var stop atomic.Bool
-
-	go func() {
-		defer close(order)
-		defer close(work)
-		num := 0
-		for more := true; more && !stop.Load(); {
-			b := <-free
-			more = b.fill(sc, &num, blockLines)
-			work <- b
-			order <- b
-		}
-	}()
-
-	busy := make([]time.Duration, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func(k int) {
-			defer wg.Done()
-			var s S
-			for b := range work {
-				if !stop.Load() {
-					busy[k] += parseBlock(b, &s, parse)
-				}
-				b.done <- struct{}{}
-			}
-		}(k)
-	}
-
-	var err error
-	for b := range order {
-		<-b.done
-		if err == nil {
-			st.Items += b.errAt
-			if err = foldBlock(b, fold); err != nil {
-				stop.Store(true)
-			}
-		}
-		free <- b
-	}
-	wg.Wait()
-	for _, d := range busy {
-		st.Busy += d
-		st.MaxBusy = max(st.MaxBusy, d)
-	}
-	return st, err
-}
-
-// decodeInline is Decode's sequential path: one block, filled, parsed and
-// folded in turn on the calling goroutine.
-func decodeInline[R, S any](sc *bufio.Scanner, blockLines int,
-	parse func(s *S, line []byte, num int, rec *R) error,
-	fold func(num int, rec *R) error) (par.Stats, error) {
-	st := par.Stats{Workers: 1}
-	var (
-		b   block[R]
-		s   S
-		num int
-		err error
-	)
-	for more := true; more && err == nil; {
-		more = b.fill(sc, &num, blockLines)
-		st.Busy += parseBlock(&b, &s, parse)
-		st.Items += b.errAt
-		err = foldBlock(&b, fold)
-	}
-	st.MaxBusy = st.Busy
+	num, records := 0, 0
+	st, err := par.Ordered(workers,
+		func(b *block[R]) bool { return b.fill(sc, &num, blockLines) },
+		func(s *S, b *block[R]) { parseBlock(b, s, parse) },
+		func(b *block[R]) error {
+			records += b.errAt
+			return foldBlock(b, fold)
+		})
+	st.Items = records
 	return st, err
 }

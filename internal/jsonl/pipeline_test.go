@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // counter is a worker state: how many lines this worker parsed.
@@ -129,6 +131,40 @@ func TestDecodeWorkerState(t *testing.T) {
 		}
 		if total != 3000 || len(states) > workers {
 			t.Fatalf("%d workers: %d states parsed %d lines", workers, len(states), total)
+		}
+	}
+}
+
+// TestDecodeParsePanicReraised: a parse panic in a later block reaches
+// Decode's caller with its own value, and none of the pipeline's
+// goroutines is left running.
+func TestDecodeParsePanicReraised(t *testing.T) {
+	in := strings.Repeat("x\n", 3000)
+	for _, workers := range []int{1, 2} {
+		base := runtime.NumGoroutine()
+		boom := errors.New("boom")
+		func() {
+			defer func() {
+				if r := recover(); r != boom {
+					t.Fatalf("%d workers: recovered %v, want %v", workers, r, boom)
+				}
+			}()
+			Decode(bufio.NewScanner(strings.NewReader(in)), workers, 16,
+				func(_ *counter, _ []byte, num int, rec *int) error {
+					if num == 16*5+3 { // block 5
+						panic(boom)
+					}
+					return nil
+				},
+				func(int, *int) error { return nil })
+			t.Fatalf("%d workers: Decode returned", workers)
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d workers: %d goroutines left running, want %d", workers, runtime.NumGoroutine(), base)
+			}
+			runtime.Gosched()
 		}
 	}
 }

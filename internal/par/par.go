@@ -1,5 +1,7 @@
 // Package par provides the deterministic worker-pool primitives used to
-// parallelize the study pipeline (simulate → mine → classify → join).
+// parallelize the study pipeline (simulate → mine → classify → join), and
+// the ordered pipeline (Ordered) that the dump decoders and WAL replay
+// stream through.
 //
 // Every helper here preserves a single invariant: the set of work items and
 // the decomposition of the index space are functions of the input size only,
@@ -9,9 +11,10 @@
 // at Parallelism 1, 2, or GOMAXPROCS.
 //
 // Concurrency guarantees: the package is data-race free under the Go memory
-// model (verified with go test -race); workers communicate only through an
-// atomic work counter and a WaitGroup, and each index is visited exactly
-// once by exactly one worker. No sync.Pool is used anywhere — scratch
+// model (verified with go test -race); ForEach's workers communicate only
+// through an atomic work counter and a WaitGroup, and each index is
+// visited exactly once by exactly one worker; Ordered's hand units over
+// channels, one owner at a time. No sync.Pool is used anywhere — scratch
 // buffers are owned by their worker for the duration of a call (callers
 // that recycle scratch across calls use internal/mempool, whose free lists
 // are deterministic and explicitly bounded, unlike sync.Pool's GC-coupled
@@ -63,9 +66,8 @@ type Stats struct {
 	MaxBusy time.Duration
 }
 
-// add accumulates another pool invocation (used by ForEachBlock and by
-// spans aggregating repeated sweeps).
-func (s *Stats) add(o Stats) {
+// Add accumulates another pool invocation run after this one.
+func (s *Stats) Add(o Stats) {
 	if o.Workers > s.Workers {
 		s.Workers = o.Workers
 	}
