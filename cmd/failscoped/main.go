@@ -26,8 +26,9 @@
 // into the single-engine shape (see internal/shard and DESIGN.md §15).
 //
 // With -data-dir the daemon runs durably: every ingested batch is framed
-// into a write-ahead log before its POST succeeds, periodic checkpoints
-// spill the full engine state, and startup recovers checkpoint + WAL tail
+// into a write-ahead log before its POST succeeds, a checkpoint spills the
+// full engine state after every sealed 8 MiB WAL segment (and on the
+// -checkpoint-interval ticker), and startup recovers checkpoint + WAL tail
 // before the listener opens (see internal/durable and DESIGN.md §14).
 //
 // With -replay the daemon generates the selected dcsim dataset and streams
@@ -79,7 +80,7 @@ func run() error {
 		dataDir     = flag.String("data-dir", "", "directory for the durable store (WAL + checkpoints); empty runs in-memory only")
 		shards      = flag.Int("shards", 1, "stream-engine shards (machine-hash partitions; each shard is an independent engine behind its own ingest queue)")
 		shardQueue  = flag.Int("shard-queue", shard.DefaultQueueLen, "per-shard ingest queue capacity in batches (full queues block posters)")
-		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "with -data-dir: cadence of periodic checkpoints (0 disables the ticker; drain still checkpoints)")
+		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "with -data-dir: cadence of periodic checkpoints, on top of the one after every sealed WAL segment (0 disables the ticker; sealed segments and drain still checkpoint)")
 		detectOn    = flag.Bool("detect", true, "run the online failure detector (serves /v1/alerts and detect.* metrics)")
 		detHorizon  = flag.Duration("detect-horizon", 0, "alert confirmation horizon (0 = calibrated default)")
 		histSize    = flag.Int("history-size", 720, "snapshots retained in the metrics history ring")
@@ -272,23 +273,33 @@ func run() error {
 		replayDone <- nil
 	}
 
-	// Periodic checkpoints bound recovery time: each one spills the engine
-	// state to disk and lets the store drop fully-covered WAL segments.
+	// Checkpoints bound recovery: each spills the engine state and lets the
+	// store drop the WAL segments it covers. One goroutine takes them, after
+	// every sealed segment (so a crash replays at most the open one) and on
+	// the -checkpoint-interval ticker; triggers that arrive while one runs
+	// coalesce into the next.
 	stopCkpt := make(chan struct{})
 	ckptDone := make(chan struct{})
-	if store != nil && *ckptEvery > 0 {
+	if store != nil {
 		go func() {
 			defer close(ckptDone)
-			tick := time.NewTicker(*ckptEvery)
-			defer tick.Stop()
+			var tick <-chan time.Time
+			if *ckptEvery > 0 {
+				t := time.NewTicker(*ckptEvery)
+				defer t.Stop()
+				tick = t.C
+			}
 			for {
+				trigger := "segment"
 				select {
 				case <-stopCkpt:
 					return
-				case <-tick.C:
-					if _, err := store.Checkpoint(eng); err != nil {
-						fmt.Fprintf(os.Stderr, "failscoped: checkpoint: %v\n", err)
-					}
+				case <-store.Sealed():
+				case <-tick:
+					trigger = "interval"
+				}
+				if _, err := checkpoint(store, eng, trigger); err != nil {
+					fmt.Fprintf(os.Stderr, "failscoped: checkpoint: %v\n", err)
 				}
 			}
 		}()
@@ -328,7 +339,7 @@ func run() error {
 	if store != nil {
 		// Graceful drain ends with a final checkpoint so the next boot
 		// replays zero WAL records; Close seals the last segment behind it.
-		seq, err := store.Checkpoint(eng)
+		seq, err := checkpoint(store, eng, "drain")
 		if err != nil {
 			return fmt.Errorf("final checkpoint: %w", err)
 		}
@@ -338,6 +349,20 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "failscoped: final checkpoint at seq %d\n", seq)
 	}
 	return ofl.Emit("failscoped", o, func(rep *obs.RunReport) { rep.Meta.Shards = *shards })
+}
+
+// checkpoint has the store checkpoint the engine and logs the checkpoint,
+// naming its trigger, when it wrote one (an engine still at the newest
+// checkpoint's sequence writes nothing).
+func checkpoint(store *durable.Store, eng *stream.Engine, trigger string) (int64, error) {
+	before := store.CheckpointSeq()
+	t0 := time.Now()
+	seq, err := store.Checkpoint(eng)
+	if err == nil && seq != before {
+		fmt.Fprintf(os.Stderr, "failscoped: checkpoint at seq %d (trigger %s, %v)\n",
+			seq, trigger, time.Since(t0).Round(time.Millisecond))
+	}
+	return seq, err
 }
 
 // replayWireEvents replays through the full wire path so RunReports carry

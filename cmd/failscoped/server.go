@@ -47,6 +47,7 @@ var metricHelp = map[string]string{
 	"durable.checkpoint_seq":            "engine sequence of the newest completed checkpoint",
 	"durable.fsync_ms":                  "WAL group-commit fsync latency in milliseconds",
 	"durable.checkpoint_ms":             "checkpoint write latency in milliseconds",
+	"durable.checkpoint_lock_ms":        "milliseconds a checkpoint held the engine lock (ingest waits behind it)",
 	"durable.checkpoints_invalid":       "checkpoints that failed integrity validation at recovery",
 	"durable.recovery_checkpoint_seq":   "sequence of the checkpoint the last recovery restored",
 	"durable.recovery_replayed_records": "WAL records replayed by the last recovery",

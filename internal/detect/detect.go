@@ -227,6 +227,7 @@ type Detector struct {
 
 	recent  []Alert // cleared ring, oldest first
 	scratch textmine.PredictScratch
+	imgIDs  []model.MachineID // WriteState's reused key buffer
 }
 
 // New creates a detector; zero-value config fields take the calibrated

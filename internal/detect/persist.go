@@ -8,193 +8,249 @@ package detect
 // instants as one that never crashed (the crash-recovery equivalence
 // tests replay both and DeepEqual the snapshots).
 //
-// The image is gob-encoded through exported mirror structs. The publish
-// watermarks (pubRaised/pubClear) are deliberately reset to zero on
-// restore: the restarted process has a fresh metrics registry, and a zero
-// watermark makes the next Publish re-add the full historical counts so
-// the detect_* counters converge to an uninterrupted run's values.
+// The image is written field by field from the live detector in binimg
+// values, every map in key order, so one detector state has exactly one
+// image:
+//
+//	magic "FSDET002"
+//	minCrashes, burstWindow, horizon   (raise-rule parameters, nanos)
+//	machine count, then per machine, sorted by ID:
+//	  id, kind, system, cpus, memoryGB, diskGB, disks, created, host,
+//	  recent (count + times), crashes,
+//	  4 × series (n, mean, dev, pos, neg),
+//	  active (present flag + alert)
+//	hostVMs count, then (id, count) sorted by id
+//	firstEvent, watermark
+//	nextID, activeCount, crashTickets
+//	raisedBySource count, then (source, count) sorted by source
+//	confirmed, expired
+//	leadDays (sketch moments), leadQ (sketch quantile)
+//	cleared ring: count + alerts, oldest first
+//
+// An alert is id, machine, kind, system, source, metric, raisedAt,
+// deadline, crashes, risk, cause, outcome, clearedAt, leadDays.
+//
+// The publish watermarks (pubRaised/pubClear) are deliberately reset to
+// zero on restore: the restarted process has a fresh metrics registry, and
+// a zero watermark makes the next Publish re-add the full historical
+// counts so the detect_* counters converge to an uninterrupted run's
+// values.
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
-	"sort"
 	"time"
 
+	"failscope/internal/binimg"
 	"failscope/internal/model"
 	"failscope/internal/sketch"
 )
 
-// detectorStateVersion stamps the gob image; bump on layout changes.
-const detectorStateVersion = 1
+const detectorStateMagic = "FSDET002"
 
-// seriesImage mirrors seriesState.
-type seriesImage struct {
-	N         int
-	Mean, Dev float64
-	Pos, Neg  float64
+// WriteParams appends the raise-rule parameters an image is bound to.
+func (c Config) WriteParams(w *binimg.Writer) {
+	w.Int(c.MinCrashes)
+	w.I64(int64(c.BurstWindow))
+	w.I64(int64(c.Horizon))
 }
 
-// machineImage mirrors machineState.
-type machineImage struct {
-	ID      model.MachineID
-	Kind    model.MachineKind
-	System  model.System
-	Cap     model.Capacity
-	Created time.Time
-	Host    model.MachineID
-	Recent  []time.Time
-	Crashes int
-	Series  [4]seriesImage
-	Active  *Alert
+// CheckParams reads parameters WriteParams wrote and fails r unless they
+// are c's: restoring into a detector configured differently would silently
+// change every pending deadline.
+func (c Config) CheckParams(r *binimg.Reader) {
+	minCrashes, burst, horizon := r.Int(), time.Duration(r.I64()), time.Duration(r.I64())
+	if r.Err() == nil && (minCrashes != c.MinCrashes || burst != c.BurstWindow || horizon != c.Horizon) {
+		r.Failf("detect: state written under minCrashes=%d burst=%s horizon=%s, detector configured with %d/%s/%s",
+			minCrashes, burst, horizon, c.MinCrashes, c.BurstWindow, c.Horizon)
+	}
 }
 
-// detectorImage is the full serialized detector.
-type detectorImage struct {
-	Version int
-
-	// Raise-rule parameters the image was produced under; restoring into
-	// a detector configured differently would silently change every
-	// pending deadline, so it is refused instead.
-	MinCrashes  int
-	BurstWindow time.Duration
-	Horizon     time.Duration
-
-	Machines []machineImage // sorted by ID
-	HostVMs  map[model.MachineID]int
-
-	FirstEvent time.Time
-	Watermark  time.Time
-
-	NextID       int64
-	ActiveCount  int
-	CrashTickets int64
-
-	RaisedBySource map[string]int64
-	Confirmed      int64
-	Expired        int64
-
-	LeadDays sketch.MomentsState
-	LeadQ    sketch.QuantileState
-
-	Recent []Alert
-}
-
-// WriteState serializes the detector. Machine order is sorted, so the
-// same detector always produces the same bytes.
-func (d *Detector) WriteState(w io.Writer) error {
+// WriteState appends the detector's image to w; w latches any error.
+// Every map is written in key order, so the same detector always produces
+// the same bytes.
+func (d *Detector) WriteState(w *binimg.Writer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	img := detectorImage{
-		Version:        detectorStateVersion,
-		MinCrashes:     d.cfg.MinCrashes,
-		BurstWindow:    d.cfg.BurstWindow,
-		Horizon:        d.cfg.Horizon,
-		HostVMs:        d.hostVMs,
-		FirstEvent:     d.firstEvent,
-		Watermark:      d.watermark,
-		NextID:         d.nextID,
-		ActiveCount:    d.activeCount,
-		CrashTickets:   d.crashTickets,
-		RaisedBySource: d.raisedBySource,
-		Confirmed:      d.confirmed,
-		Expired:        d.expired,
-		LeadDays:       d.leadDays.State(),
-		LeadQ:          d.leadQ.State(),
-		Recent:         d.recent,
-	}
-	ids := make([]model.MachineID, 0, len(d.machines))
-	for id := range d.machines {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	img.Machines = make([]machineImage, 0, len(ids))
-	for _, id := range ids {
+	w.Raw(detectorStateMagic)
+	d.cfg.WriteParams(w)
+
+	d.imgIDs = binimg.SortedKeys(d.machines, d.imgIDs)
+	w.Int(len(d.imgIDs))
+	for _, id := range d.imgIDs {
 		st := d.machines[id]
-		mi := machineImage{
-			ID:      st.id,
-			Kind:    st.kind,
-			System:  st.system,
-			Cap:     st.cap,
-			Created: st.created,
-			Host:    st.host,
-			Recent:  st.recent,
-			Crashes: st.crashes,
-			Active:  st.active,
+		w.Str(string(id))
+		w.Int(int(st.kind))
+		w.Int(int(st.system))
+		w.Int(st.cap.CPUs)
+		w.F64(st.cap.MemoryGB)
+		w.F64(st.cap.DiskGB)
+		w.Int(st.cap.Disks)
+		w.Time(st.created)
+		w.Str(string(st.host))
+		w.Int(len(st.recent))
+		for _, t := range st.recent {
+			w.Time(t)
 		}
-		for i, s := range st.series {
-			mi.Series[i] = seriesImage{N: s.n, Mean: s.mean, Dev: s.dev, Pos: s.pos, Neg: s.neg}
+		w.Int(st.crashes)
+		for _, s := range st.series {
+			w.Int(s.n)
+			w.F64(s.mean)
+			w.F64(s.dev)
+			w.F64(s.pos)
+			w.F64(s.neg)
 		}
-		img.Machines = append(img.Machines, mi)
+		w.Bool(st.active != nil)
+		if st.active != nil {
+			encodeAlert(w, st.active)
+		}
 	}
-	if err := gob.NewEncoder(w).Encode(&img); err != nil {
-		return fmt.Errorf("detect: write state: %w", err)
+
+	d.imgIDs = binimg.SortedKeys(d.hostVMs, d.imgIDs)
+	w.Int(len(d.imgIDs))
+	for _, id := range d.imgIDs {
+		w.Str(string(id))
+		w.Int(d.hostVMs[id])
 	}
-	return nil
+
+	w.Time(d.firstEvent)
+	w.Time(d.watermark)
+	w.I64(d.nextID)
+	w.Int(d.activeCount)
+	w.I64(d.crashTickets)
+
+	sources := binimg.SortedKeys(d.raisedBySource, make([]string, 0, 2))
+	w.Int(len(sources))
+	for _, src := range sources {
+		w.Str(src)
+		w.I64(d.raisedBySource[src])
+	}
+	w.I64(d.confirmed)
+	w.I64(d.expired)
+	d.leadDays.WriteImage(w)
+	sketch.WriteQuantileImage(w, d.leadQ)
+
+	w.Int(len(d.recent))
+	for i := range d.recent {
+		encodeAlert(w, &d.recent[i])
+	}
 }
 
-// RestoreState overwrites the detector's tracking state with a previously
-// written image. The receiver keeps its configuration and registry; the
+func encodeAlert(w *binimg.Writer, a *Alert) {
+	w.I64(a.ID)
+	w.Str(string(a.Machine))
+	w.Int(int(a.Kind))
+	w.Int(int(a.System))
+	w.Str(a.Source)
+	w.Str(a.Metric)
+	w.Time(a.RaisedAt)
+	w.Time(a.Deadline)
+	w.Int(a.Crashes)
+	w.F64(a.Risk)
+	w.Int(int(a.Cause))
+	w.Str(a.Outcome)
+	w.Time(a.ClearedAt)
+	w.F64(a.LeadDays)
+}
+
+func decodeAlert(r *binimg.Reader) Alert {
+	return Alert{
+		ID:        r.I64(),
+		Machine:   model.MachineID(r.Str()),
+		Kind:      model.MachineKind(r.Int()),
+		System:    model.System(r.Int()),
+		Source:    r.Str(),
+		Metric:    r.Str(),
+		RaisedAt:  r.Time(),
+		Deadline:  r.Time(),
+		Crashes:   r.Int(),
+		Risk:      r.F64(),
+		Cause:     model.FailureClass(r.Int()),
+		Outcome:   r.Str(),
+		ClearedAt: r.Time(),
+		LeadDays:  r.F64(),
+	}
+}
+
+// RestoreState overwrites the detector's tracking state with an image
+// WriteState wrote. The receiver keeps its configuration and registry; the
 // image's raise-rule parameters must match the configuration or the
-// restore is refused.
-func (d *Detector) RestoreState(r io.Reader) error {
-	var img detectorImage
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
+// restore is refused. The whole image is decoded before the detector
+// changes, so a refused image leaves it as it was.
+func (d *Detector) RestoreState(r *binimg.Reader) error {
+	if magic := r.Raw(len(detectorStateMagic)); r.Err() == nil && magic != detectorStateMagic {
+		return fmt.Errorf("detect: bad state magic %q", magic)
+	}
+	d.cfg.CheckParams(r)
+	if err := r.Err(); err != nil {
 		return fmt.Errorf("detect: read state: %w", err)
 	}
-	if img.Version != detectorStateVersion {
-		return fmt.Errorf("detect: state version %d, want %d", img.Version, detectorStateVersion)
+
+	n := New(d.cfg)
+	next := binimg.Ascending[model.MachineID](r, "detector machines")
+	for i := r.Count("detector machines"); i > 0 && r.Err() == nil; i-- {
+		st := &machineState{id: next(model.MachineID(r.Str()))}
+		st.kind = model.MachineKind(r.Int())
+		st.system = model.System(r.Int())
+		st.cap = model.Capacity{CPUs: r.Int(), MemoryGB: r.F64(), DiskGB: r.F64(), Disks: r.Int()}
+		st.created = r.Time()
+		st.host = model.MachineID(r.Str())
+		if m := r.Count("recent crashes"); m > 0 {
+			st.recent = make([]time.Time, 0, binimg.Hint(m))
+			for ; m > 0 && r.Err() == nil; m-- {
+				st.recent = append(st.recent, r.Time())
+			}
+		}
+		st.crashes = r.Int()
+		for j := range st.series {
+			st.series[j] = seriesState{n: r.Int(), mean: r.F64(), dev: r.F64(), pos: r.F64(), neg: r.F64()}
+		}
+		if r.Bool() {
+			a := decodeAlert(r)
+			st.active = &a
+		}
+		n.machines[st.id] = st
+	}
+	next = binimg.Ascending[model.MachineID](r, "hostVMs")
+	for i := r.Count("hostVMs"); i > 0 && r.Err() == nil; i-- {
+		id := next(model.MachineID(r.Str()))
+		n.hostVMs[id] = r.Int()
+	}
+	n.firstEvent = r.Time()
+	n.watermark = r.Time()
+	n.nextID = r.I64()
+	n.activeCount = r.Int()
+	n.crashTickets = r.I64()
+	nextSrc := binimg.Ascending[string](r, "raisedBySource")
+	for i := r.Count("raisedBySource"); i > 0 && r.Err() == nil; i-- {
+		src := nextSrc(r.Str())
+		n.raisedBySource[src] = r.I64()
+	}
+	n.confirmed = r.I64()
+	n.expired = r.I64()
+	n.leadDays.ReadImage(r)
+	if n.leadQ = sketch.ReadQuantileImage(r); n.leadQ == nil {
+		r.Failf("detect: state has no lead-time sketch") // a detector always has one
+	}
+	if m := r.Count("cleared alerts"); m > 0 {
+		n.recent = make([]Alert, 0, binimg.Hint(m))
+		for ; m > 0 && r.Err() == nil; m-- {
+			n.recent = append(n.recent, decodeAlert(r))
+		}
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("detect: read state: %w", err)
 	}
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if img.MinCrashes != d.cfg.MinCrashes || img.BurstWindow != d.cfg.BurstWindow || img.Horizon != d.cfg.Horizon {
-		return fmt.Errorf("detect: state written under minCrashes=%d burst=%s horizon=%s, detector configured with %d/%s/%s",
-			img.MinCrashes, img.BurstWindow, img.Horizon,
-			d.cfg.MinCrashes, d.cfg.BurstWindow, d.cfg.Horizon)
-	}
-
-	d.machines = make(map[model.MachineID]*machineState, len(img.Machines))
-	for _, mi := range img.Machines {
-		st := &machineState{
-			id:      mi.ID,
-			kind:    mi.Kind,
-			system:  mi.System,
-			cap:     mi.Cap,
-			created: mi.Created,
-			host:    mi.Host,
-			recent:  mi.Recent,
-			crashes: mi.Crashes,
-			active:  mi.Active,
-		}
-		for i, s := range mi.Series {
-			st.series[i] = seriesState{n: s.N, mean: s.Mean, dev: s.Dev, pos: s.Pos, neg: s.Neg}
-		}
-		d.machines[mi.ID] = st
-	}
-	d.hostVMs = img.HostVMs
-	if d.hostVMs == nil {
-		d.hostVMs = make(map[model.MachineID]int)
-	}
-	d.firstEvent = img.FirstEvent
-	d.watermark = img.Watermark
-	d.nextID = img.NextID
-	d.activeCount = img.ActiveCount
-	d.crashTickets = img.CrashTickets
-	d.raisedBySource = img.RaisedBySource
-	if d.raisedBySource == nil {
-		d.raisedBySource = make(map[string]int64)
-	}
-	d.confirmed = img.Confirmed
-	d.expired = img.Expired
-	d.leadDays.Restore(img.LeadDays)
-	if q := sketch.RestoreQuantile(img.LeadQ); q != nil {
-		d.leadQ = q
-	} else {
-		d.leadQ = sketch.NewQuantile(sketch.DefaultK)
-	}
+	d.machines, d.hostVMs = n.machines, n.hostVMs
+	d.firstEvent, d.watermark = n.firstEvent, n.watermark
+	d.nextID, d.activeCount, d.crashTickets = n.nextID, n.activeCount, n.crashTickets
+	d.raisedBySource = n.raisedBySource
+	d.confirmed, d.expired = n.confirmed, n.expired
+	d.leadDays, d.leadQ = n.leadDays, n.leadQ
 	d.pubRaised, d.pubClear = 0, 0
-	d.recent = img.Recent
+	d.recent = n.recent
 	return nil
 }

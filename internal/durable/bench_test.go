@@ -1,7 +1,12 @@
 package durable
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"failscope/internal/dcsim"
 	"failscope/internal/detect"
@@ -192,3 +197,69 @@ func benchmarkRecoverStudy(b *testing.B, workers int) {
 
 func BenchmarkRecoverStudy_Workers1(b *testing.B)   { benchmarkRecoverStudy(b, 1) }
 func BenchmarkRecoverStudy_WorkersMax(b *testing.B) { benchmarkRecoverStudy(b, par.Workers(0)) }
+
+// studyEngine applies the whole small study to an engine with a detector:
+// the state a durable daemon checkpoints at the end of the study.
+func studyEngine(b *testing.B) *stream.Engine {
+	batches, err := studyBatches()
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := stream.NewEngine(studyConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, batch := range batches {
+		if err := eng.Apply(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return eng
+}
+
+// BenchmarkCheckpointStudy measures what a checkpoint costs ingest: the
+// study engine's image encoded under the engine lock into a file, as
+// Store.Checkpoint writes it. lock-ms/op is the time the lock was held.
+func BenchmarkCheckpointStudy(b *testing.B) {
+	eng := studyEngine(b)
+	f, err := os.Create(filepath.Join(b.TempDir(), "state.bin"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	var held time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			b.Fatal(err)
+		}
+		_, h, err := eng.WriteStateTimed(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		held += h
+	}
+	b.ReportMetric(float64(held)/float64(time.Millisecond)/float64(b.N), "lock-ms/op")
+}
+
+// BenchmarkRestoreStudy measures the restore half of a recovery: the study
+// engine's image decoded into a fresh engine with a detector.
+func BenchmarkRestoreStudy(b *testing.B) {
+	var img bytes.Buffer
+	if _, err := studyEngine(b).WriteState(&img); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(img.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := stream.NewEngine(studyConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.RestoreState(bytes.NewReader(img.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

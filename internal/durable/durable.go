@@ -89,6 +89,9 @@ type Store struct {
 	walBytes   int64 // cumulative bytes appended this process
 	walRecords int64
 	ckptSeq    int64
+
+	// sealed receives a token each time a segment seals; see Sealed.
+	sealed chan struct{}
 }
 
 // walRecord is one pooled WAL record buffer: the frame header followed by
@@ -102,10 +105,12 @@ var walEncPool = mempool.New("durable.walenc", 16,
 	func(r *walRecord) *walRecord { r.b = r.b[:0]; return r },
 )
 
-// fsyncBucketsMS / checkpointBucketsMS are the latency histogram bounds.
+// fsyncBucketsMS / checkpointBucketsMS / lockBucketsMS are the latency
+// histogram bounds.
 var (
 	fsyncBucketsMS      = []float64{0.1, 0.5, 1, 5, 10, 50, 100, 500}
 	checkpointBucketsMS = []float64{1, 5, 10, 50, 100, 500, 1000, 5000}
+	lockBucketsMS       = []float64{0.5, 1, 2, 5, 10, 20, 50, 100}
 )
 
 // Open prepares the data directory: creates it if needed, removes
@@ -116,7 +121,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, opt: opt, reg: opt.Registry}
+	s := &Store{dir: dir, opt: opt, reg: opt.Registry, sealed: make(chan struct{}, 1)}
 
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -284,7 +289,7 @@ func (s *Store) openSegmentLocked(firstSeq int64) error {
 
 // sealSegmentLocked flushes, syncs and closes the current segment. Sealed
 // segments are immutable, which is what lets recovery treat a torn record
-// anywhere but the final segment as corruption.
+// anywhere but the final segment as corruption. Sealing signals Sealed.
 func (s *Store) sealSegmentLocked() error {
 	if s.f == nil {
 		return nil
@@ -297,8 +302,18 @@ func (s *Store) sealSegmentLocked() error {
 	}
 	s.f = nil
 	s.segSize = 0
+	select {
+	case s.sealed <- struct{}{}:
+	default: // a checkpoint is already due; seals coalesce
+	}
 	return nil
 }
+
+// Sealed returns a channel that holds a token once a WAL segment has
+// sealed since the last receive. A checkpoint taken on it lets the next
+// prune delete every sealed segment, so a recovery replays at most the
+// open one. The send never blocks the appender: seals coalesce.
+func (s *Store) Sealed() <-chan struct{} { return s.sealed }
 
 // Close seals the current segment and publishes final gauges. It does not
 // checkpoint; callers wanting a clean restart checkpoint first.
@@ -320,9 +335,20 @@ func (s *Store) publishLocked() {
 // Checkpoint writes the engine's current state as a new checkpoint
 // directory, prunes old checkpoints past the retention count, and deletes
 // WAL segments the checkpoint fully covers. Returns the checkpointed
-// sequence. A checkpoint at the current latest sequence is a no-op.
+// sequence. An engine still at the newest checkpoint's sequence is not
+// written again: the call returns that sequence and touches nothing.
+//
+// The engine lock is held only while the image is encoded into the
+// file; the fsync, the manifest, the rename and the pruning run after it
+// is released.
 func (s *Store) Checkpoint(eng *stream.Engine) (int64, error) {
 	t0 := time.Now()
+	s.mu.Lock()
+	last := s.ckptSeq
+	s.mu.Unlock()
+	if eng.Seq() == last {
+		return last, nil
+	}
 	tmp := filepath.Join(s.dir, "checkpoint.tmp")
 	if err := os.RemoveAll(tmp); err != nil {
 		return 0, fmt.Errorf("durable: checkpoint: %w", err)
@@ -336,20 +362,14 @@ func (s *Store) Checkpoint(eng *stream.Engine) (int64, error) {
 	}
 	h := crc32.NewIEEE()
 	cw := &countWriter{w: io.MultiWriter(f, h)}
-	seq, err := eng.WriteState(cw)
+	seq, held, err := eng.WriteStateTimed(cw)
 	if err != nil {
 		f.Close()
 		os.RemoveAll(tmp)
 		return 0, fmt.Errorf("durable: checkpoint: %w", err)
 	}
-	s.mu.Lock()
-	last := s.ckptSeq
-	s.mu.Unlock()
-	if seq == last {
-		f.Close()
-		os.RemoveAll(tmp)
-		return seq, nil
-	}
+	s.reg.Histogram("durable.checkpoint_lock_ms", lockBucketsMS...).
+		Observe(float64(held) / float64(time.Millisecond))
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.RemoveAll(tmp)

@@ -2,15 +2,16 @@ package durable
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"failscope/internal/model"
+	"failscope/internal/obs"
 	"failscope/internal/stream"
 )
 
@@ -72,15 +73,6 @@ func testBatches(n int) [][]stream.Event {
 	return batches
 }
 
-func snapJSON(t *testing.T, eng *stream.Engine) string {
-	t.Helper()
-	b, err := json.Marshal(eng.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
 // runWithStore applies the batches through an engine journaled into dir,
 // optionally checkpointing after batch checkpointAt (-1 = never), and
 // abandons the store without closing — the unit-level crash: everything a
@@ -139,7 +131,7 @@ func TestRecoverEmptyDir(t *testing.T) {
 // TestCrashRecoveryEquivalence is the unit-level headline invariant:
 // abandon the store at assorted points — before any checkpoint, right
 // after one, and with a WAL tail past one — and recovery must rebuild an
-// engine whose snapshot equals an uninterrupted run's.
+// engine whose state image equals an uninterrupted run's, byte for byte.
 func TestCrashRecoveryEquivalence(t *testing.T) {
 	batches := testBatches(40)
 	ref := newEngine(t)
@@ -148,16 +140,16 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := snapJSON(t, ref)
+	want := fingerprint(t, ref)
 
 	for _, ckptAt := range []int{-1, 0, 20, 39} {
 		dir := t.TempDir()
 		crashed := runWithStore(t, dir, batches, ckptAt)
-		if got := snapJSON(t, crashed); got != want {
+		if got := fingerprint(t, crashed); got != want {
 			t.Fatalf("ckpt@%d: journaled run diverges before crash", ckptAt)
 		}
 		eng, info := recoverDir(t, dir)
-		if got := snapJSON(t, eng); got != want {
+		if got := fingerprint(t, eng); got != want {
 			t.Errorf("ckpt@%d: recovered snapshot diverges (info %+v)", ckptAt, info)
 		}
 		if eng.Seq() != ref.Seq() {
@@ -221,7 +213,7 @@ func TestCheckpointPrunesWAL(t *testing.T) {
 	}
 
 	rec, _ := recoverDir(t, dir)
-	if snapJSON(t, rec) != snapJSON(t, eng) {
+	if fingerprint(t, rec) != fingerprint(t, eng) {
 		t.Error("recovery after pruning diverges")
 	}
 }
@@ -284,7 +276,7 @@ func TestShutdownCheckpointZeroReplay(t *testing.T) {
 		t.Errorf("replayed %d records / %d events after a clean shutdown checkpoint",
 			info.ReplayedRecords, info.ReplayedEvents)
 	}
-	if snapJSON(t, rec) != snapJSON(t, eng) {
+	if fingerprint(t, rec) != fingerprint(t, eng) {
 		t.Error("post-shutdown recovery diverges")
 	}
 }
@@ -304,7 +296,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantShort := snapJSON(t, refShort)
+	wantShort := fingerprint(t, refShort)
 
 	segs, err := filepath.Glob(filepath.Join(master, "wal-*.log"))
 	if err != nil || len(segs) != 1 {
@@ -330,7 +322,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 		} else if info.TruncatedBytes != cut-lastStart {
 			t.Errorf("cut %d: truncated %d bytes, want %d", cut, info.TruncatedBytes, cut-lastStart)
 		}
-		if got := snapJSON(t, eng); got != wantShort {
+		if got := fingerprint(t, eng); got != wantShort {
 			t.Fatalf("cut %d: recovered state diverges from stream minus final batch", cut)
 		}
 	}
@@ -439,7 +431,7 @@ func TestInvalidCheckpointFallsBack(t *testing.T) {
 	if info.CheckpointSeq != ckpts[0] {
 		t.Errorf("recovered from checkpoint %d, want fallback to %d", info.CheckpointSeq, ckpts[0])
 	}
-	if snapJSON(t, rec) != snapJSON(t, eng) {
+	if fingerprint(t, rec) != fingerprint(t, eng) {
 		t.Error("fallback recovery diverges")
 	}
 }
@@ -454,7 +446,7 @@ func TestRecoveryIdempotent(t *testing.T) {
 
 	a, _ := recoverDir(t, dir)
 	b, _ := recoverDir(t, dir)
-	if snapJSON(t, a) != snapJSON(t, b) {
+	if fingerprint(t, a) != fingerprint(t, b) {
 		t.Error("back-to-back recoveries diverge")
 	}
 }
@@ -481,5 +473,212 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(frame, appendRecord(nil, 42, 1, payload)) {
 		t.Error("encoding is not deterministic")
+	}
+}
+
+// TestIdleCheckpointWritesNothing: a checkpoint of an engine still at the
+// newest checkpoint's sequence neither encodes an image (no lock hold is
+// observed) nor touches the directory.
+func TestIdleCheckpointWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	st, err := Open(dir, Options{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newEngine(t)
+	eng.SetJournal(st)
+	holds := func() float64 { return reg.Snapshot()["durable.checkpoint_lock_ms.count"] }
+
+	if seq, err := st.Checkpoint(eng); err != nil || seq != 0 || holds() != 0 {
+		t.Fatalf("checkpoint of an empty engine: seq %d, err %v, %v lock holds", seq, err, holds())
+	}
+	for _, b := range testBatches(5) {
+		if err := eng.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq, err := st.Checkpoint(eng)
+	if err != nil || seq != eng.Seq() || holds() != 1 {
+		t.Fatalf("first checkpoint: seq %d, err %v, %v lock holds", seq, err, holds())
+	}
+	before, err := readTree(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stat, err := os.Stat(st.checkpointDir(seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if again, err := st.Checkpoint(eng); err != nil || again != seq {
+			t.Fatalf("idle checkpoint %d: seq %d, err %v", i, again, err)
+		}
+	}
+	if holds() != 1 {
+		t.Errorf("idle checkpoints encoded %v images, want none", holds()-1)
+	}
+	after, err := readTree(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Error("idle checkpoints changed the data directory")
+	}
+	if again, err := os.Stat(st.checkpointDir(seq)); err != nil || !again.ModTime().Equal(stat.ModTime()) {
+		t.Errorf("idle checkpoints rewrote the checkpoint directory (%v)", err)
+	}
+}
+
+// TestSealedSignalCoalesces: Sealed holds no token before a segment seals,
+// one after, and still one after several seals nobody received.
+func TestSealedSignalCoalesces(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{SegmentBytes: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newEngine(t)
+	eng.SetJournal(st)
+	pending := func() int {
+		n := 0
+		for {
+			select {
+			case <-st.Sealed():
+				n++
+			default:
+				return n
+			}
+		}
+	}
+	batches := testBatches(60)
+	if err := eng.Apply(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := pending(); n != 0 {
+		t.Fatalf("%d tokens before any seal", n)
+	}
+	for _, b := range batches[1:] {
+		if err := eng.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segs := countGlob(t, st.dir, "wal-*.log"); segs < 3 {
+		t.Fatalf("only %d segments; the test needs several seals", segs)
+	}
+	if n := pending(); n != 1 {
+		t.Errorf("%d tokens after several seals, want 1", n)
+	}
+}
+
+// TestSealedCheckpointBoundsReplay runs the daemon's checkpoint loop in
+// step with ingest: a checkpoint on every seal keeps the WAL at two
+// segments, and a crash recovers one checkpoint plus at most the open
+// segment, landing byte for byte on the uninterrupted state.
+func TestSealedCheckpointBoundsReplay(t *testing.T) {
+	batches := testBatches(80)
+	dir := t.TempDir()
+	st, err := Open(dir, Options{SegmentBytes: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newEngine(t)
+	eng.SetJournal(st)
+	checkpoints, maxSegs := 0, 0
+	for _, b := range batches {
+		if err := eng.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-st.Sealed():
+			if _, err := st.Checkpoint(eng); err != nil {
+				t.Fatal(err)
+			}
+			checkpoints++
+		default:
+		}
+		maxSegs = max(maxSegs, countGlob(t, dir, "wal-*.log"))
+	}
+	if checkpoints < 3 {
+		t.Fatalf("%d seal-triggered checkpoints; the test needs several", checkpoints)
+	}
+	if maxSegs > 2 {
+		t.Errorf("WAL reached %d segments, want at most 2", maxSegs)
+	}
+
+	rec, info := recoverDir(t, dir)
+	if fingerprint(t, rec) != fingerprint(t, eng) {
+		t.Fatal("recovered state differs from the uninterrupted run")
+	}
+	if segs := countGlob(t, dir, "wal-*.log"); info.CheckpointSeq == 0 || segs > 2 {
+		t.Errorf("recovered from checkpoint %d over %d segments, want a checkpoint and at most 2", info.CheckpointSeq, segs)
+	}
+	if info.CheckpointSeq < eng.Seq()*3/4 || info.ReplayedEvents != eng.Seq()-info.CheckpointSeq {
+		t.Errorf("restored seq %d and replayed %d of %d events, want a short tail past a recent checkpoint",
+			info.CheckpointSeq, info.ReplayedEvents, eng.Seq())
+	}
+}
+
+// TestCheckpointDuringIngest checkpoints on every seal, from its own
+// goroutine, while four others ingest through the group commit, as
+// failscoped does. A crash then recovers the journaled engine byte for
+// byte, whatever order the batches applied in.
+func TestCheckpointDuringIngest(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{SegmentBytes: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newEngine(t)
+	eng.SetJournal(st)
+
+	stop, done := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				done <- n
+				return
+			case <-st.Sealed():
+				if _, err := st.Checkpoint(eng); err != nil {
+					t.Error(err)
+				}
+				n++
+			}
+		}
+	}()
+	batches := testBatches(120)
+	if err := eng.Apply(batches[0]); err != nil { // the roster first
+		t.Fatal(err)
+	}
+	work := make(chan []stream.Event)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range work {
+				if err := eng.ApplyGrouped(b); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	for _, b := range batches[1:] {
+		work <- b
+	}
+	close(work)
+	wg.Wait()
+	close(stop)
+	if n := <-done; n == 0 {
+		t.Fatal("no checkpoint ran during ingest")
+	}
+
+	rec, info := recoverDir(t, dir)
+	if info.CheckpointSeq == 0 {
+		t.Error("recovery restored no checkpoint")
+	}
+	if fingerprint(t, rec) != fingerprint(t, eng) {
+		t.Error("recovered state differs from the journaled engine")
 	}
 }

@@ -11,7 +11,7 @@ package monitordb
 // without the round trip — the property the crash-recovery equivalence
 // tests pin.
 //
-// Layout (all integers little-endian, strings length-prefixed):
+// Layout (binimg values: integers little-endian, strings length-prefixed):
 //
 //	magic "FSSEG001"
 //	epoch, windowStart, windowEnd (unix nanos), retention (nanos)
@@ -31,352 +31,239 @@ package monitordb
 // decrement-then-delete-at-zero path, so the difference is unobservable.)
 
 import (
-	"bufio"
-	"encoding/binary"
+	"cmp"
 	"fmt"
-	"io"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
+	"failscope/internal/binimg"
 	"failscope/internal/model"
 )
 
 const segmentMagic = "FSSEG001"
 
-// maxSegmentStr bounds decoded string lengths so a corrupt length prefix
-// cannot drive a giant allocation.
-const maxSegmentStr = 1 << 20
-
-type segWriter struct {
-	w   *bufio.Writer
-	err error
-	buf [8]byte
-}
-
-func (sw *segWriter) u64(v uint64) {
-	if sw.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint64(sw.buf[:], v)
-	_, sw.err = sw.w.Write(sw.buf[:])
-}
-
-func (sw *segWriter) i64(v int64)   { sw.u64(uint64(v)) }
-func (sw *segWriter) f64(v float64) { sw.u64(math.Float64bits(v)) }
-
-func (sw *segWriter) str(s string) {
-	sw.u64(uint64(len(s)))
-	if sw.err != nil {
-		return
-	}
-	_, sw.err = sw.w.WriteString(s)
-}
-
-func (sw *segWriter) f64s(vals []float64) {
-	sw.u64(uint64(len(vals)))
-	for _, v := range vals {
-		sw.f64(v)
-	}
-}
-
-func (sw *segWriter) u64s(vals []uint64) {
-	sw.u64(uint64(len(vals)))
-	for _, v := range vals {
-		sw.u64(v)
-	}
-}
-
-func (sw *segWriter) i64s(vals []int64) {
-	sw.u64(uint64(len(vals)))
-	for _, v := range vals {
-		sw.i64(v)
-	}
-}
-
 // zeroTimeNanos marks a zero time.Time in the nanos encoding; a real
 // instant can never produce it (it is outside time.Time's nano range).
 const zeroTimeNanos = math.MinInt64
 
-func (sw *segWriter) timeNanos(t time.Time) {
+func putTimeNanos(w *binimg.Writer, t time.Time) {
 	if t.IsZero() {
-		sw.i64(zeroTimeNanos)
+		w.I64(zeroTimeNanos)
 		return
 	}
-	sw.i64(t.UnixNano())
+	w.I64(t.UnixNano())
 }
 
-type segReader struct {
-	r   *bufio.Reader
-	err error
-	buf [8]byte
-}
-
-func (sr *segReader) u64() uint64 {
-	if sr.err != nil {
-		return 0
-	}
-	if _, sr.err = io.ReadFull(sr.r, sr.buf[:]); sr.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(sr.buf[:])
-}
-
-func (sr *segReader) i64() int64   { return int64(sr.u64()) }
-func (sr *segReader) f64() float64 { return math.Float64frombits(sr.u64()) }
-
-func (sr *segReader) count(what string) int {
-	n := sr.u64()
-	if sr.err == nil && n > maxSegmentStr*64 {
-		sr.err = fmt.Errorf("monitordb: segment %s count %d implausible", what, n)
-	}
-	return int(n)
-}
-
-func (sr *segReader) str() string {
-	n := sr.u64()
-	if sr.err != nil {
-		return ""
-	}
-	if n > maxSegmentStr {
-		sr.err = fmt.Errorf("monitordb: segment string length %d implausible", n)
-		return ""
-	}
-	b := make([]byte, n)
-	if _, sr.err = io.ReadFull(sr.r, b); sr.err != nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (sr *segReader) f64s(what string) []float64 {
-	n := sr.count(what)
-	if sr.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = sr.f64()
-	}
-	return out
-}
-
-func (sr *segReader) u64s(what string) []uint64 {
-	n := sr.count(what)
-	if sr.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = sr.u64()
-	}
-	return out
-}
-
-func (sr *segReader) i64s(what string) []int64 {
-	n := sr.count(what)
-	if sr.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = sr.i64()
-	}
-	return out
-}
-
-func (sr *segReader) timeNanos() time.Time {
-	n := sr.i64()
+func readTimeNanos(r *binimg.Reader) time.Time {
+	n := r.I64()
 	if n == zeroTimeNanos {
 		return time.Time{}
 	}
 	return sampleTime(n)
 }
 
-// WriteSegment serializes the store's complete state in the binary
-// columnar segment format. Iteration orders are sorted, so the same store
-// always produces the same bytes.
-func (db *DB) WriteSegment(w io.Writer) error {
+func compareSeriesKeys(a, b seriesKey) int {
+	if c := strings.Compare(string(a.id), string(b.id)); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.metric, b.metric)
+}
+
+// WriteSegment appends the store's complete state to w in the binary
+// columnar segment format; w latches any write error, so a caller embeds
+// the segment in a larger image and checks once. Iteration orders are
+// sorted, so the same store always produces the same bytes.
+func (db *DB) WriteSegment(w *binimg.Writer) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 
-	sw := &segWriter{w: bufio.NewWriterSize(w, 1<<16)}
-	if _, err := sw.w.WriteString(segmentMagic); err != nil {
-		return err
-	}
-	sw.timeNanos(db.epoch)
-	sw.timeNanos(db.windowStart)
-	sw.timeNanos(db.windowEnd)
-	sw.i64(int64(db.retention))
+	w.Raw(segmentMagic)
+	putTimeNanos(w, db.epoch)
+	putTimeNanos(w, db.windowStart)
+	putTimeNanos(w, db.windowEnd)
+	w.I64(int64(db.retention))
 
-	keys := make([]seriesKey, 0, len(db.series))
-	for k := range db.series {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].id != keys[j].id {
-			return keys[i].id < keys[j].id
-		}
-		return keys[i].metric < keys[j].metric
-	})
-	sw.u64(uint64(len(keys)))
-	for _, k := range keys {
-		s := db.series[k]
-		sw.str(string(k.id))
-		sw.i64(int64(k.metric))
-		sw.i64(s.base)
-		sw.i64(s.stride)
-		sw.i64(int64(s.nGrid))
-		sw.i64(int64(s.nextDetect))
-		sw.f64s(s.vals)
-		sw.u64s(s.valid)
-		sw.i64s(s.rowT)
-		sw.f64s(s.rowV)
+	seen := binimg.SortedKeys(db.firstSeen, nil)
+	series := db.seriesInOrder(seen)
+	w.Int(len(series))
+	for _, e := range series {
+		w.Str(string(e.key.id))
+		w.I64(int64(e.key.metric))
+		s := e.s
+		w.I64(s.base)
+		w.I64(s.stride)
+		w.Int(s.nGrid)
+		w.Int(s.nextDetect)
+		w.F64s(s.vals)
+		w.U64s(s.valid)
+		w.I64s(s.rowT)
+		w.F64s(s.rowV)
 	}
 
-	powerIDs := make([]model.MachineID, 0, len(db.power))
-	for id := range db.power {
-		powerIDs = append(powerIDs, id)
-	}
-	sort.Slice(powerIDs, func(i, j int) bool { return powerIDs[i] < powerIDs[j] })
-	sw.u64(uint64(len(powerIDs)))
-	for _, id := range powerIDs {
-		sw.str(string(id))
+	ids := binimg.SortedKeys(db.power, make([]model.MachineID, 0, len(seen)))
+	w.Int(len(ids))
+	for _, id := range ids {
+		w.Str(string(id))
 		events := db.power[id]
-		sw.u64(uint64(len(events)))
+		w.Int(len(events))
 		for _, ev := range events {
-			sw.timeNanos(ev.Time)
-			on := uint64(0)
-			if ev.On {
-				on = 1
-			}
-			sw.u64(on)
+			putTimeNanos(w, ev.Time)
+			w.Bool(ev.On)
 		}
 	}
 
-	vms := make([]model.MachineID, 0, len(db.placement))
-	for id := range db.placement {
-		vms = append(vms, id)
-	}
-	sort.Slice(vms, func(i, j int) bool { return vms[i] < vms[j] })
-	sw.u64(uint64(len(vms)))
-	for _, id := range vms {
-		sw.str(string(id))
+	ids = binimg.SortedKeys(db.placement, ids)
+	w.Int(len(ids))
+	for _, id := range ids {
+		w.Str(string(id))
 		recs := db.placement[id]
-		sw.u64(uint64(len(recs)))
+		w.Int(len(recs))
 		for _, rec := range recs {
-			sw.timeNanos(rec.month)
-			sw.str(string(rec.host))
+			putTimeNanos(w, rec.month)
+			w.Str(string(rec.host))
 		}
 	}
 
-	seen := make([]model.MachineID, 0, len(db.firstSeen))
-	for id := range db.firstSeen {
-		seen = append(seen, id)
-	}
-	sort.Slice(seen, func(i, j int) bool { return seen[i] < seen[j] })
-	sw.u64(uint64(len(seen)))
+	w.Int(len(seen))
 	for _, id := range seen {
-		sw.str(string(id))
-		sw.timeNanos(db.firstSeen[id])
+		w.Str(string(id))
+		putTimeNanos(w, db.firstSeen[id])
 	}
-
-	if sw.err != nil {
-		return fmt.Errorf("monitordb: write segment: %w", sw.err)
-	}
-	return sw.w.Flush()
 }
 
-// ReadSegment reconstructs a store from a segment stream. The returned DB
-// carries no registry or logger; callers re-instrument it. The reader is
-// consumed exactly through the segment's final byte, so segments can be
-// embedded in larger streams.
-func ReadSegment(r io.Reader) (*DB, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
+// segSeries is one series in segment order.
+type segSeries struct {
+	key seriesKey
+	s   *colSeries
+}
+
+// seriesInOrder lists the store's series sorted by machine, then metric.
+// A series' machine is always in firstSeen, whose sorted IDs the segment
+// needs anyway, so walking them across the metrics yields the order
+// without sorting the four-times-longer series keys. A store where that
+// walk misses a series (one with a metric outside Metrics) sorts instead.
+func (db *DB) seriesInOrder(seen []model.MachineID) []segSeries {
+	out := make([]segSeries, 0, len(db.series))
+	for _, id := range seen {
+		for _, m := range [...]Metric{MetricCPUUtil, MetricMemUtil, MetricDiskUtil, MetricNetKbps} {
+			if s := db.series[seriesKey{id, m}]; s != nil {
+				out = append(out, segSeries{seriesKey{id, m}, s})
+			}
+		}
 	}
-	sr := &segReader{r: br}
-	magic := make([]byte, len(segmentMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if len(out) == len(db.series) {
+		return out
+	}
+	out = out[:0]
+	for k, s := range db.series {
+		out = append(out, segSeries{k, s})
+	}
+	slices.SortFunc(out, func(a, b segSeries) int { return compareSeriesKeys(a.key, b.key) })
+	return out
+}
+
+// ReadSegment reconstructs a store from a segment WriteSegment wrote. The
+// returned DB carries no registry or logger; callers re-instrument it. The
+// reader is consumed exactly through the segment's final byte, so segments
+// can be embedded in larger streams. Keys must arrive in the order
+// WriteSegment writes them, so a segment that reads re-writes to its own
+// bytes.
+func ReadSegment(r *binimg.Reader) (*DB, error) {
+	magic := r.Raw(len(segmentMagic))
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("monitordb: read segment magic: %w", err)
 	}
-	if string(magic) != segmentMagic {
+	if magic != segmentMagic {
 		return nil, fmt.Errorf("monitordb: bad segment magic %q", magic)
 	}
 
-	epoch := sr.timeNanos()
-	windowStart := sr.timeNanos()
-	windowEnd := sr.timeNanos()
-	retention := time.Duration(sr.i64())
+	epoch := readTimeNanos(r)
+	windowStart := readTimeNanos(r)
+	windowEnd := readTimeNanos(r)
+	retention := time.Duration(r.I64())
 	db := New(epoch, retention)
 	db.windowStart, db.windowEnd = windowStart, windowEnd
 
-	nSeries := sr.count("series")
-	for i := 0; i < nSeries && sr.err == nil; i++ {
-		id := model.MachineID(sr.str())
-		metric := Metric(sr.i64())
-		s := &colSeries{
-			base:       sr.i64(),
-			stride:     sr.i64(),
-			nGrid:      int(sr.i64()),
-			nextDetect: int(sr.i64()),
+	nSeries := r.Count("series")
+	db.series = make(map[seriesKey]*colSeries, binimg.Hint(nSeries))
+	var prev seriesKey
+	var slab []colSeries // series structs, allocated a chunk at a time
+	for i := 0; i < nSeries && r.Err() == nil; i++ {
+		// A machine's series are adjacent, so they share one ID string.
+		k := seriesKey{model.MachineID(r.StrLike(string(prev.id))), Metric(r.I64())}
+		if len(slab) == 0 {
+			slab = make([]colSeries, binimg.Hint(nSeries-i))
 		}
-		s.vals = sr.f64s("vals")
-		s.valid = sr.u64s("valid")
-		s.rowT = sr.i64s("rowT")
-		s.rowV = sr.f64s("rowV")
-		if sr.err == nil {
-			if len(s.rowT) != len(s.rowV) {
-				return nil, fmt.Errorf("monitordb: segment series %s/%s: row columns misaligned (%d vs %d)",
-					id, metric, len(s.rowT), len(s.rowV))
-			}
-			if want := (len(s.vals) + 63) / 64; len(s.valid) != want {
-				return nil, fmt.Errorf("monitordb: segment series %s/%s: bitmap has %d words, want %d",
-					id, metric, len(s.valid), want)
-			}
-			db.series[seriesKey{id, metric}] = s
+		s := &slab[0]
+		slab = slab[1:]
+		*s = colSeries{
+			base:       r.I64(),
+			stride:     r.I64(),
+			nGrid:      r.Int(),
+			nextDetect: r.Int(),
 		}
+		s.vals = r.F64s("vals")
+		s.valid = r.U64s("valid")
+		s.rowT = r.I64s("rowT")
+		s.rowV = r.F64s("rowV")
+		if r.Err() != nil {
+			break
+		}
+		if i > 0 && compareSeriesKeys(prev, k) >= 0 {
+			return nil, fmt.Errorf("monitordb: segment series %s/%s out of order", k.id, k.metric)
+		}
+		if len(s.rowT) != len(s.rowV) {
+			return nil, fmt.Errorf("monitordb: segment series %s/%s: row columns misaligned (%d vs %d)",
+				k.id, k.metric, len(s.rowT), len(s.rowV))
+		}
+		if want := (len(s.vals) + 63) / 64; len(s.valid) != want {
+			return nil, fmt.Errorf("monitordb: segment series %s/%s: bitmap has %d words, want %d",
+				k.id, k.metric, len(s.valid), want)
+		}
+		db.series[k] = s
+		prev = k
 	}
 
-	nPower := sr.count("power")
-	for i := 0; i < nPower && sr.err == nil; i++ {
-		id := model.MachineID(sr.str())
-		n := sr.count("power events")
-		events := make([]PowerEvent, 0, n)
-		for j := 0; j < n && sr.err == nil; j++ {
-			t := sr.timeNanos()
-			events = append(events, PowerEvent{Time: t, On: sr.u64() != 0})
+	next := binimg.Ascending[model.MachineID](r, "power")
+	n := r.Count("power")
+	db.power = make(map[model.MachineID][]PowerEvent, binimg.Hint(n))
+	for ; n > 0 && r.Err() == nil; n-- {
+		id := next(model.MachineID(r.Str()))
+		m := r.Count("power events")
+		events := make([]PowerEvent, 0, binimg.Hint(m))
+		for ; m > 0 && r.Err() == nil; m-- {
+			t := readTimeNanos(r)
+			events = append(events, PowerEvent{Time: t, On: r.Bool()})
 		}
-		if sr.err == nil {
-			db.power[id] = events
-		}
+		db.power[id] = events
 	}
-
-	nPlace := sr.count("placement")
-	for i := 0; i < nPlace && sr.err == nil; i++ {
-		id := model.MachineID(sr.str())
-		n := sr.count("placement records")
-		recs := make([]placementRecord, 0, n)
-		for j := 0; j < n && sr.err == nil; j++ {
-			month := sr.timeNanos()
-			host := model.MachineID(sr.str())
+	next = binimg.Ascending[model.MachineID](r, "placement")
+	n = r.Count("placement")
+	db.placement = make(map[model.MachineID][]placementRecord, binimg.Hint(n))
+	for ; n > 0 && r.Err() == nil; n-- {
+		id := next(model.MachineID(r.Str()))
+		m := r.Count("placement records")
+		recs := make([]placementRecord, 0, binimg.Hint(m))
+		for ; m > 0 && r.Err() == nil; m-- {
+			month := readTimeNanos(r)
+			host := model.MachineID(r.Str())
 			recs = append(recs, placementRecord{month: month, host: host})
 			db.hostLoad[hostMonthKey{host, month}]++
 		}
-		if sr.err == nil {
-			db.placement[id] = recs
-		}
+		db.placement[id] = recs
+	}
+	next = binimg.Ascending[model.MachineID](r, "firstSeen")
+	n = r.Count("firstSeen")
+	db.firstSeen = make(map[model.MachineID]time.Time, binimg.Hint(n))
+	for ; n > 0 && r.Err() == nil; n-- {
+		id := next(model.MachineID(r.Str()))
+		db.firstSeen[id] = readTimeNanos(r)
 	}
 
-	nSeen := sr.count("firstSeen")
-	for i := 0; i < nSeen && sr.err == nil; i++ {
-		id := model.MachineID(sr.str())
-		db.firstSeen[id] = sr.timeNanos()
-	}
-
-	if sr.err != nil {
-		return nil, fmt.Errorf("monitordb: read segment: %w", sr.err)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("monitordb: read segment: %w", err)
 	}
 	return db, nil
 }

@@ -2,9 +2,13 @@ package monitordb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
+
+	"failscope/internal/binimg"
 )
 
 // buildSegmentDB assembles a store exercising every representational
@@ -44,6 +48,23 @@ func buildSegmentDB(t *testing.T) *DB {
 	return db
 }
 
+// writeSegment returns db's segment.
+func writeSegment(t *testing.T, db *DB) []byte {
+	t.Helper()
+	var seg bytes.Buffer
+	w := binimg.NewWriter(&seg)
+	db.WriteSegment(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return seg.Bytes()
+}
+
+// readSegment reads a store back from seg.
+func readSegment(seg []byte) (*DB, error) {
+	return ReadSegment(binimg.NewReader(bytes.NewReader(seg)))
+}
+
 // seriesStateOf exposes the internal maps for equality checks; the mutex
 // and observer fields are excluded by construction.
 func dbState(db *DB) map[string]any {
@@ -66,11 +87,7 @@ func dbState(db *DB) map[string]any {
 func TestSegmentRoundTripExact(t *testing.T) {
 	db := buildSegmentDB(t)
 
-	var seg bytes.Buffer
-	if err := db.WriteSegment(&seg); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSegment(bytes.NewReader(seg.Bytes()))
+	got, err := readSegment(writeSegment(t, db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +128,7 @@ func TestSegmentRoundTripExact(t *testing.T) {
 // detection backoff and eviction all resume exactly where they left off.
 func TestSegmentRoundTripFutureWrites(t *testing.T) {
 	db := buildSegmentDB(t)
-	var seg bytes.Buffer
-	if err := db.WriteSegment(&seg); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSegment(bytes.NewReader(seg.Bytes()))
+	got, err := readSegment(writeSegment(t, db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,20 +166,45 @@ func TestSegmentRoundTripFutureWrites(t *testing.T) {
 // both must error, never return a half-built store.
 func TestSegmentRejectsCorruption(t *testing.T) {
 	db := buildSegmentDB(t)
-	var seg bytes.Buffer
-	if err := db.WriteSegment(&seg); err != nil {
-		t.Fatal(err)
-	}
-	raw := seg.Bytes()
+	raw := writeSegment(t, db)
 
 	bad := append([]byte(nil), raw...)
 	bad[0] ^= 0xFF
-	if _, err := ReadSegment(bytes.NewReader(bad)); err == nil {
+	if _, err := readSegment(bad); err == nil {
 		t.Error("corrupt magic accepted")
 	}
 	for _, cut := range []int{len(raw) / 3, len(raw) / 2, len(raw) - 1} {
-		if _, err := ReadSegment(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := readSegment(raw[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestSegmentGolden pins the FSSEG001 bytes of the fixture store: the
+// segment codec may get faster, but a checkpoint written by any version
+// must stay readable by every other, so the bytes must not move.
+func TestSegmentGolden(t *testing.T) {
+	seg := writeSegment(t, buildSegmentDB(t))
+	const want = "113411c29ef1ec628ec1c3a3f6907427e38e08b397e1b8d7e0fae26dea192d7f"
+	if got := fmt.Sprintf("%x", sha256.Sum256(seg)); got != want || len(seg) != 880 {
+		t.Fatalf("segment is %d bytes with SHA-256 %s, want 880 bytes with %s", len(seg), got, want)
+	}
+}
+
+// TestSegmentOrderOutsideMetrics: a series whose metric is not one of
+// Metrics() takes the sorted path to its place in the segment, which
+// still reads back and re-writes to the same bytes.
+func TestSegmentOrderOutsideMetrics(t *testing.T) {
+	db := buildSegmentDB(t)
+	at := db.epoch.Add(time.Hour)
+	db.Add("S1-VM-0001", Metric(9), Sample{Time: at, Value: 1})
+	db.Add("S0-PM-0000", Metric(0), Sample{Time: at, Value: 2})
+	seg := writeSegment(t, db)
+	got, err := readSegment(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.series) != len(db.series) || !bytes.Equal(writeSegment(t, got), seg) {
+		t.Fatal("the segment does not round-trip")
 	}
 }

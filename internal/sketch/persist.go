@@ -8,84 +8,76 @@ package sketch
 // parity decides which ranks the next compaction promotes, and the level
 // buffers must come back with their exact contents (including empty,
 // already-compacted levels).
+//
+// Image layouts (binimg values):
+//
+//	Moments:  n, mean, m2, min, max
+//	Quantile: present (bool); if present: k, n, min, max, compactions,
+//	          level count, then each level as a float64 column
 
-// MomentsState is the exported, serializable image of a Moments
-// accumulator. All fields are copied exactly; no derived quantity is
-// recomputed on restore.
-type MomentsState struct {
-	N        int64
-	Mean, M2 float64
-	Min, Max float64
+import "failscope/internal/binimg"
+
+// maxImageK bounds a decoded sketch's per-level capacity; Add allocates
+// levels of that capacity, so a corrupt k must not pass.
+const maxImageK = 1 << 16
+
+// WriteImage appends the accumulator's exact state to w.
+func (m *Moments) WriteImage(w *binimg.Writer) {
+	w.I64(m.n)
+	w.F64(m.mean)
+	w.F64(m.m2)
+	w.F64(m.minV)
+	w.F64(m.maxV)
 }
 
-// State captures the accumulator exactly.
-func (m *Moments) State() MomentsState {
-	return MomentsState{N: m.n, Mean: m.mean, M2: m.m2, Min: m.minV, Max: m.maxV}
+// ReadImage overwrites the accumulator with an image WriteImage wrote.
+func (m *Moments) ReadImage(r *binimg.Reader) {
+	m.n = r.I64()
+	m.mean, m.m2 = r.F64(), r.F64()
+	m.minV, m.maxV = r.F64(), r.F64()
 }
 
-// Restore overwrites the accumulator with a previously captured state.
-func (m *Moments) Restore(s MomentsState) {
-	m.n, m.mean, m.m2, m.minV, m.maxV = s.N, s.Mean, s.M2, s.Min, s.Max
-}
-
-// QuantileState is the exported, serializable image of a Quantile sketch.
-// Levels preserves buffer order and contents level by level; Compactions
-// preserves the alternating promotion offset.
-type QuantileState struct {
-	K           int
-	Levels      [][]float64
-	N           int64
-	Min, Max    float64
-	Compactions int
-}
-
-// State captures the sketch exactly. The level buffers are deep-copied so
-// the state outlives subsequent Adds. Nil receivers (an empty distAcc that
-// never saw a sample) return the zero state, which RestoreQuantile maps
-// back to nil.
-func (q *Quantile) State() QuantileState {
+// WriteQuantileImage appends q's exact state to w. A nil sketch (an
+// accumulator that never saw a sample) is written as absent.
+func WriteQuantileImage(w *binimg.Writer, q *Quantile) {
+	w.Bool(q != nil)
 	if q == nil {
-		return QuantileState{}
+		return
 	}
-	s := QuantileState{
-		K:           q.k,
-		N:           q.n,
-		Min:         q.minV,
-		Max:         q.maxV,
-		Compactions: q.compactions,
+	w.Int(q.k)
+	w.I64(q.n)
+	w.F64(q.minV)
+	w.F64(q.maxV)
+	w.Int(q.compactions)
+	w.Int(len(q.levels))
+	for _, level := range q.levels {
+		w.F64s(level)
 	}
-	if len(q.levels) > 0 {
-		s.Levels = make([][]float64, len(q.levels))
-		for i, buf := range q.levels {
-			s.Levels[i] = append([]float64(nil), buf...)
-		}
-	}
-	return s
 }
 
-// RestoreQuantile reconstructs a sketch from a captured state. A zero
-// state (K == 0) returns nil, mirroring a never-used sketch pointer. Level
-// buffers are rebuilt at the sketch's per-level capacity so post-restore
-// compaction timing matches a sketch that never left memory.
-func RestoreQuantile(s QuantileState) *Quantile {
-	if s.K == 0 && s.N == 0 {
+// ReadQuantileImage reads a sketch WriteQuantileImage wrote; nil when it
+// was written absent or on a read error.
+func ReadQuantileImage(r *binimg.Reader) *Quantile {
+	if !r.Bool() {
 		return nil
 	}
-	q := NewQuantile(s.K)
-	q.n = s.N
-	q.minV, q.maxV = s.Min, s.Max
-	q.compactions = s.Compactions
-	if len(s.Levels) > 0 {
-		q.levels = make([][]float64, len(s.Levels))
-		for i, buf := range s.Levels {
-			capHint := q.k
-			if len(buf) > capHint {
-				capHint = len(buf)
-			}
-			level := make([]float64, len(buf), capHint)
-			copy(level, buf)
-			q.levels[i] = level
+	q := &Quantile{k: r.Int(), n: r.I64(), minV: r.F64(), maxV: r.F64(), compactions: r.Int()}
+	if q.k < 1 || q.k > maxImageK {
+		r.Failf("sketch: quantile image k %d out of range", q.k)
+	}
+	n := r.Count("quantile levels")
+	if n > 0 {
+		q.levels = make([][]float64, 0, binimg.Hint(n))
+	}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		level := r.F64s("quantile level")
+		if level == nil {
+			level = []float64{} // a compacted level is empty, not absent
 		}
+		q.levels = append(q.levels, level)
+	}
+	if r.Err() != nil {
+		return nil
 	}
 	return q
 }

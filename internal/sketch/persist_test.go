@@ -1,10 +1,35 @@
 package sketch
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
+
+	"failscope/internal/binimg"
 )
+
+// roundTrip writes an image with write and reads it back with read,
+// requiring the read to consume every byte without error.
+func roundTrip[T any](t *testing.T, write func(*binimg.Writer), read func(*binimg.Reader) T) T {
+	t.Helper()
+	var buf bytes.Buffer
+	w := binimg.NewWriter(&buf)
+	write(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(buf.Bytes())
+	r := binimg.NewReader(rd)
+	got := read(r)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Raw(1), r.Err(); err == nil {
+		t.Fatal("image has trailing bytes")
+	}
+	return got
+}
 
 // TestMomentsStateRoundTrip pins exact field-level restoration: a restored
 // accumulator must be indistinguishable from the original, including on
@@ -14,8 +39,7 @@ func TestMomentsStateRoundTrip(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		m.Add(math.Sin(float64(i)) * float64(i%37))
 	}
-	var r Moments
-	r.Restore(m.State())
+	r := roundTrip(t, m.WriteImage, func(rd *binimg.Reader) (r Moments) { r.ReadImage(rd); return r })
 	if !reflect.DeepEqual(m, r) {
 		t.Fatalf("restored Moments differ: %+v vs %+v", m, r)
 	}
@@ -40,7 +64,9 @@ func TestQuantileStateRoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			q.Add(math.Cos(float64(i)) * 100)
 		}
-		r := RestoreQuantile(q.State())
+		r := roundTrip(t,
+			func(w *binimg.Writer) { WriteQuantileImage(w, q) },
+			ReadQuantileImage)
 		if r == nil {
 			if n != 0 {
 				t.Fatalf("n=%d: restored nil", n)
@@ -68,11 +94,12 @@ func TestQuantileStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreQuantileNilForZeroState maps the zero state back to a nil
-// sketch pointer, matching an accumulator that never saw a sample.
+// TestRestoreQuantileNilForZeroState maps a nil sketch pointer, an
+// accumulator that never saw a sample, back to nil.
 func TestRestoreQuantileNilForZeroState(t *testing.T) {
 	var q *Quantile
-	if got := RestoreQuantile(q.State()); got != nil {
-		t.Fatalf("zero state restored non-nil: %+v", got)
+	got := roundTrip(t, func(w *binimg.Writer) { WriteQuantileImage(w, q) }, ReadQuantileImage)
+	if got != nil {
+		t.Fatalf("nil sketch restored non-nil: %+v", got)
 	}
 }

@@ -141,16 +141,36 @@ type Engine struct {
 	queue   []*applyReq
 	leading bool
 
-	events    int64
-	watermark time.Time
+	// engineState is everything the checkpoint image holds.
+	engineState
 
-	machines    map[model.MachineID]*model.Machine
-	machineList []*model.Machine
 	// refMachines marks entries of e.machines that are replicas of machines
 	// owned by another shard (Event.Ref): registered for incident kind
 	// lookups but excluded from every count, so per-shard counters sum to
 	// the single-engine numbers. Always empty outside sharded deployments.
 	refMachines map[model.MachineID]bool
+
+	// predScratch holds the classifier's reusable token/vector buffers —
+	// the engine is serialized under mu, so one scratch serves every
+	// ticket.
+	predScratch textmine.PredictScratch
+
+	// imgKeys is WriteState's reused map-key buffer.
+	imgKeys []model.MachineID
+
+	// gauges caches the (possibly shard-labeled) metric names so the
+	// per-batch flush never rebuilds labeled strings.
+	gauges gaugeNames
+}
+
+// engineState is the engine's statistical state: every field the
+// checkpoint image (persist.go) writes and restores.
+type engineState struct {
+	events    int64
+	watermark time.Time
+
+	machines    map[model.MachineID]*model.Machine
+	machineList []*model.Machine
 	// serverCount[kind][sys] with sys index 0 = all systems, 1..5 = Sys I–V.
 	serverCount [2][model.NumSystems + 1]int
 
@@ -201,17 +221,30 @@ type Engine struct {
 	monitorSamples int64
 
 	// Online classification scoring (when cfg.Classifier is set).
-	// predScratch holds the classifier's reusable token/vector buffers —
-	// the engine is serialized under mu, so one scratch serves every
-	// ticket.
-	confusion   map[[2]int]int
-	scored      int64
-	scoredHit   int64
-	predScratch textmine.PredictScratch
+	confusion map[[2]int]int
+	scored    int64
+	scoredHit int64
+}
 
-	// gauges caches the (possibly shard-labeled) metric names so the
-	// per-batch flush never rebuilds labeled strings.
-	gauges gaugeNames
+// newEngineState returns the empty state of an engine whose observation
+// window spans weeks weeks.
+func newEngineState(weeks int) engineState {
+	st := engineState{
+		machines:     make(map[model.MachineID]*model.Machine),
+		classCounts:  make(map[model.System]map[model.FailureClass]int),
+		classTotals:  make(map[model.System]int),
+		lastCrash:    make(map[model.MachineID]time.Time),
+		crashCount:   make(map[model.MachineID]int),
+		classSpatial: make(map[model.FailureClass]*classSpatialAcc),
+		confusion:    make(map[[2]int]int),
+	}
+	for k := 0; k < 2; k++ {
+		for s := 0; s <= model.NumSystems; s++ {
+			st.weekly[k][s] = make([]int, weeks)
+			st.weeklyFailed[k][s] = make([]map[model.MachineID]bool, weeks)
+		}
+	}
+	return st
 }
 
 // gaugeNames holds the engine's gauge family names, pre-labeled with
@@ -251,23 +284,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("stream: UsePredictions requires a Classifier")
 	}
 	e := &Engine{
-		cfg:          cfg,
-		win:          cfg.Observation,
-		machines:     make(map[model.MachineID]*model.Machine),
-		classCounts:  make(map[model.System]map[model.FailureClass]int),
-		classTotals:  make(map[model.System]int),
-		lastCrash:    make(map[model.MachineID]time.Time),
-		crashCount:   make(map[model.MachineID]int),
-		classSpatial: make(map[model.FailureClass]*classSpatialAcc),
-		confusion:    make(map[[2]int]int),
-		gauges:       buildGaugeNames(cfg.GaugeLabel),
-	}
-	weeks := cfg.Observation.NumWeeks()
-	for k := 0; k < 2; k++ {
-		for s := 0; s <= model.NumSystems; s++ {
-			e.weekly[k][s] = make([]int, weeks)
-			e.weeklyFailed[k][s] = make([]map[model.MachineID]bool, weeks)
-		}
+		cfg:         cfg,
+		win:         cfg.Observation,
+		engineState: newEngineState(cfg.Observation.NumWeeks()),
+		gauges:      buildGaugeNames(cfg.GaugeLabel),
 	}
 	if cfg.MonitorRetention > 0 {
 		e.monitor = monitordb.New(cfg.MonitorEpoch, cfg.MonitorRetention)

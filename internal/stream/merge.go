@@ -37,19 +37,7 @@ func MergeSnapshot(engines []*Engine) *Snapshot {
 	}()
 
 	weeks := len(engines[0].weekly[0][0])
-	m := &Engine{
-		win:          engines[0].win,
-		classCounts:  make(map[model.System]map[model.FailureClass]int),
-		classTotals:  make(map[model.System]int),
-		classSpatial: make(map[model.FailureClass]*classSpatialAcc),
-		confusion:    make(map[[2]int]int),
-	}
-	for k := 0; k < 2; k++ {
-		for s := 0; s <= model.NumSystems; s++ {
-			m.weekly[k][s] = make([]int, weeks)
-			m.weeklyFailed[k][s] = make([]map[model.MachineID]bool, weeks)
-		}
-	}
+	m := &Engine{win: engines[0].win, engineState: newEngineState(weeks)}
 
 	owned := 0
 	for _, e := range engines {

@@ -2,13 +2,42 @@ package stream
 
 // Engine checkpoint persistence — the state image the durable subsystem
 // writes at checkpoint time and the WAL replays on top of after a crash.
-// The blob is self-delimiting so it can be embedded in larger streams:
+// The image is written field by field straight from the live engine in
+// binimg values (8-byte little-endian integers and floats, length-prefixed
+// strings and columns, times as a length byte plus time.Time's binary
+// form), every map in key order, so one engine state has exactly one
+// image. It is self-delimiting, so it can be embedded in larger streams:
 //
-//	magic "FSENG001"
-//	gob engineImage      (counters, distributions, machine roster; its
-//	                      HasMonitor/HasDetector fields say what follows)
-//	monitordb binary segment   (iff HasMonitor)
-//	detect gob image           (iff HasDetector)
+//	magic "FSENG002"
+//	header, checked before any state is read:
+//	  window start, window end
+//	  monitor flag, detector flag
+//	  minCrashes, burstWindow, horizon          (iff detector)
+//	events, watermark
+//	machine count, then per machine in arrival order:
+//	  id, kind, system, cpus, memoryGB, diskGB, disks, hostID, created
+//	serverCount[2][6]
+//	tickets, crashTickets, droppedOutOfWindow, outOfOrder
+//	sysAll[6], sysCrash[6], sysKindCrash[2][6]
+//	weekly[2][6], each a column of per-week counts
+//	weeklyFailed[2][6], each a week count, then per week a server count
+//	  and (id, flag) pairs sorted by id
+//	classCounts: system count, then per system (sorted) the system, a
+//	  class count and (class, n) pairs sorted by class
+//	classTotals: count, then (system, n) sorted by system
+//	lastCrash: count, then (id, time) sorted by id
+//	crashCount: count, then (id, n) sorted by id
+//	gaps[2], repairs[2]: sketch moments, then sketch quantile
+//	kindCrashes[2], reboots[2], failing[2], singles[2]
+//	rec[2][6]: failures, uncDay, uncWeek, uncMonth, hitDay, hitWeek, hitMonth
+//	incidents, incidentOne, incidentTwoPlus, incidentServers,
+//	  maxIncident, maxIncidentCls, pmBuckets[3], vmBuckets[3]
+//	classSpatial: count, then (class, incidents, servers, max) sorted
+//	monitorSamples
+//	confusion: count, then (truth, predicted, n) sorted
+//	scored, scoredHit
+//	monitordb segment FSSEG001                  (iff monitor)
+//	detector image FSDET002                      (iff detector)
 //
 // Every statistic-bearing field is captured exactly: the headline
 // invariant is that an engine restored at sequence k and fed events[k:]
@@ -18,298 +47,432 @@ package stream
 // not part of the image; they repopulate as the restored engine runs.
 
 import (
-	"bufio"
-	"encoding/gob"
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
+	"failscope/internal/binimg"
 	"failscope/internal/model"
 	"failscope/internal/monitordb"
 	"failscope/internal/sketch"
 )
 
-const (
-	engineStateMagic   = "FSENG001"
-	engineStateVersion = 1
-)
+const engineStateMagic = "FSENG002"
 
-type distImage struct {
-	M sketch.MomentsState
-	Q sketch.QuantileState
-}
-
-type recImage struct {
-	Failures                  int
-	UncDay, UncWeek, UncMonth int
-	HitDay, HitWeek, HitMonth int
-}
-
-type spatialImage struct {
-	Incidents, Servers, Max int
-}
-
-type engineImage struct {
-	Version int
-
-	// Win is the observation window the image was produced under; an
-	// engine configured with a different window would recompute every
-	// censored denominator differently, so restore refuses a mismatch.
-	Win model.Window
-
-	Events    int64
-	Watermark time.Time
-
-	Machines    []model.Machine // machineList order (arrival order)
-	ServerCount [2][model.NumSystems + 1]int
-
-	Tickets, CrashTickets int64
-	DroppedOutOfWindow    int64
-	OutOfOrder            int64
-
-	SysAll, SysCrash [model.NumSystems + 1]int
-	SysKindCrash     [2][model.NumSystems + 1]int
-
-	Weekly       [2][model.NumSystems + 1][]int
-	WeeklyFailed [2][model.NumSystems + 1][]map[model.MachineID]bool
-
-	ClassCounts map[model.System]map[model.FailureClass]int
-	ClassTotals map[model.System]int
-
-	LastCrash  map[model.MachineID]time.Time
-	CrashCount map[model.MachineID]int
-
-	Gaps, Repairs [2]distImage
-	KindCrashes   [2]int
-	Reboots       [2]int
-	Failing       [2]int
-	Singles       [2]int
-
-	Rec [2][model.NumSystems + 1]recImage
-
-	Incidents       int
-	IncidentOne     int
-	IncidentTwoPlus int
-	IncidentServers int
-	MaxIncident     int
-	MaxIncidentCls  model.FailureClass
-	PMBuckets       [3]int
-	VMBuckets       [3]int
-	ClassSpatial    map[model.FailureClass]spatialImage
-
-	MonitorSamples int64
-
-	Confusion         map[[2]int]int
-	Scored, ScoredHit int64
-
-	HasMonitor, HasDetector bool
-}
+// legacyStateMagic is the gob image earlier versions wrote.
+const legacyStateMagic = "FSENG001"
 
 // WriteState serializes the engine's complete statistical state, returning
 // the sequence number (event count) the image captures. Safe to call
 // concurrently with appliers; the image is a consistent cut between
 // commit groups.
 func (e *Engine) WriteState(w io.Writer) (int64, error) {
+	seq, _, err := e.WriteStateTimed(w)
+	return seq, err
+}
+
+// WriteStateTimed is WriteState that also reports how long it held the
+// engine lock, which stalls ingest: the image is encoded under the lock
+// straight into w.
+func (e *Engine) WriteStateTimed(w io.Writer) (seq int64, held time.Duration, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	t0 := time.Now()
 
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(engineStateMagic); err != nil {
-		return 0, err
+	bw := binimg.NewWriter(w)
+	e.encodeStateLocked(bw)
+	if e.monitor != nil {
+		e.monitor.WriteSegment(bw)
 	}
+	if d := e.cfg.Detector; d != nil {
+		d.WriteState(bw)
+	}
+	err = bw.Flush()
+	held = time.Since(t0)
+	if err != nil {
+		return 0, held, fmt.Errorf("stream: write state: %w", err)
+	}
+	return e.events, held, nil
+}
 
-	img := engineImage{
-		Version:            engineStateVersion,
-		Win:                e.win,
-		Events:             e.events,
-		Watermark:          e.watermark,
-		ServerCount:        e.serverCount,
-		Tickets:            e.tickets,
-		CrashTickets:       e.crashTickets,
-		DroppedOutOfWindow: e.droppedOutOfWindow,
-		OutOfOrder:         e.outOfOrder,
-		SysAll:             e.sysAll,
-		SysCrash:           e.sysCrash,
-		SysKindCrash:       e.sysKindCrash,
-		Weekly:             e.weekly,
-		WeeklyFailed:       e.weeklyFailed,
-		ClassCounts:        e.classCounts,
-		ClassTotals:        e.classTotals,
-		LastCrash:          e.lastCrash,
-		CrashCount:         e.crashCount,
-		KindCrashes:        e.kindCrashes,
-		Reboots:            e.reboots,
-		Failing:            e.failing,
-		Singles:            e.singles,
-		Incidents:          e.incidents,
-		IncidentOne:        e.incidentOne,
-		IncidentTwoPlus:    e.incidentTwoPlus,
-		IncidentServers:    e.incidentServers,
-		MaxIncident:        e.maxIncident,
-		MaxIncidentCls:     e.maxIncidentCls,
-		PMBuckets:          e.pmBuckets,
-		VMBuckets:          e.vmBuckets,
-		MonitorSamples:     e.monitorSamples,
-		Confusion:          e.confusion,
-		Scored:             e.scored,
-		ScoredHit:          e.scoredHit,
-		HasMonitor:         e.monitor != nil,
-		HasDetector:        e.cfg.Detector != nil,
+func putInts(w *binimg.Writer, vals []int) {
+	for _, v := range vals {
+		w.Int(v)
 	}
-	img.Machines = make([]model.Machine, len(e.machineList))
-	for i, m := range e.machineList {
-		img.Machines[i] = *m
+}
+
+func getInts(r *binimg.Reader, into []int) {
+	for i := range into {
+		into[i] = r.Int()
 	}
-	for k := 0; k < 2; k++ {
-		img.Gaps[k] = distImage{M: e.gaps[k].m.State(), Q: e.gaps[k].q.State()}
-		img.Repairs[k] = distImage{M: e.repairs[k].m.State(), Q: e.repairs[k].q.State()}
-		for s := 0; s <= model.NumSystems; s++ {
-			rc := e.rec[k][s]
-			img.Rec[k][s] = recImage{
-				Failures: rc.failures,
-				UncDay:   rc.uncDay, UncWeek: rc.uncWeek, UncMonth: rc.uncMonth,
-				HitDay: rc.hitDay, HitWeek: rc.hitWeek, HitMonth: rc.hitMonth,
+}
+
+func compareConfusion(a, b [2]int) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
+}
+
+// encodeHeader writes what an image is bound to: the engine's
+// configuration, not its state.
+func (e *Engine) encodeHeader(w *binimg.Writer) {
+	w.Raw(engineStateMagic)
+	w.Time(e.win.Start)
+	w.Time(e.win.End)
+	w.Bool(e.monitor != nil)
+	w.Bool(e.cfg.Detector != nil)
+	if d := e.cfg.Detector; d != nil {
+		d.Config().WriteParams(w)
+	}
+}
+
+func (e *Engine) encodeStateLocked(w *binimg.Writer) {
+	e.encodeHeader(w)
+	w.I64(e.events)
+	w.Time(e.watermark)
+
+	w.Int(len(e.machineList))
+	for _, m := range e.machineList {
+		w.Str(string(m.ID))
+		w.Int(int(m.Kind))
+		w.Int(int(m.System))
+		w.Int(m.Capacity.CPUs)
+		w.F64(m.Capacity.MemoryGB)
+		w.F64(m.Capacity.DiskGB)
+		w.Int(m.Capacity.Disks)
+		w.Str(string(m.HostID))
+		w.Time(m.Created)
+	}
+	for k := range e.serverCount {
+		putInts(w, e.serverCount[k][:])
+	}
+	w.I64(e.tickets)
+	w.I64(e.crashTickets)
+	w.I64(e.droppedOutOfWindow)
+	w.I64(e.outOfOrder)
+	putInts(w, e.sysAll[:])
+	putInts(w, e.sysCrash[:])
+	for k := range e.sysKindCrash {
+		putInts(w, e.sysKindCrash[k][:])
+	}
+	for k := range e.weekly {
+		for s := range e.weekly[k] {
+			w.Ints(e.weekly[k][s])
+		}
+	}
+	for k := range e.weeklyFailed {
+		for s := range e.weeklyFailed[k] {
+			w.Int(len(e.weeklyFailed[k][s]))
+			for _, failed := range e.weeklyFailed[k][s] {
+				e.imgKeys = binimg.SortedKeys(failed, e.imgKeys)
+				w.Int(len(e.imgKeys))
+				for _, id := range e.imgKeys {
+					w.Str(string(id))
+					w.Bool(failed[id])
+				}
 			}
 		}
 	}
-	img.ClassSpatial = make(map[model.FailureClass]spatialImage, len(e.classSpatial))
-	for cls, cs := range e.classSpatial {
-		img.ClassSpatial[cls] = spatialImage{Incidents: cs.incidents, Servers: cs.servers, Max: cs.max}
+
+	var systems [model.NumSystems + 2]model.System
+	sys := binimg.SortedKeys(e.classCounts, systems[:0])
+	w.Int(len(sys))
+	for _, s := range sys {
+		counts := e.classCounts[s]
+		w.Int(int(s))
+		var classes [16]model.FailureClass
+		cls := binimg.SortedKeys(counts, classes[:0])
+		w.Int(len(cls))
+		for _, c := range cls {
+			w.Int(int(c))
+			w.Int(counts[c])
+		}
 	}
-	if err := gob.NewEncoder(bw).Encode(&img); err != nil {
-		return 0, fmt.Errorf("stream: write state: %w", err)
+	sys = binimg.SortedKeys(e.classTotals, systems[:0])
+	w.Int(len(sys))
+	for _, s := range sys {
+		w.Int(int(s))
+		w.Int(e.classTotals[s])
 	}
 
-	if e.monitor != nil {
-		if err := e.monitor.WriteSegment(bw); err != nil {
-			return 0, err
+	e.imgKeys = binimg.SortedKeys(e.lastCrash, e.imgKeys)
+	w.Int(len(e.imgKeys))
+	for _, id := range e.imgKeys {
+		w.Str(string(id))
+		w.Time(e.lastCrash[id])
+	}
+	e.imgKeys = binimg.SortedKeys(e.crashCount, e.imgKeys)
+	w.Int(len(e.imgKeys))
+	for _, id := range e.imgKeys {
+		w.Str(string(id))
+		w.Int(e.crashCount[id])
+	}
+
+	for _, d := range [...]*distAcc{&e.gaps[0], &e.gaps[1], &e.repairs[0], &e.repairs[1]} {
+		d.m.WriteImage(w)
+		sketch.WriteQuantileImage(w, d.q)
+	}
+	putInts(w, e.kindCrashes[:])
+	putInts(w, e.reboots[:])
+	putInts(w, e.failing[:])
+	putInts(w, e.singles[:])
+	for k := range e.rec {
+		for _, rc := range e.rec[k] {
+			putInts(w, []int{rc.failures, rc.uncDay, rc.uncWeek, rc.uncMonth, rc.hitDay, rc.hitWeek, rc.hitMonth})
 		}
 	}
-	if e.cfg.Detector != nil {
-		if err := e.cfg.Detector.WriteState(bw); err != nil {
-			return 0, err
-		}
+	putInts(w, []int{e.incidents, e.incidentOne, e.incidentTwoPlus, e.incidentServers, e.maxIncident, int(e.maxIncidentCls)})
+	putInts(w, e.pmBuckets[:])
+	putInts(w, e.vmBuckets[:])
+
+	var classes [16]model.FailureClass
+	cls := binimg.SortedKeys(e.classSpatial, classes[:0])
+	w.Int(len(cls))
+	for _, c := range cls {
+		cs := e.classSpatial[c]
+		putInts(w, []int{int(c), cs.incidents, cs.servers, cs.max})
 	}
-	return e.events, bw.Flush()
+	w.I64(e.monitorSamples)
+
+	var pairs [64][2]int
+	keys := pairs[:0]
+	for k := range e.confusion {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compareConfusion)
+	w.Int(len(keys))
+	for _, k := range keys {
+		putInts(w, []int{k[0], k[1], e.confusion[k]})
+	}
+	w.I64(e.scored)
+	w.I64(e.scoredHit)
 }
 
 // RestoreState overwrites the engine's statistical state with a previously
 // written image. The engine must be freshly configured with the same
 // observation window, monitoring and detection settings as the writer;
-// mismatches are refused rather than silently diverging. The journal, if
-// any, must be attached only after restore (and any WAL replay) completes.
+// mismatches are refused rather than silently diverging. The whole image
+// is decoded before the engine (or its detector) changes, so a refused
+// image leaves both as they were. The journal, if any, must be attached
+// only after restore (and any WAL replay) completes.
 func (e *Engine) RestoreState(r io.Reader) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
+	br := binimg.NewReader(r)
+	if err := e.checkHeader(br); err != nil {
+		return err
 	}
-	magic := make([]byte, len(engineStateMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return fmt.Errorf("stream: read state magic: %w", err)
+	st, err := e.decodeState(br)
+	if err != nil {
+		return err
 	}
-	if string(magic) != engineStateMagic {
-		return fmt.Errorf("stream: bad state magic %q", magic)
-	}
-	var img engineImage
-	if err := gob.NewDecoder(br).Decode(&img); err != nil {
-		return fmt.Errorf("stream: read state: %w", err)
-	}
-	if img.Version != engineStateVersion {
-		return fmt.Errorf("stream: state version %d, want %d", img.Version, engineStateVersion)
-	}
-	if !img.Win.Start.Equal(e.win.Start) || !img.Win.End.Equal(e.win.End) {
-		return fmt.Errorf("stream: state window %v–%v, engine configured with %v–%v",
-			img.Win.Start, img.Win.End, e.win.Start, e.win.End)
-	}
-	if img.HasMonitor != (e.monitor != nil) {
-		return fmt.Errorf("stream: state monitor=%v, engine monitor=%v", img.HasMonitor, e.monitor != nil)
-	}
-	if img.HasDetector != (e.cfg.Detector != nil) {
-		return fmt.Errorf("stream: state detector=%v, engine detector=%v", img.HasDetector, e.cfg.Detector != nil)
-	}
-
-	e.events = img.Events
-	e.watermark = img.Watermark
-	e.machines = make(map[model.MachineID]*model.Machine, len(img.Machines))
-	e.machineList = make([]*model.Machine, len(img.Machines))
-	for i := range img.Machines {
-		m := img.Machines[i]
-		e.machineList[i] = &m
-		e.machines[m.ID] = &m
-	}
-	e.serverCount = img.ServerCount
-	e.tickets, e.crashTickets = img.Tickets, img.CrashTickets
-	e.droppedOutOfWindow = img.DroppedOutOfWindow
-	e.outOfOrder = img.OutOfOrder
-	e.sysAll, e.sysCrash = img.SysAll, img.SysCrash
-	e.sysKindCrash = img.SysKindCrash
-	e.weekly = img.Weekly
-	e.weeklyFailed = img.WeeklyFailed
-	e.classCounts = img.ClassCounts
-	if e.classCounts == nil {
-		e.classCounts = make(map[model.System]map[model.FailureClass]int)
-	}
-	e.classTotals = img.ClassTotals
-	if e.classTotals == nil {
-		e.classTotals = make(map[model.System]int)
-	}
-	e.lastCrash = img.LastCrash
-	if e.lastCrash == nil {
-		e.lastCrash = make(map[model.MachineID]time.Time)
-	}
-	e.crashCount = img.CrashCount
-	if e.crashCount == nil {
-		e.crashCount = make(map[model.MachineID]int)
-	}
-	for k := 0; k < 2; k++ {
-		e.gaps[k].m.Restore(img.Gaps[k].M)
-		e.gaps[k].q = sketch.RestoreQuantile(img.Gaps[k].Q)
-		e.repairs[k].m.Restore(img.Repairs[k].M)
-		e.repairs[k].q = sketch.RestoreQuantile(img.Repairs[k].Q)
-		for s := 0; s <= model.NumSystems; s++ {
-			ri := img.Rec[k][s]
-			e.rec[k][s] = recCounters{
-				failures: ri.Failures,
-				uncDay:   ri.UncDay, uncWeek: ri.UncWeek, uncMonth: ri.UncMonth,
-				hitDay: ri.HitDay, hitWeek: ri.HitWeek, hitMonth: ri.HitMonth,
-			}
-		}
-	}
-	e.kindCrashes, e.reboots = img.KindCrashes, img.Reboots
-	e.failing, e.singles = img.Failing, img.Singles
-	e.incidents = img.Incidents
-	e.incidentOne, e.incidentTwoPlus = img.IncidentOne, img.IncidentTwoPlus
-	e.incidentServers = img.IncidentServers
-	e.maxIncident, e.maxIncidentCls = img.MaxIncident, img.MaxIncidentCls
-	e.pmBuckets, e.vmBuckets = img.PMBuckets, img.VMBuckets
-	e.classSpatial = make(map[model.FailureClass]*classSpatialAcc, len(img.ClassSpatial))
-	for cls, cs := range img.ClassSpatial {
-		e.classSpatial[cls] = &classSpatialAcc{incidents: cs.Incidents, servers: cs.Servers, max: cs.Max}
-	}
-	e.monitorSamples = img.MonitorSamples
-	e.confusion = img.Confusion
-	if e.confusion == nil {
-		e.confusion = make(map[[2]int]int)
-	}
-	e.scored, e.scoredHit = img.Scored, img.ScoredHit
-
-	if img.HasMonitor {
+	if e.monitor != nil {
 		db, err := monitordb.ReadSegment(br)
 		if err != nil {
 			return err
 		}
 		db.Instrument(e.cfg.Observer.Metrics())
 		db.SetLogger(e.cfg.Observer.Log())
-		e.monitor = db
-		_, e.monitorEnd = db.Window()
+		st.monitor = db
+		_, st.monitorEnd = db.Window()
 	}
-	if img.HasDetector {
-		if err := e.cfg.Detector.RestoreState(br); err != nil {
+	if d := e.cfg.Detector; d != nil {
+		if err := d.RestoreState(br); err != nil {
 			return err
 		}
 	}
+	e.engineState = st
 	return nil
+}
+
+// checkHeader reads the image's header and refuses one this engine's
+// configuration cannot continue.
+func (e *Engine) checkHeader(r *binimg.Reader) error {
+	switch magic := r.Raw(len(engineStateMagic)); {
+	case r.Err() != nil:
+		return fmt.Errorf("stream: read state magic: %w", r.Err())
+	case magic == legacyStateMagic:
+		return fmt.Errorf("stream: state image is %s, the gob format of earlier versions; this version reads %s only",
+			legacyStateMagic, engineStateMagic)
+	case magic != engineStateMagic:
+		return fmt.Errorf("stream: bad state magic %q", magic)
+	}
+	start, end := r.Time(), r.Time()
+	hasMonitor, hasDetector := r.Bool(), r.Bool()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("stream: read state: %w", err)
+	}
+	if !sameTime(start, e.win.Start) || !sameTime(end, e.win.End) {
+		return fmt.Errorf("stream: state window %v–%v, engine configured with %v–%v",
+			start, end, e.win.Start, e.win.End)
+	}
+	if hasMonitor != (e.monitor != nil) {
+		return fmt.Errorf("stream: state monitor=%v, engine monitor=%v", hasMonitor, e.monitor != nil)
+	}
+	if hasDetector != (e.cfg.Detector != nil) {
+		return fmt.Errorf("stream: state detector=%v, engine detector=%v", hasDetector, e.cfg.Detector != nil)
+	}
+	if d := e.cfg.Detector; d != nil {
+		d.Config().CheckParams(r)
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("stream: %w", err)
+		}
+	}
+	return nil
+}
+
+// sameTime reports whether a and b are one instant in one zone offset:
+// the engine writes its own window, so any other encoding is refused.
+func sameTime(a, b time.Time) bool {
+	ab, aerr := a.MarshalBinary()
+	bb, berr := b.MarshalBinary()
+	return aerr == nil && berr == nil && bytes.Equal(ab, bb)
+}
+
+// decodeState reads the engine's part of the image into a fresh state.
+func (e *Engine) decodeState(r *binimg.Reader) (engineState, error) {
+	weeks := e.win.NumWeeks()
+	st := newEngineState(weeks)
+	st.events = r.I64()
+	st.watermark = r.Time()
+
+	n := r.Count("machines")
+	st.machineList = make([]*model.Machine, 0, binimg.Hint(n))
+	for ; n > 0 && r.Err() == nil; n-- {
+		m := &model.Machine{
+			ID:     model.MachineID(r.Str()),
+			Kind:   model.MachineKind(r.Int()),
+			System: model.System(r.Int()),
+			Capacity: model.Capacity{
+				CPUs: r.Int(), MemoryGB: r.F64(), DiskGB: r.F64(), Disks: r.Int(),
+			},
+			HostID:  model.MachineID(r.Str()),
+			Created: r.Time(),
+		}
+		if st.machines[m.ID] != nil {
+			r.Failf("machine %s listed twice", m.ID)
+		}
+		st.machines[m.ID] = m
+		st.machineList = append(st.machineList, m)
+	}
+	for k := range st.serverCount {
+		getInts(r, st.serverCount[k][:])
+	}
+	st.tickets, st.crashTickets = r.I64(), r.I64()
+	st.droppedOutOfWindow, st.outOfOrder = r.I64(), r.I64()
+	getInts(r, st.sysAll[:])
+	getInts(r, st.sysCrash[:])
+	for k := range st.sysKindCrash {
+		getInts(r, st.sysKindCrash[k][:])
+	}
+	for k := range st.weekly {
+		for s := range st.weekly[k] {
+			if st.weekly[k][s] = r.Ints("weekly"); len(st.weekly[k][s]) != weeks && r.Err() == nil {
+				r.Failf("weekly counts span %d weeks, window has %d", len(st.weekly[k][s]), weeks)
+			}
+		}
+	}
+	for k := range st.weeklyFailed {
+		for s := range st.weeklyFailed[k] {
+			if n := r.Count("weeklyFailed"); n != weeks && r.Err() == nil {
+				r.Failf("failing servers span %d weeks, window has %d", n, weeks)
+			}
+			for wi := 0; wi < weeks && r.Err() == nil; wi++ {
+				next := binimg.Ascending[model.MachineID](r, "weeklyFailed")
+				n := r.Count("weeklyFailed servers")
+				if n == 0 {
+					continue
+				}
+				failed := make(map[model.MachineID]bool, binimg.Hint(n))
+				for ; n > 0 && r.Err() == nil; n-- {
+					failed[next(model.MachineID(r.Str()))] = r.Bool()
+				}
+				st.weeklyFailed[k][s][wi] = failed
+			}
+		}
+	}
+
+	nextSys := binimg.Ascending[model.System](r, "classCounts")
+	for n := r.Count("classCounts"); n > 0 && r.Err() == nil; n-- {
+		s := nextSys(model.System(r.Int()))
+		nextCls := binimg.Ascending[model.FailureClass](r, "classCounts classes")
+		m := r.Count("classCounts classes")
+		counts := make(map[model.FailureClass]int, binimg.Hint(m))
+		for ; m > 0 && r.Err() == nil; m-- {
+			c := nextCls(model.FailureClass(r.Int()))
+			counts[c] = r.Int()
+		}
+		st.classCounts[s] = counts
+	}
+	nextSys = binimg.Ascending[model.System](r, "classTotals")
+	for n := r.Count("classTotals"); n > 0 && r.Err() == nil; n-- {
+		s := nextSys(model.System(r.Int()))
+		st.classTotals[s] = r.Int()
+	}
+	nextID := binimg.Ascending[model.MachineID](r, "lastCrash")
+	for n := r.Count("lastCrash"); n > 0 && r.Err() == nil; n-- {
+		id := nextID(model.MachineID(r.Str()))
+		st.lastCrash[id] = r.Time()
+	}
+	nextID = binimg.Ascending[model.MachineID](r, "crashCount")
+	for n := r.Count("crashCount"); n > 0 && r.Err() == nil; n-- {
+		id := nextID(model.MachineID(r.Str()))
+		st.crashCount[id] = r.Int()
+	}
+
+	for _, d := range [...]*distAcc{&st.gaps[0], &st.gaps[1], &st.repairs[0], &st.repairs[1]} {
+		d.m.ReadImage(r)
+		d.q = sketch.ReadQuantileImage(r)
+	}
+	getInts(r, st.kindCrashes[:])
+	getInts(r, st.reboots[:])
+	getInts(r, st.failing[:])
+	getInts(r, st.singles[:])
+	for k := range st.rec {
+		for s := range st.rec[k] {
+			var v [7]int
+			getInts(r, v[:])
+			st.rec[k][s] = recCounters{
+				failures: v[0],
+				uncDay:   v[1], uncWeek: v[2], uncMonth: v[3],
+				hitDay: v[4], hitWeek: v[5], hitMonth: v[6],
+			}
+		}
+	}
+	var inc [6]int
+	getInts(r, inc[:])
+	st.incidents, st.incidentOne, st.incidentTwoPlus = inc[0], inc[1], inc[2]
+	st.incidentServers, st.maxIncident, st.maxIncidentCls = inc[3], inc[4], model.FailureClass(inc[5])
+	getInts(r, st.pmBuckets[:])
+	getInts(r, st.vmBuckets[:])
+
+	nextCls := binimg.Ascending[model.FailureClass](r, "classSpatial")
+	for n := r.Count("classSpatial"); n > 0 && r.Err() == nil; n-- {
+		var v [4]int
+		getInts(r, v[:])
+		st.classSpatial[nextCls(model.FailureClass(v[0]))] = &classSpatialAcc{incidents: v[1], servers: v[2], max: v[3]}
+	}
+	st.monitorSamples = r.I64()
+
+	var prev [2]int
+	for i, n := 0, r.Count("confusion"); i < n && r.Err() == nil; i++ {
+		var v [3]int
+		getInts(r, v[:])
+		k := [2]int{v[0], v[1]}
+		if i > 0 && compareConfusion(prev, k) >= 0 {
+			r.Failf("confusion keys out of order")
+		}
+		st.confusion[k], prev = v[2], k
+	}
+	st.scored, st.scoredHit = r.I64(), r.I64()
+
+	if err := r.Err(); err != nil {
+		return st, fmt.Errorf("stream: read state: %w", err)
+	}
+	return st, nil
 }

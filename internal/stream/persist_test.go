@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"failscope/internal/dcsim"
 	"failscope/internal/detect"
 	"failscope/internal/ingest"
+	"failscope/internal/model"
 )
 
 // fullEvents generates the small study's complete event stream (machines,
@@ -50,9 +53,10 @@ func fullEvents(t *testing.T) ([]Event, func(t *testing.T) *Engine) {
 	return events, mk
 }
 
-// engineFingerprint reduces an engine to the externally observable state
-// the crash-recovery invariant protects: the snapshot (report included),
-// the detector snapshot and the monitor store's canonical export.
+// engineFingerprint reduces an engine to the state the crash-recovery
+// invariant protects: the snapshot (report included), the detector
+// snapshot, the monitor store's canonical export and the checkpoint image,
+// which carries every statistic-bearing field down to time zone offsets.
 func engineFingerprint(t *testing.T, e *Engine) string {
 	t.Helper()
 	snap, err := json.Marshal(e.Snapshot())
@@ -63,23 +67,52 @@ func engineFingerprint(t *testing.T, e *Engine) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mon bytes.Buffer
+	var mon, img bytes.Buffer
 	if err := e.Monitor().Encode(&mon); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%s\n%s\n%s", snap, det, mon.Bytes())
+	if _, err := e.WriteState(&img); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s\n%s\n%s\n%x", snap, det, mon.Bytes(), img.Bytes())
+}
+
+// withOffsetEvents inserts, right after the first event, a machine and a
+// crash ticket whose times are posted at +02:00: a restore has to keep
+// the offset, which the snapshot's JSON times show.
+func withOffsetEvents(events []Event) []Event {
+	east := time.FixedZone("", 2*60*60)
+	created := time.Date(2011, 3, 4, 5, 6, 7, 0, east)
+	opened := events[0].When()
+	if opened.IsZero() {
+		opened = time.Date(2012, 7, 2, 0, 0, 0, 0, time.UTC)
+	}
+	opened = opened.Add(time.Hour).In(east)
+	out := append([]Event(nil), events[:1]...)
+	out = append(out,
+		Event{Type: "machine", Machine: &model.Machine{
+			ID: "S1-PM-OFFSET", Kind: model.PM, System: model.SysI, Created: created,
+		}},
+		Event{Type: "ticket", Ticket: &model.Ticket{
+			ID: "T-OFFSET", ServerID: "S1-PM-OFFSET", System: model.SysI,
+			Opened: opened, Closed: opened.Add(3 * time.Hour),
+			IsCrash: true, Class: model.ClassHardware,
+		}})
+	return append(out, events[1:]...)
 }
 
 // TestEngineStateRoundTripEquivalence is the headline recovery invariant
 // at the engine layer: for any split point k, applying events[:k], writing
 // state, restoring it into a fresh engine and applying events[k:] must be
 // observationally identical to one uninterrupted run — snapshot, report,
-// detector and monitor store alike.
+// detector, monitor store and checkpoint image alike, with a machine and a
+// ticket posted at a +02:00 offset among the events.
 func TestEngineStateRoundTripEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the small study several times")
 	}
 	events, mk := fullEvents(t)
+	events = withOffsetEvents(events)
 
 	ref := mk(t)
 	if err := ref.Apply(events); err != nil {
@@ -250,5 +283,65 @@ func TestJournalCapturesApplyOrder(t *testing.T) {
 	}
 	if engineFingerprint(t, replayed) != engineFingerprint(t, eng) {
 		t.Error("journal replay diverges from the journaled engine")
+	}
+}
+
+// TestWriteStateDeterministic: the study engine gives the same image on
+// every call, and an engine restored from it writes the image back byte
+// for byte.
+func TestWriteStateDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays the small study")
+	}
+	events, mk := fullEvents(t)
+	eng := mk(t)
+	if err := eng.Apply(events); err != nil {
+		t.Fatal(err)
+	}
+	var first, second, rewritten bytes.Buffer
+	if _, err := eng.WriteState(&first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.WriteState(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("two images of one engine differ")
+	}
+	restored := mk(t)
+	if err := restored.RestoreState(bytes.NewReader(first.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.WriteState(&rewritten); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), rewritten.Bytes()) {
+		t.Fatal("the restored engine's image differs from the one it was restored from")
+	}
+}
+
+// TestEngineRestoreRefusesLegacyImage: an FSENG001 (gob) image from an
+// earlier version is refused with an error that names its format, and the
+// engine is left as it was.
+func TestEngineRestoreRefusesLegacyImage(t *testing.T) {
+	events, mk := fullEvents(t)
+	eng := mk(t)
+	if err := eng.Apply(events[:100]); err != nil {
+		t.Fatal(err)
+	}
+	var before bytes.Buffer
+	if _, err := eng.WriteState(&before); err != nil {
+		t.Fatal(err)
+	}
+	err := eng.RestoreState(strings.NewReader("FSENG001\x00\x01gob bytes"))
+	if err == nil || !strings.Contains(err.Error(), "FSENG001") {
+		t.Fatalf("legacy image: err = %v, want a refusal naming FSENG001", err)
+	}
+	var after bytes.Buffer
+	if _, err := eng.WriteState(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Error("a refused image changed the engine")
 	}
 }
