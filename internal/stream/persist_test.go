@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"failscope/internal/binimg"
 	"failscope/internal/dcsim"
 	"failscope/internal/detect"
 	"failscope/internal/ingest"
@@ -288,7 +290,8 @@ func TestJournalCapturesApplyOrder(t *testing.T) {
 
 // TestWriteStateDeterministic: the study engine gives the same image on
 // every call, and an engine restored from it writes the image back byte
-// for byte.
+// for byte. Its monitordb segment, whose columns span many write chunks,
+// keeps the FSSEG001 bytes earlier versions wrote.
 func TestWriteStateDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the small study")
@@ -297,6 +300,16 @@ func TestWriteStateDeterministic(t *testing.T) {
 	eng := mk(t)
 	if err := eng.Apply(events); err != nil {
 		t.Fatal(err)
+	}
+	var seg bytes.Buffer
+	w := binimg.NewWriter(&seg)
+	eng.Monitor().WriteSegment(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "8786835690c122ff44ed1396e9091d672a8411cdb62cca22bc18c7e1c6499475"
+	if got := fmt.Sprintf("%x", sha256.Sum256(seg.Bytes())); got != want || seg.Len() != 2699685 {
+		t.Errorf("study segment is %d bytes with SHA-256 %s, want 2699685 bytes with %s", seg.Len(), got, want)
 	}
 	var first, second, rewritten bytes.Buffer
 	if _, err := eng.WriteState(&first); err != nil {
