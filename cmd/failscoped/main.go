@@ -27,7 +27,8 @@
 //
 // With -data-dir the daemon runs durably: every ingested batch is framed
 // into a write-ahead log before its POST succeeds, a checkpoint spills the
-// full engine state after every sealed 8 MiB WAL segment (and on the
+// full engine state when an 8 MiB WAL segment seals with at least the last
+// image's size of WAL past the last checkpoint (and on the
 // -checkpoint-interval ticker), and startup recovers checkpoint + WAL tail
 // before the listener opens (see internal/durable and DESIGN.md §14).
 //
@@ -80,7 +81,7 @@ func run() error {
 		dataDir     = flag.String("data-dir", "", "directory for the durable store (WAL + checkpoints); empty runs in-memory only")
 		shards      = flag.Int("shards", 1, "stream-engine shards (machine-hash partitions; each shard is an independent engine behind its own ingest queue)")
 		shardQueue  = flag.Int("shard-queue", shard.DefaultQueueLen, "per-shard ingest queue capacity in batches (full queues block posters)")
-		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "with -data-dir: cadence of periodic checkpoints, on top of the one after every sealed WAL segment (0 disables the ticker; sealed segments and drain still checkpoint)")
+		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "with -data-dir: cadence of periodic checkpoints, on top of the ones sealed WAL segments trigger (0 disables the ticker; sealed segments and drain still checkpoint)")
 		detectOn    = flag.Bool("detect", true, "run the online failure detector (serves /v1/alerts and detect.* metrics)")
 		detHorizon  = flag.Duration("detect-horizon", 0, "alert confirmation horizon (0 = calibrated default)")
 		histSize    = flag.Int("history-size", 720, "snapshots retained in the metrics history ring")
@@ -274,10 +275,11 @@ func run() error {
 	}
 
 	// Checkpoints bound recovery: each spills the engine state and lets the
-	// store drop the WAL segments it covers. One goroutine takes them, after
-	// every sealed segment (so a crash replays at most the open one) and on
-	// the -checkpoint-interval ticker; triggers that arrive while one runs
-	// coalesce into the next.
+	// store drop the WAL segments it no longer needs. One goroutine takes
+	// them, on the store's Sealed signal (a segment sealed with an image's
+	// worth of WAL past the last checkpoint, so a crash replays at most
+	// about one image's worth) and on the -checkpoint-interval ticker;
+	// triggers that arrive while one runs coalesce into the next.
 	stopCkpt := make(chan struct{})
 	ckptDone := make(chan struct{})
 	if store != nil {

@@ -30,6 +30,7 @@ var metricHelp = map[string]string{
 	"http.request_ms":                   "request latency in milliseconds, by endpoint",
 	"stream.events":                     "events applied by the streaming engine",
 	"stream.apply_ms":                   "engine batch-apply latency in milliseconds",
+	"stream.state_lock_ms":              "milliseconds a state image (checkpoint) held the engine lock (ingest waits behind it)",
 	"stream.watermark_unix_seconds":     "engine event-time watermark as a unix timestamp",
 	"detect.alerts_active":              "failure alerts currently raised by the online detector",
 	"detect.alerts_raised":              "failure alerts raised since start, any source",
@@ -47,7 +48,6 @@ var metricHelp = map[string]string{
 	"durable.checkpoint_seq":            "engine sequence of the newest completed checkpoint",
 	"durable.fsync_ms":                  "WAL group-commit fsync latency in milliseconds",
 	"durable.checkpoint_ms":             "checkpoint write latency in milliseconds",
-	"durable.checkpoint_lock_ms":        "milliseconds a checkpoint held the engine lock (ingest waits behind it)",
 	"durable.checkpoints_invalid":       "checkpoints that failed integrity validation at recovery",
 	"durable.recovery_checkpoint_seq":   "sequence of the checkpoint the last recovery restored",
 	"durable.recovery_replayed_records": "WAL records replayed by the last recovery",

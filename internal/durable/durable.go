@@ -30,7 +30,8 @@ type Options struct {
 	SegmentBytes int64
 
 	// CheckpointRetain is how many completed checkpoints to keep; older
-	// ones are pruned after each new checkpoint lands. Default 2.
+	// ones are pruned after each new checkpoint lands, and the WAL keeps
+	// every segment the oldest kept one needs. Default 2.
 	CheckpointRetain int
 
 	// Registry receives the durable.* metrics (nil-safe).
@@ -61,6 +62,8 @@ type RecoveryInfo struct {
 	Duration        time.Duration `json:"-"`
 	DurationMS      float64       `json:"replayMS"`
 	Replay          par.Stats     `json:"-"` // the replay pipeline: workers, records replayed or skipped, decode time
+
+	replayedBytes int64 // WAL bytes of the records replayed
 }
 
 // segment is one on-disk WAL file.
@@ -89,6 +92,8 @@ type Store struct {
 	walBytes   int64 // cumulative bytes appended this process
 	walRecords int64
 	ckptSeq    int64
+	ckptBytes  int64 // the newest checkpoint's image size (its manifest byte count)
+	sinceCkpt  int64 // WAL record bytes past the newest checkpoint
 
 	// sealed receives a token each time a segment seals; see Sealed.
 	sealed chan struct{}
@@ -105,12 +110,10 @@ var walEncPool = mempool.New("durable.walenc", 16,
 	func(r *walRecord) *walRecord { r.b = r.b[:0]; return r },
 )
 
-// fsyncBucketsMS / checkpointBucketsMS / lockBucketsMS are the latency
-// histogram bounds.
+// fsyncBucketsMS / checkpointBucketsMS are the latency histogram bounds.
 var (
 	fsyncBucketsMS      = []float64{0.1, 0.5, 1, 5, 10, 50, 100, 500}
 	checkpointBucketsMS = []float64{1, 5, 10, 50, 100, 500, 1000, 5000}
-	lockBucketsMS       = []float64{0.5, 1, 2, 5, 10, 20, 50, 100}
 )
 
 // Open prepares the data directory: creates it if needed, removes
@@ -224,6 +227,7 @@ func (s *Store) Append(startSeq int64, events []stream.Event) error {
 	n := int64(len(b))
 	s.segSize += n
 	s.walBytes += n
+	s.sinceCkpt += n
 	s.walRecords++
 	s.dirty = true
 	return nil
@@ -289,7 +293,11 @@ func (s *Store) openSegmentLocked(firstSeq int64) error {
 
 // sealSegmentLocked flushes, syncs and closes the current segment. Sealed
 // segments are immutable, which is what lets recovery treat a torn record
-// anywhere but the final segment as corruption. Sealing signals Sealed.
+// anywhere but the final segment as corruption. Sealing signals Sealed
+// once the WAL past the newest checkpoint has grown to that checkpoint's
+// image size: a checkpoint then never writes more bytes than the WAL it
+// follows, and a recovery replays at most about an image's worth of WAL
+// plus the segment that crossed the mark.
 func (s *Store) sealSegmentLocked() error {
 	if s.f == nil {
 		return nil
@@ -302,17 +310,20 @@ func (s *Store) sealSegmentLocked() error {
 	}
 	s.f = nil
 	s.segSize = 0
-	select {
-	case s.sealed <- struct{}{}:
-	default: // a checkpoint is already due; seals coalesce
+	if s.sinceCkpt >= s.ckptBytes {
+		select {
+		case s.sealed <- struct{}{}:
+		default: // a checkpoint is already due; seals coalesce
+		}
 	}
 	return nil
 }
 
 // Sealed returns a channel that holds a token once a WAL segment has
-// sealed since the last receive. A checkpoint taken on it lets the next
-// prune delete every sealed segment, so a recovery replays at most the
-// open one. The send never blocks the appender: seals coalesce.
+// sealed, with at least an image's worth of WAL past the newest
+// checkpoint, since the last receive. A checkpoint taken on it bounds
+// what a recovery replays. The send never blocks the appender: seals
+// coalesce.
 func (s *Store) Sealed() <-chan struct{} { return s.sealed }
 
 // Close seals the current segment and publishes final gauges. It does not
@@ -344,7 +355,7 @@ func (s *Store) publishLocked() {
 func (s *Store) Checkpoint(eng *stream.Engine) (int64, error) {
 	t0 := time.Now()
 	s.mu.Lock()
-	last := s.ckptSeq
+	last, since := s.ckptSeq, s.sinceCkpt
 	s.mu.Unlock()
 	if eng.Seq() == last {
 		return last, nil
@@ -362,14 +373,12 @@ func (s *Store) Checkpoint(eng *stream.Engine) (int64, error) {
 	}
 	h := crc32.NewIEEE()
 	cw := &countWriter{w: io.MultiWriter(f, h)}
-	seq, held, err := eng.WriteStateTimed(cw)
+	seq, err := eng.WriteState(cw)
 	if err != nil {
 		f.Close()
 		os.RemoveAll(tmp)
 		return 0, fmt.Errorf("durable: checkpoint: %w", err)
 	}
-	s.reg.Histogram("durable.checkpoint_lock_ms", lockBucketsMS...).
-		Observe(float64(held) / float64(time.Millisecond))
 	if err := f.Sync(); err != nil {
 		f.Close()
 		os.RemoveAll(tmp)
@@ -402,8 +411,12 @@ func (s *Store) Checkpoint(eng *stream.Engine) (int64, error) {
 	}
 
 	s.mu.Lock()
-	s.ckptSeq = seq
-	s.pruneLocked(seq)
+	s.ckptSeq, s.ckptBytes = seq, cw.n
+	// What was appended before the image was taken is covered by it (and
+	// a few records appended while it waited for the engine lock are
+	// counted once more, which only brings the next checkpoint forward).
+	s.sinceCkpt -= since
+	s.pruneLocked()
 	s.publishLocked()
 	s.mu.Unlock()
 	s.reg.Histogram("durable.checkpoint_ms", checkpointBucketsMS...).
@@ -412,16 +425,22 @@ func (s *Store) Checkpoint(eng *stream.Engine) (int64, error) {
 }
 
 // pruneLocked deletes checkpoints beyond the retention count and WAL
-// segments whose every record is covered by the checkpoint at seq — a
-// segment is disposable when its successor starts at or before seq+1. The
-// open segment is never deleted.
-func (s *Store) pruneLocked(seq int64) {
+// segments whose every record is covered by the oldest checkpoint kept —
+// a segment is disposable when its successor starts at or before that
+// checkpoint's seq+1. The segments between the kept checkpoints stay, so
+// a recovery that finds the newest checkpoint damaged can fall back to
+// the previous one and replay from there. The open segment is never
+// deleted.
+func (s *Store) pruneLocked() {
 	seqs := s.checkpointSeqs()
 	for len(seqs) > s.opt.CheckpointRetain {
 		os.RemoveAll(s.checkpointDir(seqs[0]))
 		seqs = seqs[1:]
 	}
-	for len(s.segs) >= 2 && s.segs[1].firstSeq <= seq+1 {
+	if len(seqs) == 0 {
+		return
+	}
+	for len(s.segs) >= 2 && s.segs[1].firstSeq <= seqs[0]+1 {
 		if err := os.Remove(s.segs[0].path); err != nil && !os.IsNotExist(err) {
 			break
 		}
@@ -447,10 +466,11 @@ func (s *Store) recoverOn(eng *stream.Engine, workers int) (RecoveryInfo, error)
 	seqs := s.checkpointSeqs()
 	for i := len(seqs) - 1; i >= 0; i-- {
 		dir := s.checkpointDir(seqs[i])
-		if err := validateCheckpoint(dir, seqs[i]); err != nil {
+		man, err := validateCheckpoint(dir, seqs[i])
+		if err != nil {
 			// A checkpoint that fails integrity is dead weight; fall back
-			// to the previous one (the WAL still covers the gap because
-			// segments are pruned only after a checkpoint completes).
+			// to the previous one (the WAL still covers the gap: pruning
+			// keeps every segment the oldest kept checkpoint needs).
 			s.reg.Add("durable.checkpoints_invalid", 1)
 			continue
 		}
@@ -466,6 +486,9 @@ func (s *Store) recoverOn(eng *stream.Engine, workers int) (RecoveryInfo, error)
 			return info, fmt.Errorf("durable: recover: %w", err)
 		}
 		info.CheckpointSeq = seqs[i]
+		s.mu.Lock()
+		s.ckptBytes = man.StateBytes
+		s.mu.Unlock()
 		break
 	}
 
@@ -481,6 +504,7 @@ func (s *Store) recoverOn(eng *stream.Engine, workers int) (RecoveryInfo, error)
 	s.reg.Set("durable.recovery_replayed_events", float64(info.ReplayedEvents))
 	s.reg.Set("durable.recovery_replay_ms", info.DurationMS)
 	s.mu.Lock()
+	s.sinceCkpt = info.replayedBytes
 	s.publishLocked()
 	s.mu.Unlock()
 	return info, nil
@@ -494,6 +518,11 @@ func (s *Store) replayWAL(eng *stream.Engine, workers int, info *RecoveryInfo) e
 	s.mu.Unlock()
 
 	for i, seg := range segs {
+		if i+1 < len(segs) && segs[i+1].firstSeq <= eng.Seq()+1 {
+			// The restored checkpoint covers this sealed segment whole; it
+			// is kept only for a fallback to an older checkpoint.
+			continue
+		}
 		f, err := os.Open(seg.path)
 		if err != nil {
 			return fmt.Errorf("durable: replay %s: %w", filepath.Base(seg.path), err)
@@ -621,6 +650,7 @@ func (s *Store) replaySegment(eng *stream.Engine, seg segment, r io.Reader, last
 			}
 			info.ReplayedRecords++
 			info.ReplayedEvents += int64(rec.count) - skip
+			info.replayedBytes += recBytes
 			offset += recBytes
 			return nil
 		})
@@ -663,36 +693,36 @@ func (s *Store) truncateTail(seg segment, offset int64, info *RecoveryInfo) erro
 }
 
 // validateCheckpoint verifies a checkpoint directory's manifest and the
-// state file's length and checksum.
-func validateCheckpoint(dir string, seq int64) error {
+// state file's length and checksum, and returns the manifest.
+func validateCheckpoint(dir string, seq int64) (manifest, error) {
+	var man manifest
 	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
 	if err != nil {
-		return err
+		return man, err
 	}
-	var man manifest
 	if err := json.Unmarshal(raw, &man); err != nil {
-		return err
+		return man, err
 	}
 	if man.Seq != seq {
-		return fmt.Errorf("manifest seq %d, directory says %d", man.Seq, seq)
+		return man, fmt.Errorf("manifest seq %d, directory says %d", man.Seq, seq)
 	}
 	f, err := os.Open(filepath.Join(dir, "state.bin"))
 	if err != nil {
-		return err
+		return man, err
 	}
 	defer f.Close()
 	h := crc32.NewIEEE()
 	n, err := io.Copy(h, f)
 	if err != nil {
-		return err
+		return man, err
 	}
 	if n != man.StateBytes {
-		return fmt.Errorf("state.bin is %d bytes, manifest says %d", n, man.StateBytes)
+		return man, fmt.Errorf("state.bin is %d bytes, manifest says %d", n, man.StateBytes)
 	}
 	if h.Sum32() != man.StateCRC32 {
-		return fmt.Errorf("state.bin checksum mismatch")
+		return man, fmt.Errorf("state.bin checksum mismatch")
 	}
-	return nil
+	return man, nil
 }
 
 // CheckpointSeq returns the newest completed checkpoint's sequence.

@@ -481,14 +481,18 @@ func TestRecordRoundTrip(t *testing.T) {
 // observed) nor touches the directory.
 func TestIdleCheckpointWritesNothing(t *testing.T) {
 	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	st, err := Open(dir, Options{Registry: reg})
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newEngine(t)
+	cfg := testConfig()
+	cfg.Observer = obs.NewObserver("idle-checkpoint")
+	eng, err := stream.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng.SetJournal(st)
-	holds := func() float64 { return reg.Snapshot()["durable.checkpoint_lock_ms.count"] }
+	holds := func() float64 { return cfg.Observer.Metrics().Snapshot()["stream.state_lock_ms.count"] }
 
 	if seq, err := st.Checkpoint(eng); err != nil || seq != 0 || holds() != 0 {
 		t.Fatalf("checkpoint of an empty engine: seq %d, err %v, %v lock holds", seq, err, holds())
@@ -570,51 +574,109 @@ func TestSealedSignalCoalesces(t *testing.T) {
 	}
 }
 
-// TestSealedCheckpointBoundsReplay runs the daemon's checkpoint loop in
-// step with ingest: a checkpoint on every seal keeps the WAL at two
-// segments, and a crash recovers one checkpoint plus at most the open
-// segment, landing byte for byte on the uninterrupted state.
-func TestSealedCheckpointBoundsReplay(t *testing.T) {
-	batches := testBatches(80)
-	dir := t.TempDir()
-	st, err := Open(dir, Options{SegmentBytes: 2 << 10})
+// sealedCheckpoints runs the daemon's checkpoint loop in step with
+// ingest: the batches go through an engine journaled into a store with
+// segBytes segments, a checkpoint is taken whenever Sealed holds a token,
+// and after each batch check (when non-nil) is called. It returns the
+// engine, the store, and for every checkpoint its sequence, its image size
+// and the WAL bytes appended before it.
+func sealedCheckpoints(t *testing.T, dir string, segBytes int64, batches [][]stream.Event, check func(eng *stream.Engine, st *Store)) (eng *stream.Engine, st *Store, seqs, imgs, walAt []int64) {
+	t.Helper()
+	st, err := Open(dir, Options{SegmentBytes: segBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newEngine(t)
+	eng = newEngine(t)
 	eng.SetJournal(st)
-	checkpoints, maxSegs := 0, 0
 	for _, b := range batches {
 		if err := eng.Apply(b); err != nil {
 			t.Fatal(err)
 		}
 		select {
 		case <-st.Sealed():
-			if _, err := st.Checkpoint(eng); err != nil {
+			seq, err := st.Checkpoint(eng)
+			if err != nil {
 				t.Fatal(err)
 			}
-			checkpoints++
+			seqs, imgs, walAt = append(seqs, seq), append(imgs, st.ckptBytes), append(walAt, st.walBytes)
 		default:
 		}
-		maxSegs = max(maxSegs, countGlob(t, dir, "wal-*.log"))
+		if check != nil {
+			check(eng, st)
+		}
 	}
-	if checkpoints < 3 {
-		t.Fatalf("%d seal-triggered checkpoints; the test needs several", checkpoints)
+	if len(seqs) < 3 {
+		t.Fatalf("%d seal-triggered checkpoints; the test needs several", len(seqs))
 	}
-	if maxSegs > 2 {
-		t.Errorf("WAL reached %d segments, want at most 2", maxSegs)
+	if imgs[0] <= segBytes {
+		t.Fatalf("a %d-byte image fits a %d-byte segment; the test needs it larger", imgs[0], segBytes)
+	}
+	return eng, st, seqs, imgs, walAt
+}
+
+// TestSealedCheckpointBoundsReplay: a seal triggers a checkpoint only
+// once the WAL past the newest checkpoint has grown to that checkpoint's
+// image size, so checkpoints write no more bytes than the WAL they follow,
+// and a crash at any point recovers the newest checkpoint plus at most an
+// image's worth of WAL and a segment, landing byte for byte on the
+// uninterrupted state.
+func TestSealedCheckpointBoundsReplay(t *testing.T) {
+	const segBytes = 2 << 10
+	dir := t.TempDir()
+	batches, crashes := 0, 0
+	_, st, seqs, imgs, walAt := sealedCheckpoints(t, dir, segBytes, testBatches(300), func(eng *stream.Engine, st *Store) {
+		if batches++; batches%7 != 0 {
+			return
+		}
+		crashes++
+		rec, info := recoverDir(t, dir)
+		if fingerprint(t, rec) != fingerprint(t, eng) {
+			t.Fatalf("at seq %d: recovered state differs from the uninterrupted run", eng.Seq())
+		}
+		if info.CheckpointSeq != st.CheckpointSeq() {
+			t.Errorf("at seq %d: recovered from checkpoint %d, want the newest, %d", eng.Seq(), info.CheckpointSeq, st.CheckpointSeq())
+		}
+		if limit := st.ckptBytes + 2*segBytes; info.WALBytes > limit {
+			t.Errorf("at seq %d: recovery read %d WAL bytes, want at most %d", eng.Seq(), info.WALBytes, limit)
+		}
+	})
+	if crashes < 30 {
+		t.Fatalf("%d crash points; the test needs many", crashes)
+	}
+	for i := 1; i < len(seqs); i++ {
+		if wal := walAt[i] - walAt[i-1]; wal < imgs[i-1] {
+			t.Errorf("checkpoint %d followed %d WAL bytes, fewer than the previous image's %d", i, wal, imgs[i-1])
+		}
+	}
+	if seals := st.walBytes / segBytes; int64(len(seqs)) > seals/2 {
+		t.Errorf("%d checkpoints for about %d seals; a seal alone should not trigger one", len(seqs), seals)
+	}
+}
+
+// TestSealedCheckpointFallsBack: with checkpoints taken on seals, the WAL
+// keeps every segment past the older of the two retained checkpoints, so
+// a recovery that finds the newest one damaged restores the previous one
+// and replays onto the same bytes.
+func TestSealedCheckpointFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	eng, _, seqs, _, _ := sealedCheckpoints(t, dir, 2<<10, testBatches(300), nil)
+	newest, prev := seqs[len(seqs)-1], seqs[len(seqs)-2]
+	state := filepath.Join(dir, fmt.Sprintf("checkpoint-%016x", newest), "state.bin")
+	raw, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x55
+	if err := os.WriteFile(state, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	rec, info := recoverDir(t, dir)
+	if info.CheckpointSeq != prev {
+		t.Errorf("recovered from checkpoint %d, want fallback to %d", info.CheckpointSeq, prev)
+	}
 	if fingerprint(t, rec) != fingerprint(t, eng) {
-		t.Fatal("recovered state differs from the uninterrupted run")
-	}
-	if segs := countGlob(t, dir, "wal-*.log"); info.CheckpointSeq == 0 || segs > 2 {
-		t.Errorf("recovered from checkpoint %d over %d segments, want a checkpoint and at most 2", info.CheckpointSeq, segs)
-	}
-	if info.CheckpointSeq < eng.Seq()*3/4 || info.ReplayedEvents != eng.Seq()-info.CheckpointSeq {
-		t.Errorf("restored seq %d and replayed %d of %d events, want a short tail past a recent checkpoint",
-			info.CheckpointSeq, info.ReplayedEvents, eng.Seq())
+		t.Error("fallback recovery differs from the uninterrupted run")
 	}
 }
 

@@ -68,16 +68,10 @@ const legacyStateMagic = "FSENG001"
 // WriteState serializes the engine's complete statistical state, returning
 // the sequence number (event count) the image captures. Safe to call
 // concurrently with appliers; the image is a consistent cut between
-// commit groups.
+// commit groups. The image is encoded under the engine lock straight into
+// w, so ingest waits for it; the hold lands in the stream.state_lock_ms
+// histogram.
 func (e *Engine) WriteState(w io.Writer) (int64, error) {
-	seq, _, err := e.WriteStateTimed(w)
-	return seq, err
-}
-
-// WriteStateTimed is WriteState that also reports how long it held the
-// engine lock, which stalls ingest: the image is encoded under the lock
-// straight into w.
-func (e *Engine) WriteStateTimed(w io.Writer) (seq int64, held time.Duration, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t0 := time.Now()
@@ -90,13 +84,18 @@ func (e *Engine) WriteStateTimed(w io.Writer) (seq int64, held time.Duration, er
 	if d := e.cfg.Detector; d != nil {
 		d.WriteState(bw)
 	}
-	err = bw.Flush()
-	held = time.Since(t0)
+	err := bw.Flush()
+	e.cfg.Observer.Metrics().Histogram("stream.state_lock_ms", stateLockBucketsMS...).
+		Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 	if err != nil {
-		return 0, held, fmt.Errorf("stream: write state: %w", err)
+		return 0, fmt.Errorf("stream: write state: %w", err)
 	}
-	return e.events, held, nil
+	return e.events, nil
 }
+
+// stateLockBucketsMS are the WriteState lock-hold histogram bounds, in
+// milliseconds.
+var stateLockBucketsMS = []float64{0.5, 1, 2, 5, 10, 20, 50, 100}
 
 func putInts(w *binimg.Writer, vals []int) {
 	for _, v := range vals {
