@@ -423,7 +423,7 @@ func replayWireEvents(rt *shard.Router, o *obs.Observer, events []stream.Event, 
 		b := stream.GetBatch()
 		n, err := b.DecodeJSONLInto(&rd)
 		if err == nil {
-			err = rt.Apply(b.Events)
+			_, err = rt.ApplyBatchTimed(b)
 		}
 		b.Release()
 		if err != nil {

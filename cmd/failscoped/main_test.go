@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -688,7 +689,9 @@ func TestAlertsEndpointAndSeq(t *testing.T) {
 }
 
 // TestDurableServerSurface runs the server in durable mode: ingest lands
-// in the WAL, /healthz grows a durable section carrying the recovery info,
+// in the WAL as the body was posted, refused bodies (400 and 413, the
+// chunked one cut mid-read) land nothing, /healthz grows a durable
+// section carrying the recovery info,
 // /metrics exposes the durable_* families plus the wire decoder counters,
 // and a second store+engine recovered from the same directory serves an
 // identical /v1/report.
@@ -713,17 +716,24 @@ func TestDurableServerSurface(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	res, err := http.Post(ts.URL+"/v1/events", "application/jsonl", strings.NewReader(testBatch(t)))
-	if err != nil {
-		t.Fatal(err)
+	post := func(body io.Reader, want int) {
+		t.Helper()
+		res, err := http.Post(ts.URL+"/v1/events", "application/jsonl", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+		if res.StatusCode != want {
+			t.Fatalf("ingest status %d, want %d", res.StatusCode, want)
+		}
 	}
-	io.Copy(io.Discard, res.Body)
-	res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status %d", res.StatusCode)
-	}
+	post(strings.NewReader("{\"type\":\"advance\"}\nnot json\n"), http.StatusBadRequest)
+	post(io.MultiReader(bytes.NewReader(oversizedBatch())), http.StatusRequestEntityTooLarge)
+	body := strings.ReplaceAll(testBatch(t), "\n", "\r\n")
+	post(strings.NewReader(body), http.StatusOK)
 
-	res, err = http.Get(ts.URL + "/healthz")
+	res, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -755,8 +765,9 @@ func TestDurableServerSurface(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/metrics not conformant in durable mode: %v", err)
 	}
-	if v := fams.Value("durable_wal_bytes"); math.IsNaN(v) || v <= 0 {
-		t.Errorf("durable_wal_bytes = %v, want > 0", v)
+	// The magic, then one record: a 20-byte header and the body as posted.
+	if v, want := fams.Value("durable_wal_bytes"), float64(8+20+len(body)); v != want {
+		t.Errorf("durable_wal_bytes = %v, want %v", v, want)
 	}
 	if v := fams.Value("durable_wal_records"); v != 1 {
 		t.Errorf("durable_wal_records = %v, want 1", v)

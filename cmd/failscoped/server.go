@@ -180,8 +180,9 @@ func (s *server) fail(w http.ResponseWriter, r *http.Request, code int, err erro
 
 // handleEvents ingests one JSONL event batch. Malformed input is a 400
 // whose error names the offending line, a body over maxBatchBytes a 413;
-// nothing from a refused batch is applied. The body decodes into a pooled
-// zero-copy batch and commits through the engine's group-commit path, so
+// nothing from a refused batch is applied or journaled. The body decodes
+// into a pooled zero-copy batch, which a durable daemon journals as
+// received, and commits through the engine's group-commit path, so
 // concurrent posts share one engine-lock acquisition per group instead of
 // contending per batch. The request trace carries a span per stage —
 // decode, group-commit (queueing plus apply), engine-apply (this batch's
@@ -213,7 +214,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	a.SetItems(n)
 	endCommit := a.StartSpan("group-commit")
-	applied, err := s.rt.ApplyTimed(b.Events)
+	applied, err := s.rt.ApplyBatchTimed(b)
 	endCommit()
 	if err != nil {
 		s.obs.Metrics().Add(telemetry.Labeled("serve.rejected_batches", "reason", "apply"), 1)

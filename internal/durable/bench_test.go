@@ -78,6 +78,46 @@ func BenchmarkWALAppendStudy(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
+// BenchmarkWALAppendWire is BenchmarkWALAppendStudy journaling each
+// batch from its wire body (Store.AppendWire), as the daemon does for a
+// POST: framing and the buffered write, with no encode.
+func BenchmarkWALAppendWire(b *testing.B) {
+	batches, err := studyBatches()
+	if err != nil {
+		b.Fatal(err)
+	}
+	bodies := make([][]byte, len(batches))
+	for i, batch := range batches {
+		var body bytes.Buffer
+		if err := stream.EncodeJSONL(&body, batch); err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = body.Bytes()
+	}
+	st, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	seq, events := int64(1), 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := len(batches[i%len(batches)])
+		if err := st.AppendWire(seq, n, bodies[i%len(bodies)]); err != nil {
+			b.Fatal(err)
+		}
+		seq += int64(n)
+		events += n
+		if i%8 == 7 {
+			if err := st.Sync(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
 // BenchmarkRecovery measures a full boot-time recovery: checkpoint
 // restore plus WAL tail replay over a directory holding 200 batches with
 // a checkpoint at the midpoint.

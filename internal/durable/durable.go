@@ -92,18 +92,21 @@ type Store struct {
 	walBytes   int64 // cumulative bytes appended this process
 	walRecords int64
 	ckptSeq    int64
-	ckptBytes  int64 // the newest checkpoint's image size (its manifest byte count)
-	sinceCkpt  int64 // WAL record bytes past the newest checkpoint
+	ckptBytes  int64               // the newest checkpoint's image size (its manifest byte count)
+	sinceCkpt  int64               // WAL record bytes past the newest checkpoint
+	hdr        [recHeaderSize]byte // the header of the record being written
 
 	// sealed receives a token each time a segment seals; see Sealed.
 	sealed chan struct{}
 }
 
-// walRecord is one pooled WAL record buffer: the frame header followed by
-// the batch's JSONL payload, written to the segment in a single call.
+var _ stream.WireJournal = (*Store)(nil)
+
+// walRecord is one pooled payload buffer: Append encodes a batch's JSONL
+// into it.
 type walRecord struct{ b []byte }
 
-// walEncPool recycles the record buffers the WAL appends through, so
+// walEncPool recycles the payload buffers Append encodes into, so
 // steady-state appends allocate nothing.
 var walEncPool = mempool.New("durable.walenc", 16,
 	func() *walRecord { return &walRecord{b: make([]byte, 0, 64<<10)} },
@@ -192,21 +195,28 @@ type manifest struct {
 	StateCRC32 uint32 `json:"stateCRC32"`
 }
 
-// Append implements stream.Journal: frame the batch and buffer it into the
-// current segment, rotating first when the segment is full. Called by the
-// engine under its apply lock, immediately before the batch is applied.
+// Append implements stream.Journal: encode the batch as JSONL and journal
+// it as AppendWire does. Called by the engine under its apply lock,
+// immediately before the batch is applied.
 func (s *Store) Append(startSeq int64, events []stream.Event) error {
 	rec := walEncPool.Get()
 	defer walEncPool.Put(rec)
-	b, err := stream.AppendJSONL(append(rec.b[:0], make([]byte, recHeaderSize)...), events)
+	b, err := stream.AppendJSONL(rec.b[:0], events)
 	rec.b = b // keep any growth for the next batch
 	if err != nil {
 		return err
 	}
-	if len(b)-recHeaderSize > maxRecordBytes {
-		return fmt.Errorf("durable: batch of %d bytes exceeds the record bound", len(b)-recHeaderSize)
+	return s.AppendWire(startSeq, len(events), b)
+}
+
+// AppendWire implements stream.WireJournal: frame jsonl, the body a batch
+// of count events was decoded from, and buffer it into the current
+// segment, rotating first when the segment is full. The header and the
+// payload go to the segment writer as they are, with no record copy.
+func (s *Store) AppendWire(startSeq int64, count int, jsonl []byte) error {
+	if len(jsonl) > maxRecordBytes {
+		return fmt.Errorf("durable: batch of %d bytes exceeds the record bound", len(jsonl))
 	}
-	frameRecord(b, startSeq, len(events))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -221,10 +231,14 @@ func (s *Store) Append(startSeq int64, events []stream.Event) error {
 		}
 	}
 
-	if _, err := s.w.Write(b); err != nil {
+	frameHeader(s.hdr[:], startSeq, count, jsonl)
+	if _, err := s.w.Write(s.hdr[:]); err != nil {
 		return fmt.Errorf("durable: wal append: %w", err)
 	}
-	n := int64(len(b))
+	if _, err := s.w.Write(jsonl); err != nil {
+		return fmt.Errorf("durable: wal append: %w", err)
+	}
+	n := int64(recHeaderSize + len(jsonl))
 	s.segSize += n
 	s.walBytes += n
 	s.sinceCkpt += n

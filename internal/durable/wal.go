@@ -28,7 +28,13 @@ import (
 //	  u32 CRC32-IEEE       (over the 12 seq/count bytes + payload)
 //	  u64 start sequence   (engine seq the record's first event takes)
 //	  u32 event count
-//	  payload              (JSONL via the stream wire codec, stream.AppendJSONL)
+//	  payload              (the batch as JSONL: see below)
+//
+// A batch decoded from a POST body is journaled from that body, the bytes
+// the decoder validated (Store.AppendWire); a batch applied in process
+// from events is encoded by stream.AppendJSONL (Store.Append). Either
+// payload decodes, with the wire decoder, to the batch's events, which is
+// all replay reads of it.
 //
 // Segments are named wal-%016x.log by the start sequence of their first
 // record. A torn record at the tail of the *last* segment is the expected
@@ -44,25 +50,19 @@ const (
 	maxRecordBytes = 64 << 20
 )
 
-// frameRecord fills in the header of rec, a record laid out as
-// recHeaderSize header bytes followed by its payload.
-func frameRecord(rec []byte, startSeq int64, count int) {
-	hdr, payload := rec[:recHeaderSize], rec[recHeaderSize:]
+// frameHeader fills hdr, recHeaderSize bytes, with the header of the
+// record that carries payload.
+func frameHeader(hdr []byte, startSeq int64, count int, payload []byte) {
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(startSeq))
 	binary.LittleEndian.PutUint32(hdr[16:20], uint32(count))
-	crc := crc32.ChecksumIEEE(hdr[8:20])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
+	binary.LittleEndian.PutUint32(hdr[4:8], recordCRC(hdr, payload))
 }
 
-// appendRecord appends the framed record to dst and returns the extended
-// slice.
-func appendRecord(dst []byte, startSeq int64, count int, payload []byte) []byte {
-	n := len(dst)
-	dst = append(append(dst, make([]byte, recHeaderSize)...), payload...)
-	frameRecord(dst[n:], startSeq, count)
-	return dst
+// recordCRC is the checksum a record's header carries: CRC32-IEEE over
+// the header's sequence and count fields, then the payload.
+func recordCRC(hdr, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(hdr[8:20]), crc32.IEEETable, payload)
 }
 
 // errTornRecord marks a record that ends before its framing says it
@@ -112,9 +112,7 @@ func readRecord(r io.Reader, buf []byte) (startSeq int64, count int, payload []b
 		}
 		return 0, 0, nil, readError(err)
 	}
-	crc := crc32.ChecksumIEEE(hdr[8:20])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	if crc != wantCRC {
+	if recordCRC(hdr[:], payload) != wantCRC {
 		return 0, 0, nil, fmt.Errorf("durable: wal record crc mismatch (seq %d)", startSeq)
 	}
 	if startSeq < 1 || count < 0 {

@@ -98,8 +98,10 @@ type DB struct {
 
 	// metrics, when instrumented, counts writes under "monitordb.*". A nil
 	// registry (the default) makes every count a no-op; counters are
-	// atomic, so workers increment without taking db.mu.
-	metrics *obs.Registry
+	// atomic, so workers increment without taking db.mu. The write
+	// counters are resolved from it once, by Instrument.
+	metrics                                                     *obs.Registry
+	samples, samplesDropped, powerEvents, placements, evictions *obs.Counter
 	// log, when instrumented, records drop decisions (samples and events
 	// truncated outside the retention window). Nil is a full no-op.
 	log *obs.Logger
@@ -111,6 +113,11 @@ type DB struct {
 func (db *DB) Instrument(reg *obs.Registry) {
 	db.mu.Lock()
 	db.metrics = reg
+	db.samples = reg.Counter("monitordb.samples")
+	db.samplesDropped = reg.Counter("monitordb.samples_dropped")
+	db.powerEvents = reg.Counter("monitordb.power_events")
+	db.placements = reg.Counter("monitordb.placements")
+	db.evictions = reg.Counter("monitordb.evicted")
 	db.mu.Unlock()
 }
 
@@ -193,7 +200,7 @@ func (db *DB) Add(id model.MachineID, metric Metric, s Sample) {
 	}
 	db.seriesLocked(seriesKey{id, metric}).add(s.Time.UnixNano(), s.Value)
 	db.noteSeenLocked(id, s.Time)
-	db.metrics.Add("monitordb.samples", 1)
+	db.samples.Add(1)
 }
 
 func (db *DB) noteSeenLocked(id model.MachineID, t time.Time) {
@@ -234,18 +241,24 @@ func (db *DB) AddSeries(id model.MachineID, metric Metric, samples []Sample) {
 		}
 	}
 	accepted := 0
+	var first time.Time
 	for _, s := range samples {
 		if db.outsideWindowLocked(s.Time) {
 			continue
 		}
 		col.add(s.Time.UnixNano(), s.Value)
-		db.noteSeenLocked(id, s.Time)
+		if accepted == 0 || s.Time.Before(first) {
+			first = s.Time
+		}
 		accepted++
 	}
+	if accepted > 0 {
+		db.noteSeenLocked(id, first)
+	}
 	col.trim()
-	db.metrics.Add("monitordb.samples", int64(accepted))
+	db.samples.Add(int64(accepted))
 	if dropped := len(samples) - accepted; dropped > 0 {
-		db.metrics.Add("monitordb.samples_dropped", int64(dropped))
+		db.samplesDropped.Add(int64(dropped))
 		db.log.Debug("monitoring samples dropped outside retention",
 			"machine", string(id), "metric", metric.String(), "dropped", dropped, "accepted", accepted)
 	}
@@ -273,7 +286,7 @@ func (db *DB) AddPowerEvents(id model.MachineID, events []PowerEvent) {
 		db.noteSeenLocked(id, ev.Time)
 		accepted++
 	}
-	db.metrics.Add("monitordb.power_events", int64(accepted))
+	db.powerEvents.Add(int64(accepted))
 }
 
 // PlacementStep is one month's placement of a VM, for batch writes.
@@ -288,6 +301,7 @@ func (db *DB) SetPlacement(vm, host model.MachineID, t time.Time) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.setPlacementLocked(vm, host, t)
+	db.placements.Add(1)
 }
 
 // SetPlacements records a VM's placement schedule under a single lock
@@ -301,7 +315,7 @@ func (db *DB) SetPlacements(vm model.MachineID, steps []PlacementStep) {
 	for _, s := range steps {
 		db.setPlacementLocked(vm, s.Host, s.Time)
 	}
-	db.metrics.Add("monitordb.placements", int64(len(steps)))
+	db.placements.Add(int64(len(steps)))
 }
 
 func (db *DB) setPlacementLocked(vm, host model.MachineID, t time.Time) {
@@ -595,7 +609,7 @@ func (db *DB) Advance(now time.Time) int {
 		}
 	}
 	if evicted > 0 {
-		db.metrics.Add("monitordb.evicted", int64(evicted))
+		db.evictions.Add(int64(evicted))
 		db.log.Debug("monitoring records evicted past retention",
 			"window_start", start.Format(time.RFC3339), "evicted", evicted)
 	}

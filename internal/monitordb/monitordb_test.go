@@ -240,3 +240,28 @@ func TestMetricStrings(t *testing.T) {
 		t.Errorf("Metrics() = %d", len(Metrics()))
 	}
 }
+
+// TestAddSeriesFirstSeenMatchesAdd: a batch whose samples arrive out of
+// order, some outside the window, records the same first-seen instant as
+// adding them one at a time, across successive batches.
+func TestAddSeriesFirstSeenMatchesAdd(t *testing.T) {
+	id := model.MachineID("m1")
+	at := func(h int) time.Time { return obsWin.Start.Add(time.Duration(h) * time.Hour) }
+	batches := [][]Sample{
+		{{Time: at(30)}, {Time: at(10)}, {Time: epoch.Add(-time.Hour)}, {Time: at(20)}},
+		{{Time: at(40)}, {Time: at(15)}},
+		{{Time: at(50)}, {Time: at(5)}, {Time: at(8)}},
+	}
+	batched, single := newDB(), newDB()
+	for i, b := range batches {
+		batched.AddSeries(id, MetricCPUUtil, b)
+		for _, s := range b {
+			single.Add(id, MetricCPUUtil, s)
+		}
+		got, _ := batched.FirstSeen(id)
+		want, _ := single.FirstSeen(id)
+		if !got.Equal(want) {
+			t.Fatalf("after batch %d: first seen %v, want %v", i, got, want)
+		}
+	}
+}

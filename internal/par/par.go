@@ -43,10 +43,10 @@ func Workers(parallelism int) int {
 	return parallelism
 }
 
-// grain is the number of consecutive indices a worker claims per fetch of
-// the shared counter. Contiguous claims keep cache locality for slice-shaped
-// work while amortizing the atomic over many items.
-const grain = 16
+// maxGrain caps the number of consecutive indices a worker claims per
+// fetch of the shared counter. Contiguous claims keep cache locality for
+// slice-shaped work while amortizing the atomic over many items.
+const maxGrain = 16
 
 // Stats is the accounting of one pool invocation, consumed by the
 // observability layer (obs.Span.AddPool) to attribute cost per stage.
@@ -102,6 +102,10 @@ func ForEach(parallelism, n int, fn func(i int)) Stats {
 		busy := time.Since(start)
 		return Stats{Workers: 1, Items: n, Busy: busy, MaxBusy: busy}
 	}
+	// Claims shrink for short index spaces so every worker gets about four:
+	// at the full grain, one worker could claim all of fewer than 2·16
+	// indices while the others found nothing left.
+	grain := min(maxGrain, max(1, n/(4*w)))
 	var next atomic.Int64
 	var panicked atomic.Pointer[panicValue]
 	var wg sync.WaitGroup
@@ -114,7 +118,7 @@ func ForEach(parallelism, n int, fn func(i int)) Stats {
 			defer func() { busy[k] = time.Since(start) }()
 			defer capturePanic(&panicked)
 			for {
-				lo := int(next.Add(grain)) - grain
+				lo := int(next.Add(int64(grain))) - grain
 				if lo >= n {
 					return
 				}

@@ -2,8 +2,10 @@ package par
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkers(t *testing.T) {
@@ -22,7 +24,7 @@ func TestWorkers(t *testing.T) {
 // worker counts and sizes that straddle grain boundaries.
 func TestForEachVisitsEachIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
-		for _, n := range []int{0, 1, grain - 1, grain, grain + 1, 5*grain + 3, 1000} {
+		for _, n := range []int{0, 1, maxGrain - 1, maxGrain, maxGrain + 1, 5*maxGrain + 3, 1000} {
 			visits := make([]int32, n)
 			ForEach(workers, n, func(i int) {
 				atomic.AddInt32(&visits[i], 1)
@@ -34,6 +36,27 @@ func TestForEachVisitsEachIndexOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestForEachSpreadsShortRanges: with two workers and two indices, each
+// worker must run one. fn(0) and fn(1) meet at a barrier neither passes
+// alone, so a worker that claims both indices waits out the timeout.
+func TestForEachSpreadsShortRanges(t *testing.T) {
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	met := make(chan struct{})
+	go func() {
+		arrived.Wait()
+		close(met)
+	}()
+	ForEach(2, 2, func(i int) {
+		arrived.Done()
+		select {
+		case <-met:
+		case <-time.After(5 * time.Second):
+			t.Errorf("fn(%d) met no other worker: one worker claimed both indices", i)
+		}
+	})
 }
 
 // TestForEachBlockBoundariesFixed asserts the block decomposition is a

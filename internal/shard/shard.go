@@ -302,6 +302,18 @@ func (r *Router) ApplyTimed(events []stream.Event) (time.Duration, error) {
 	return applied, err
 }
 
+// ApplyBatchTimed is ApplyTimed for a batch decoded from the wire. A
+// single engine takes the batch whole (Engine.ApplyBatchTimed), so its
+// journal can record the body as received; a multi-shard router splits
+// the events, which no longer match the body, and applies them as
+// ApplyTimed does (durable mode runs one shard).
+func (r *Router) ApplyBatchTimed(b *stream.Batch) (time.Duration, error) {
+	if len(r.engines) == 1 {
+		return r.engines[0].ApplyBatchTimed(b)
+	}
+	return r.ApplyTimed(b.Events)
+}
+
 // keyOf is the event's routing key: the machine whose per-server state the
 // event feeds. Incidents key on their first listed server; the replica
 // inventory makes every shard able to bucket the rest.

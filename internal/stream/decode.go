@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -38,9 +39,10 @@ func DecodeStats() (fast, fallback int64) {
 
 // Batch is a decoded event batch backed by pooled arenas: the Event slice
 // plus the time/bool/machine/ticket/incident values its pointer fields
-// reference. A Batch obtained from GetBatch is owned by the caller until
-// Release; the engine copies everything it keeps (see DESIGN.md §11), so
-// releasing after Apply is safe.
+// reference, and the body the events were decoded from. A Batch
+// obtained from GetBatch is owned by the caller until Release; the engine
+// copies everything it keeps (see DESIGN.md §11), so releasing after
+// Apply is safe.
 type Batch struct {
 	Events []Event
 
@@ -50,14 +52,25 @@ type Batch struct {
 	tickets   []model.Ticket
 	incidents []model.Incident
 
-	parser  jsonl.Parser // keeps its unescape scratch across batches
-	readBuf []byte       // initial bufio.Scanner buffer
+	parser jsonl.Parser // keeps its unescape scratch across batches
+	body   bytes.Buffer // the whole body DecodeJSONLInto read
+
+	// wire is the JSONL body the events were decoded from: what one
+	// successful DecodeJSONLInto call read into an empty batch, nil for any
+	// other batch. Decoding it again yields the same events, which is what
+	// lets a journal record it in place of a re-encode (ApplyBatchTimed).
+	wire []byte
 }
 
 const batchReadBufSize = 1 << 20
 
+// newBody returns an empty body buffer of the pooled size. Unlike
+// bytes.Buffer.Grow, which zeroes what it adds, a fresh make leaves the
+// pages untouched until a body lands in them.
+func newBody() bytes.Buffer { return *bytes.NewBuffer(make([]byte, 0, batchReadBufSize)) }
+
 var batchPool = mempool.New("stream.batch", 32,
-	func() *Batch { return &Batch{readBuf: make([]byte, 0, batchReadBufSize)} },
+	func() *Batch { return &Batch{body: newBody()} },
 	func(b *Batch) *Batch { b.reset(); return b },
 )
 
@@ -82,6 +95,10 @@ func (b *Batch) reset() {
 	b.machines = b.machines[:0]
 	b.tickets = b.tickets[:0]
 	b.incidents = b.incidents[:0]
+	b.wire = nil
+	if b.body.Cap() > batchReadBufSize {
+		b.body = newBody() // pool no oversized body's buffer
+	}
 	b.parser.Reset(nil) // drop the view of the last request's read buffer
 }
 
@@ -92,21 +109,36 @@ func clearSlice[T any](s []T) {
 	}
 }
 
+// maxLineBytes is the line length DecodeJSONLInto refuses with
+// bufio.ErrTooLong: the bufio.Scanner limit DecodeJSONL applies.
+const maxLineBytes = 1 << 24
+
 // DecodeJSONLInto appends a JSONL event batch to b. Errors name the
 // 1-based line number of the offending record, exactly as DecodeJSONL
 // does. Returns the number of events appended.
+//
+// The body is read whole into the batch's read buffer, then split into
+// lines as bufio.ScanLines splits them; on an empty batch a successful
+// decode keeps the body as the batch's wire bytes.
 func (b *Batch) DecodeJSONLInto(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	buf := b.readBuf
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, batchReadBufSize)
-	}
-	sc.Buffer(buf, 1<<24)
+	b.body.Reset()
+	_, rerr := b.body.ReadFrom(r) // like bufio.Scanner, keeps what preceded an error
+	body := b.body.Bytes()
+	b.wire = nil
 	start := len(b.Events)
 	line := 0
-	for sc.Scan() {
+	for rest := body; len(rest) > 0; {
+		raw := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			raw, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
+		if len(raw) >= maxLineBytes {
+			return len(b.Events) - start, fmt.Errorf("stream: read: %w", bufio.ErrTooLong)
+		}
+		raw = bytes.TrimSuffix(raw, []byte{'\r'})
 		line++
-		raw := sc.Bytes()
 		if len(raw) == 0 {
 			continue
 		}
@@ -127,8 +159,11 @@ func (b *Batch) DecodeJSONLInto(r io.Reader) (int, error) {
 			return len(b.Events) - start, fmt.Errorf("stream: line %d: event without type", line)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return len(b.Events) - start, fmt.Errorf("stream: read: %w", err)
+	if rerr != nil {
+		return len(b.Events) - start, fmt.Errorf("stream: read: %w", rerr)
+	}
+	if start == 0 {
+		b.wire = body
 	}
 	return len(b.Events) - start, nil
 }

@@ -203,6 +203,32 @@ func TestDecodeJSONLIntoErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeJSONLIntoLineLimit pins the line-length limit at the legacy
+// scanner's: a line one byte short of 16 MiB decodes, a 16 MiB line fails
+// with the same error in both decoders, with or without a final newline.
+func TestDecodeJSONLIntoLineLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 16 MiB lines")
+	}
+	const limit = 1 << 24
+	head, tail := `{"type":"advance","host":"`, `"}`
+	for _, n := range []int{limit - 1, limit} {
+		line := head + strings.Repeat("x", n-len(head)-len(tail)) + tail
+		for _, in := range []string{line, line + "\n"} {
+			_, lerr := DecodeJSONL(strings.NewReader(in))
+			b := GetBatch()
+			_, ferr := b.DecodeJSONLInto(strings.NewReader(in))
+			b.Release()
+			if (lerr == nil) != (n < limit) {
+				t.Fatalf("%d-byte line: legacy error %v", n, lerr)
+			}
+			if (lerr == nil) != (ferr == nil) || (lerr != nil && lerr.Error() != ferr.Error()) {
+				t.Errorf("%d-byte line: error %v, legacy %v", n, ferr, lerr)
+			}
+		}
+	}
+}
+
 // TestDecodeJSONLIntoInvalidUTF8 pins the U+FFFD substitution parity:
 // encoding/json replaces invalid UTF-8 rather than erroring, so those
 // lines must fall back and come out identical.

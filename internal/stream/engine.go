@@ -125,6 +125,16 @@ type Journal interface {
 	Sync() error
 }
 
+// WireJournal is a Journal that can also record a batch from the JSONL
+// body it was decoded from (see ApplyBatchTimed), in place of Append's
+// re-encode.
+// AppendWire is called with Append's sequence and locking contract and the
+// batch's event count; jsonl decodes back to exactly the batch's events.
+type WireJournal interface {
+	Journal
+	AppendWire(startSeq int64, count int, jsonl []byte) error
+}
+
 // Engine is the incremental analysis engine. All methods are safe for
 // concurrent use; Apply batches are serialized internally.
 type Engine struct {
@@ -311,14 +321,21 @@ func (e *Engine) SetJournal(j Journal) {
 }
 
 // journalBatchLocked appends a non-empty batch to the journal (when one is
-// attached) at the sequence its first event will take. A failed append
-// poisons the batch: it is not applied, so the journal never lags behind
-// the applied state.
-func (e *Engine) journalBatchLocked(events []Event) error {
+// attached) at the sequence its first event will take: from wire, the
+// body the events were decoded from, when there is one and the journal
+// takes it, else by Append. A failed append poisons the batch: it is not
+// applied, so the journal never lags behind the applied state.
+func (e *Engine) journalBatchLocked(events []Event, wire []byte) error {
 	if e.journal == nil || len(events) == 0 {
 		return nil
 	}
-	if err := e.journal.Append(e.events+1, events); err != nil {
+	var err error
+	if wj, ok := e.journal.(WireJournal); ok && wire != nil {
+		err = wj.AppendWire(e.events+1, len(events), wire)
+	} else {
+		err = e.journal.Append(e.events+1, events)
+	}
+	if err != nil {
 		return fmt.Errorf("stream: journal append: %w", err)
 	}
 	return nil
@@ -340,7 +357,7 @@ func (e *Engine) syncJournalLocked() error {
 func (e *Engine) Apply(events []Event) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	err := e.journalBatchLocked(events)
+	err := e.journalBatchLocked(events, nil)
 	if err == nil {
 		err = e.applyBatchLocked(events)
 	}
@@ -375,6 +392,7 @@ func (e *Engine) ApplyJSONL(r io.Reader) (int, error) {
 // from queue wait.
 type applyReq struct {
 	events  []Event
+	wire    []byte // the body events were decoded from, when journaled from it
 	applied time.Duration
 	err     error // leader-stashed result while durability is pending
 	done    chan error
@@ -382,7 +400,7 @@ type applyReq struct {
 
 var applyReqPool = mempool.New("stream.applyreq", 64,
 	func() *applyReq { return &applyReq{done: make(chan error, 1)} },
-	func(r *applyReq) *applyReq { r.events = nil; r.applied = 0; r.err = nil; return r },
+	func(r *applyReq) *applyReq { r.events, r.wire, r.applied, r.err = nil, nil, 0, nil; return r },
 )
 
 // applyBucketsMS are the engine-apply latency histogram bounds, in
@@ -420,10 +438,23 @@ func (e *Engine) ApplyGrouped(events []Event) error {
 // chain. The timing feeds metrics and traces only; statistics are
 // untouched.
 func (e *Engine) ApplyGroupedTimed(events []Event) (time.Duration, error) {
+	return e.applyGrouped(events, nil)
+}
+
+// ApplyBatchTimed is ApplyGroupedTimed for a batch decoded from the wire:
+// a WireJournal records the body the batch was decoded from, as received,
+// instead of re-encoding its events. Each batch of a commit group is
+// journaled from its own body. A batch whose events did not all come from
+// one DecodeJSONLInto call is journaled by Append.
+func (e *Engine) ApplyBatchTimed(b *Batch) (time.Duration, error) {
+	return e.applyGrouped(b.Events, b.wire)
+}
+
+func (e *Engine) applyGrouped(events []Event, wire []byte) (time.Duration, error) {
 	req := applyReqPool.Get()
 	e.qmu.Lock()
 	if e.leading {
-		req.events = events
+		req.events, req.wire = events, wire
 		e.queue = append(e.queue, req)
 		e.qmu.Unlock()
 		err := <-req.done
@@ -439,7 +470,7 @@ func (e *Engine) ApplyGroupedTimed(events []Event) (time.Duration, error) {
 	applyHist := m.Histogram("stream.apply_ms", applyBucketsMS...)
 	e.mu.Lock()
 	t0 := time.Now()
-	err := e.journalBatchLocked(events)
+	err := e.journalBatchLocked(events, wire)
 	if err == nil {
 		err = e.applyBatchLocked(events)
 	}
@@ -464,7 +495,7 @@ func (e *Engine) ApplyGroupedTimed(events []Event) (time.Duration, error) {
 		e.qmu.Unlock()
 		for _, r := range pending {
 			t0 = time.Now()
-			rerr := e.journalBatchLocked(r.events)
+			rerr := e.journalBatchLocked(r.events, r.wire)
 			if rerr == nil {
 				rerr = e.applyBatchLocked(r.events)
 			}
