@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"runtime/debug"
+	"sort"
 	"sync"
 	"time"
 
@@ -59,11 +60,10 @@ var metricHelp = map[string]string{
 }
 
 // maxBatchBytes caps a POST /v1/events body; a larger one is refused with
-// a 413 before anything from it is applied. It sits well below the WAL's
-// 64 MiB record bound because the journal re-encodes each batch
-// canonically, which can be many times longer than a terse body (every
-// payload field written out, "<" escaped to six bytes), so
-// durable.Store.Append keeps its own bound behind this one.
+// a 413 before anything from it is applied. A durable daemon journals the
+// body as received (durable.Store.AppendWire), so one WAL record holds at
+// most this many payload bytes; the store's own 64 MiB record bound stays
+// behind it for batches journaled by re-encoding (Store.Append).
 const maxBatchBytes = 8 << 20
 
 // Connection timeouts: how long a client may take to send its request
@@ -115,8 +115,13 @@ type server struct {
 	store    *durable.Store
 	recovery *durable.RecoveryInfo
 
+	// Hot-path metric handles, resolved once.
+	requests, ingested *obs.Counter   // serve.requests, serve.events_ingested
+	batchEvents        *obs.Histogram // serve.batch_events
+
 	// Last stream.DecodeStats readings already folded into the registry;
-	// handleMetrics publishes the delta so wire.decode_* stay counters.
+	// publishDecodeStats publishes the delta so wire.decode_* stay
+	// counters.
 	decMu       sync.Mutex
 	pubFast     int64
 	pubFallback int64
@@ -134,8 +139,16 @@ func newServer(rt *shard.Router, o *obs.Observer, opts serverOptions) *server {
 		rt: rt, obs: o, mux: http.NewServeMux(), started: time.Now(),
 		store: opts.store, recovery: opts.recovery,
 	}
-	s.tracer = telemetry.NewTracer(o.Metrics(), opts.traceBuffer, opts.traceSlow)
-	s.history = telemetry.NewHistory(o.Metrics().Snapshot, opts.historyInterval, opts.historySize)
+	reg := o.Metrics()
+	s.requests = reg.Counter("serve.requests")
+	s.ingested = reg.Counter("serve.events_ingested")
+	s.batchEvents = reg.Histogram("serve.batch_events", 10, 100, 1000, 10000, 100000)
+	// Pool and decoder counters are published whenever the registry is
+	// read: /metrics, the history ring and the run report all carry them.
+	reg.Collect("mempool", mempool.Publish)
+	reg.Collect("wire.decode", s.publishDecodeStats)
+	s.tracer = telemetry.NewTracer(reg, opts.traceBuffer, opts.traceSlow)
+	s.history = telemetry.NewHistory(reg.Snapshot, opts.historyInterval, opts.historySize)
 	s.history.Start()
 
 	handle := func(pattern string, h http.HandlerFunc) {
@@ -157,7 +170,7 @@ func newServer(rt *shard.Router, o *obs.Observer, opts serverOptions) *server {
 func (s *server) Close() { s.closeOnce.Do(s.history.Stop) }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.obs.Metrics().Add("serve.requests", 1)
+	s.requests.Inc()
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -222,8 +235,8 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a.AddSpan("engine-apply", applied)
-	s.obs.Metrics().Add("serve.events_ingested", int64(n))
-	s.obs.Metrics().Histogram("serve.batch_events", 10, 100, 1000, 10000, 100000).Observe(float64(n))
+	s.ingested.Add(int64(n))
+	s.batchEvents.Observe(float64(n))
 	s.writeJSON(w, map[string]int{"applied": n})
 }
 
@@ -256,8 +269,12 @@ func (s *server) rejectTooLarge(w http.ResponseWriter, r *http.Request) {
 // same applied-event prefix of the stream.
 func (s *server) seqHeader(w http.ResponseWriter) int64 {
 	seq := s.rt.Seq()
-	w.Header().Set("X-Failscope-Seq", fmt.Sprint(seq))
+	setSeq(w, seq)
 	return seq
+}
+
+func setSeq(w http.ResponseWriter, seq int64) {
+	w.Header().Set("X-Failscope-Seq", fmt.Sprint(seq))
 }
 
 func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -266,7 +283,7 @@ func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.rt.Snapshot()
-	w.Header().Set("X-Failscope-Seq", fmt.Sprint(snap.Seq))
+	setSeq(w, snap.Seq)
 	s.writeJSON(w, snap)
 }
 
@@ -314,32 +331,44 @@ func (s *server) handleFidelity(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the observer registry (plus Go runtime gauges) in
-// the Prometheus text exposition format. Buffer-pool hit/miss gauges are
-// refreshed first so every scrape carries the live reuse picture.
+// the Prometheus text exposition format. The export runs the registry's
+// collectors, which publish the engine, pool and decoder families at this
+// instant; X-Failscope-Seq is the engine sequence those stream.* gauges
+// were read at.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
 		return
 	}
-	mempool.Publish(s.obs.Metrics())
-	s.publishDecodeStats()
-	s.rt.Publish(s.obs.Metrics())
-	s.seqHeader(w)
-	telemetry.Handler(s.obs.Metrics(), metricHelp).ServeHTTP(w, r)
+	metrics := s.obs.Metrics().Export()
+	if seq, ok := exportedSeq(metrics); ok {
+		setSeq(w, seq)
+	} else {
+		s.seqHeader(w) // no engine publishes into this registry
+	}
+	telemetry.ServeExport(w, metrics, metricHelp)
 }
 
-// publishDecodeStats folds the process-wide JSONL decoder counters into
-// the registry as wire.decode_fast / wire.decode_fallback. The decoder
-// counts cumulatively across every caller (ingest, replay, tests), so the
-// scrape handler publishes deltas against what it last saw, keeping the
-// registry values monotone counters.
-func (s *server) publishDecodeStats() {
+// exportedSeq finds the stream.events gauge in a sorted registry export.
+func exportedSeq(metrics []obs.Metric) (int64, bool) {
+	i := sort.Search(len(metrics), func(i int) bool { return metrics[i].Name >= "stream.events" })
+	if i < len(metrics) && metrics[i].Name == "stream.events" && metrics[i].Kind == obs.KindGauge {
+		return int64(metrics[i].Value), true
+	}
+	return 0, false
+}
+
+// publishDecodeStats is the server's registry collector for the
+// process-wide JSONL decoder counters, published as wire.decode_fast /
+// wire.decode_fallback. The decoder counts cumulatively across every
+// caller (ingest, replay, tests), so it publishes deltas against what it
+// last saw, keeping the registry values monotone counters.
+func (s *server) publishDecodeStats(m *obs.Registry) {
 	fast, fallback := stream.DecodeStats()
 	s.decMu.Lock()
 	dFast, dFallback := fast-s.pubFast, fallback-s.pubFallback
 	s.pubFast, s.pubFallback = fast, fallback
 	s.decMu.Unlock()
-	m := s.obs.Metrics()
 	if dFast > 0 {
 		m.Add("wire.decode_fast", dFast)
 	} else {
@@ -378,7 +407,7 @@ var buildVersion = sync.OnceValue(func() map[string]string {
 // and the ingestion counters a fleet health checker wants in one read.
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	snap := s.rt.Snapshot()
-	w.Header().Set("X-Failscope-Seq", fmt.Sprint(snap.Seq))
+	setSeq(w, snap.Seq)
 	body := map[string]any{
 		"status":          "ok",
 		"seq":             snap.Seq,
@@ -387,8 +416,8 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"build":           buildVersion(),
 		"uptime_seconds":  time.Since(s.started).Seconds(),
 		"events":          snap.Events,
-		"events_ingested": s.obs.Metrics().Counter("serve.events_ingested").Value(),
-		"requests":        s.obs.Metrics().Counter("serve.requests").Value(),
+		"events_ingested": s.ingested.Value(),
+		"requests":        s.requests.Value(),
 		"tickets":         snap.Tickets,
 		"machines":        snap.Machines,
 		"watermark":       snap.Watermark,

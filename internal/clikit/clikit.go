@@ -73,6 +73,9 @@ func (f *Flags) Observer(cmd string) (*obs.Observer, func(), error) {
 		return nil, stopProfiles, nil
 	}
 	o := obs.NewObserver(cmd)
+	// Buffer-pool counters are published whenever the registry is read, so
+	// dumps, run reports and debug scrapes carry the live reuse picture.
+	o.Metrics().Collect("mempool", mempool.Publish)
 	if f.LogLevel != "" {
 		log, err := obs.NewLogger(os.Stderr, f.LogLevel, f.LogFormat)
 		if err != nil {
@@ -154,14 +157,11 @@ func (f *Flags) startProfiles(cmd string) (func(), error) {
 // Emit finishes the observed run: it prints the stage tree and metric dump
 // under -v and writes the run report under -trace-out, letting decorate
 // (when non-nil) attach extra sections — e.g. the fidelity scoreboard —
-// before the JSON is written. Buffer-pool hit/miss gauges are published
-// into the registry first, so dumps and reports always carry the
-// steady-state reuse picture. Safe to call with a nil observer.
+// before the JSON is written. Both read the registry, so its collectors
+// (Observer registers the buffer-pool one) publish first. Safe to call
+// with a nil observer.
 func (f *Flags) Emit(cmd string, o *obs.Observer, decorate func(*obs.RunReport)) error {
 	o.Finish()
-	if o != nil {
-		mempool.Publish(o.Metrics())
-	}
 	if f.Verbose && o != nil {
 		fmt.Fprintf(os.Stderr, "Stage breakdown:\n%s\nMetrics:\n%s", o.Tree(), o.Metrics().Dump())
 	}

@@ -216,6 +216,13 @@ type Detector struct {
 	activeCount  int
 	crashTickets int64
 
+	// nextDeadline is a lower bound on the earliest active alert's
+	// deadline: no alert can expire until the watermark passes it, so
+	// Advance skips its machine scan until then. Lowered on every raise,
+	// recomputed by each scan, never persisted — zero (a fresh or restored
+	// detector) forces the next Advance to scan.
+	nextDeadline time.Time
+
 	raisedBySource map[string]int64
 	confirmed      int64
 	expired        int64
@@ -495,20 +502,30 @@ func (d *Detector) ObserveSample(id model.MachineID, metric monitordb.Metric, at
 
 // Advance moves the detector's watermark, expiring active alerts whose
 // horizon has fully elapsed. Expiry order is deterministic (by raise
-// time, then machine ID) regardless of map iteration.
+// time, then machine ID) regardless of map iteration. The machine scan
+// runs only once the watermark has passed nextDeadline; before that no
+// deadline can be behind it, so the skip expires exactly what a scan
+// would (nothing).
 func (d *Detector) Advance(watermark time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.noteTimeLocked(watermark)
-	if d.activeCount == 0 {
+	if d.activeCount == 0 || !d.watermark.After(d.nextDeadline) {
 		return
 	}
 	var due []*machineState
+	var next time.Time
 	for _, st := range d.machines {
-		if st.active != nil && st.active.Deadline.Before(d.watermark) {
+		a := st.active
+		switch {
+		case a == nil:
+		case a.Deadline.Before(d.watermark):
 			due = append(due, st)
+		case next.IsZero() || a.Deadline.Before(next):
+			next = a.Deadline
 		}
 	}
+	d.nextDeadline = next
 	sortStates(due)
 	for _, st := range due {
 		d.clearLocked(st, OutcomeExpired, st.active.Deadline)
@@ -548,6 +565,9 @@ func (d *Detector) raiseLocked(st *machineState, at time.Time, source, metric st
 		Cause:    cause,
 	}
 	st.active = a
+	if d.activeCount == 0 || a.Deadline.Before(d.nextDeadline) {
+		d.nextDeadline = a.Deadline
+	}
 	d.activeCount++
 	d.raisedBySource[source]++
 }
@@ -579,7 +599,8 @@ func (d *Detector) clearLocked(st *machineState, outcome string, at time.Time) {
 }
 
 // Publish pushes the detector's gauge and counter families into the
-// registry; the engine calls it from its per-batch metrics flush.
+// registry; the engine's registry collector calls it when the registry is
+// read. Counters advance by the delta since the last Publish.
 func (d *Detector) Publish(r *obs.Registry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -30,6 +30,9 @@ package detect
 // An alert is id, machine, kind, system, source, metric, raisedAt,
 // deadline, crashes, risk, cause, outcome, clearedAt, leadDays.
 //
+// The expiry bound (nextDeadline) is not in the image: a restore resets
+// it to zero, which makes the next Advance scan and recompute it.
+//
 // The publish watermarks (pubRaised/pubClear) are deliberately reset to
 // zero on restore: the restarted process has a fresh metrics registry, and
 // a zero watermark makes the next Publish re-add the full historical
@@ -247,6 +250,7 @@ func (d *Detector) RestoreState(r *binimg.Reader) error {
 	d.machines, d.hostVMs = n.machines, n.hostVMs
 	d.firstEvent, d.watermark = n.firstEvent, n.watermark
 	d.nextID, d.activeCount, d.crashTickets = n.nextID, n.activeCount, n.crashTickets
+	d.nextDeadline = time.Time{} // unknown until the next Advance scans
 	d.raisedBySource = n.raisedBySource
 	d.confirmed, d.expired = n.confirmed, n.expired
 	d.leadDays, d.leadQ = n.leadDays, n.leadQ

@@ -319,3 +319,42 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Error("nil histogram Quantile should be NaN")
 	}
 }
+
+// TestCollectRunsOnRead pins the collector contract: Snapshot, Export and
+// Dump run the registered collectors first, in registration order, and a
+// later registration under a key replaces the earlier one in place.
+func TestCollectRunsOnRead(t *testing.T) {
+	r := NewRegistry()
+	live := 1.0
+	r.Collect("a", func(r *Registry) { r.Set("a.value", live) })
+	r.Collect("b", func(r *Registry) { r.Set("shared", 1) })
+	r.Collect("c", func(r *Registry) { r.Set("shared", 2) }) // runs after b
+	if got := r.Snapshot()["a.value"]; got != 1 {
+		t.Errorf("Snapshot a.value = %v, want 1", got)
+	}
+	live = 2
+	if got := r.Export(); len(got) != 2 || got[0].Name != "a.value" || got[0].Value != 2 {
+		t.Errorf("Export = %+v, want a.value 2 first", got)
+	}
+	if got := r.Snapshot()["shared"]; got != 2 {
+		t.Errorf("shared = %v, want 2 (collectors run in registration order)", got)
+	}
+
+	// Replacing "b" keeps its place: "c" still runs last.
+	r.Collect("b", func(r *Registry) { r.Set("shared", 3) })
+	if got := r.Snapshot()["shared"]; got != 2 {
+		t.Errorf("after replacing b: shared = %v, want 2", got)
+	}
+	r.Collect("c", func(r *Registry) { r.Set("shared", 4) })
+	if got := r.Snapshot()["shared"]; got != 4 {
+		t.Errorf("after replacing c: shared = %v, want 4", got)
+	}
+	live = 4
+	if !strings.Contains(r.Dump(), "a.value 4\n") {
+		t.Errorf("Dump did not run the collectors:\n%s", r.Dump())
+	}
+
+	var nilReg *Registry
+	nilReg.Collect("a", func(*Registry) { t.Error("collector ran on a nil registry") })
+	nilReg.Snapshot()
+}

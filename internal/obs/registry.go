@@ -168,6 +168,18 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+
+	// collectMu serializes reads that run the collectors: each Snapshot or
+	// Export publishes and then reads as one step, so a concurrent read
+	// cannot overwrite the values in between. It is never taken under mu.
+	collectMu  sync.Mutex
+	collectors []collector
+}
+
+// collector is one registered publisher (see Collect).
+type collector struct {
+	key string
+	fn  func(*Registry)
 }
 
 // NewRegistry returns an empty registry.
@@ -234,14 +246,49 @@ func (r *Registry) Add(name string, d int64) { r.Counter(name).Add(d) }
 // Set sets the named gauge.
 func (r *Registry) Set(name string, v float64) { r.Gauge(name).Set(v) }
 
-// Snapshot returns every metric flattened to name → value. Counters map
-// directly, gauges map directly, histograms expand to .count/.sum/.le_*
-// entries. Empty (non-nil) map on a nil registry.
+// Collect registers fn to run at the start of every Snapshot and Export
+// (and so every Dump, exposition scrape and run report): point-in-time
+// values such as live-state gauges are published when the registry is
+// read, not on every change. A later call with the same key replaces fn in
+// place, so a component rebuilt on the same registry takes over its
+// predecessor's families instead of leaving stale values behind.
+// Collectors run in registration order, one read at a time, and must not
+// read the registry themselves. No-op on a nil registry.
+func (r *Registry) Collect(key string, fn func(*Registry)) {
+	if r == nil {
+		return
+	}
+	r.collectMu.Lock()
+	defer r.collectMu.Unlock()
+	for i := range r.collectors {
+		if r.collectors[i].key == key {
+			r.collectors[i].fn = fn
+			return
+		}
+	}
+	r.collectors = append(r.collectors, collector{key, fn})
+}
+
+// collectLocked runs the registered collectors; the caller holds
+// collectMu.
+func (r *Registry) collectLocked() {
+	for _, c := range r.collectors {
+		c.fn(r)
+	}
+}
+
+// Snapshot returns every metric flattened to name → value, after running
+// the collectors. Counters map directly, gauges map directly, histograms
+// expand to .count/.sum/.le_* entries. Empty (non-nil) map on a nil
+// registry.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	if r == nil {
 		return out
 	}
+	r.collectMu.Lock()
+	defer r.collectMu.Unlock()
+	r.collectLocked()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for name, c := range r.counters {
@@ -285,14 +332,17 @@ type Metric struct {
 	Hist  *HistogramData
 }
 
-// Export returns every metric in typed form, sorted by name — the feed for
-// exposition encoders that need bucket structure the flat Snapshot loses.
-// Histograms that never observed a sample are suppressed, matching
-// Snapshot. Nil slice on a nil registry.
+// Export returns every metric in typed form, sorted by name, after running
+// the collectors — the feed for exposition encoders that need bucket
+// structure the flat Snapshot loses. Histograms that never observed a
+// sample are suppressed, matching Snapshot. Nil slice on a nil registry.
 func (r *Registry) Export() []Metric {
 	if r == nil {
 		return nil
 	}
+	r.collectMu.Lock()
+	defer r.collectMu.Unlock()
+	r.collectLocked()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))

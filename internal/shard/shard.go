@@ -64,7 +64,8 @@ type Options struct {
 
 	// Registry, when non-nil, receives the shard.* families and — for
 	// multi-shard routers — the fleet-aggregate stream.*, detect.* and
-	// monitordb.* gauges at Publish time.
+	// monitordb.* gauges, published when it is read (Publish is its
+	// collector).
 	Registry *obs.Registry
 }
 
@@ -147,6 +148,7 @@ func New(opts Options) (*Router, error) {
 		return &routeScratch{perShard: make([][]stream.Event, n), jobs: make([]*job, 0, n)}
 	}
 	if n > 1 {
+		opts.Registry.Collect("shard", r.Publish)
 		qlen := opts.QueueLen
 		if qlen <= 0 {
 			qlen = DefaultQueueLen
@@ -381,9 +383,10 @@ func (r *Router) Detector() *detect.Detector {
 }
 
 // Publish pushes the shard.* families and, for multi-shard routers, the
-// fleet-aggregate gauges the shard engines leave to the coordinator.
-// Called at scrape time; a passthrough router publishes nothing (its
-// engine owns the whole surface, exactly as before sharding).
+// fleet-aggregate gauges the shard engines leave to the coordinator. A
+// multi-shard router registers it as Options.Registry's collector, so it
+// runs whenever that registry is read; a passthrough router publishes
+// nothing (its engine owns the whole surface, exactly as before sharding).
 func (r *Router) Publish(reg *obs.Registry) {
 	if len(r.engines) == 1 || reg == nil {
 		return

@@ -62,7 +62,10 @@ type Config struct {
 	// registry without stomping each other's point-in-time values, while
 	// counters and histograms (which aggregate by addition) stay shared and
 	// unlabeled. Empty (the default, every single-engine deployment) keeps
-	// the metric surface exactly as before.
+	// the metric surface exactly as before. The engine's gauges are
+	// published when the registry is read (obs.Registry.Collect), under a
+	// key per label: a later engine with the same label on the same
+	// registry replaces an earlier one's.
 	GaugeLabel string
 }
 
@@ -168,9 +171,20 @@ type Engine struct {
 	// imgKeys is WriteState's reused map-key buffer.
 	imgKeys []model.MachineID
 
-	// gauges caches the (possibly shard-labeled) metric names so the
-	// per-batch flush never rebuilds labeled strings.
+	// gauges caches the (possibly shard-labeled) metric names so a
+	// registry read never rebuilds labeled strings.
 	gauges gaugeNames
+
+	// applyM holds the group-commit path's metric handles, resolved by the
+	// first group (under mu), so the path takes no registry lock per group
+	// and an engine that never groups adds no families.
+	applyM *applyMetrics
+}
+
+// applyMetrics are the metric handles ApplyGrouped records into.
+type applyMetrics struct {
+	ms              *obs.Histogram // stream.apply_ms
+	groups, batches *obs.Counter   // stream.apply_groups, stream.apply_grouped_batches
 }
 
 // engineState is the engine's statistical state: every field the
@@ -308,6 +322,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Detector != nil {
 		cfg.Detector.Instrument(cfg.Observer.Metrics())
 	}
+	cfg.Observer.Metrics().Collect(e.gauges.events, e.publish)
 	return e, nil
 }
 
@@ -362,7 +377,6 @@ func (e *Engine) Apply(events []Event) error {
 		err = e.applyBatchLocked(events)
 	}
 	e.advanceLocked()
-	e.flushMetricsLocked(e.cfg.Observer.Metrics())
 	if serr := e.syncJournalLocked(); serr != nil && err == nil {
 		err = serr
 	}
@@ -421,9 +435,9 @@ func (e *Engine) applyBatchLocked(events []Event) error {
 // ApplyGrouped applies a batch with leader-based group commit: the first
 // caller to arrive takes e.mu once, applies its own batch plus every batch
 // that concurrent callers enqueue while it holds the lock, then runs one
-// watermark advance and one metrics flush for the whole group. Under
-// concurrent ingest this amortizes the per-batch fixed costs (lock
-// handoff, eviction scan, metric stores) across the group; with a single
+// watermark advance (and, with a journal, one sync) for the whole group.
+// Under concurrent ingest this amortizes the per-batch fixed costs (lock
+// handoff, expiry and eviction checks) across the group; with a single
 // caller it degenerates to Apply. Statistics are identical either way —
 // applyLocked runs per event in arrival order regardless of grouping.
 func (e *Engine) ApplyGrouped(events []Event) error {
@@ -466,16 +480,15 @@ func (e *Engine) applyGrouped(events []Event, wire []byte) (time.Duration, error
 	e.qmu.Unlock()
 	applyReqPool.Put(req) // the leader never parks, it doesn't need one
 
-	m := e.cfg.Observer.Metrics()
-	applyHist := m.Histogram("stream.apply_ms", applyBucketsMS...)
 	e.mu.Lock()
+	am := e.applyMetricsLocked()
 	t0 := time.Now()
 	err := e.journalBatchLocked(events, wire)
 	if err == nil {
 		err = e.applyBatchLocked(events)
 	}
 	own := time.Since(t0)
-	applyHist.Observe(float64(own) / float64(time.Millisecond))
+	am.ms.Observe(float64(own) / float64(time.Millisecond))
 	batches := 1
 	// With a journal attached, follower results are withheld until the
 	// group's single Sync lands; without one they release immediately,
@@ -500,7 +513,7 @@ func (e *Engine) applyGrouped(events []Event, wire []byte) (time.Duration, error
 				rerr = e.applyBatchLocked(r.events)
 			}
 			r.applied = time.Since(t0)
-			applyHist.Observe(float64(r.applied) / float64(time.Millisecond))
+			am.ms.Observe(float64(r.applied) / float64(time.Millisecond))
 			if e.journal != nil {
 				r.err = rerr
 				group = append(group, r)
@@ -511,9 +524,8 @@ func (e *Engine) applyGrouped(events []Event, wire []byte) (time.Duration, error
 		}
 	}
 	e.advanceLocked()
-	e.flushMetricsLocked(m)
-	m.Add("stream.apply_groups", 1)
-	m.Add("stream.apply_grouped_batches", int64(batches))
+	am.groups.Add(1)
+	am.batches.Add(int64(batches))
 	if serr := e.syncJournalLocked(); serr != nil {
 		if err == nil {
 			err = serr
@@ -531,24 +543,50 @@ func (e *Engine) applyGrouped(events []Event, wire []byte) (time.Duration, error
 	return own, err
 }
 
-// flushMetricsLocked publishes the engine's headline gauges. Called under
-// e.mu after every apply/advance; pure observation.
-func (e *Engine) flushMetricsLocked(m *obs.Registry) {
-	m.Set(e.gauges.events, float64(e.events))
-	m.Set(e.gauges.tickets, float64(e.tickets))
-	m.Set(e.gauges.crashTickets, float64(e.crashTickets))
-	m.Set(e.gauges.machines, float64(e.ownedLocked()))
-	m.Set(e.gauges.incidents, float64(e.incidents))
-	m.Set(e.gauges.monitorSamples, float64(e.monitorSamples))
-	m.Set(e.gauges.dropped, float64(e.droppedOutOfWindow))
-	m.Set(e.gauges.distances, float64(e.predScratch.Distances))
-	m.Set(e.gauges.pruned, float64(e.predScratch.Pruned))
-	if !e.watermark.IsZero() {
-		m.Set(e.gauges.watermark, float64(e.watermark.UnixNano())/1e9)
+// applyMetricsLocked returns the group-commit metric handles, resolving
+// them on first use.
+func (e *Engine) applyMetricsLocked() *applyMetrics {
+	if e.applyM == nil {
+		m := e.cfg.Observer.Metrics()
+		e.applyM = &applyMetrics{
+			ms:      m.Histogram("stream.apply_ms", applyBucketsMS...),
+			groups:  m.Counter("stream.apply_groups"),
+			batches: m.Counter("stream.apply_grouped_batches"),
+		}
 	}
-	// Sharded engines leave the detect.* families to the coordinator, which
-	// publishes fleet-wide aggregates at scrape time.
-	if e.cfg.Detector != nil && e.cfg.GaugeLabel == "" {
+	return e.applyM
+}
+
+// publish is the engine's registry collector: it publishes the headline
+// stream.* gauges from one Totals read and, for an unlabeled engine, the
+// monitordb footprint and detect.* families. Only the Totals copy holds
+// e.mu; the footprint walk and the detector take their own locks, so a
+// registry read holds up ingest for microseconds. Pure observation.
+func (e *Engine) publish(m *obs.Registry) {
+	e.mu.Lock()
+	t := e.totalsLocked()
+	db := e.monitor // RestoreState swaps it under mu
+	e.mu.Unlock()
+	g := &e.gauges
+	m.Set(g.events, float64(t.Events))
+	m.Set(g.tickets, float64(t.Tickets))
+	m.Set(g.crashTickets, float64(t.CrashTickets))
+	m.Set(g.machines, float64(t.Machines))
+	m.Set(g.incidents, float64(t.Incidents))
+	m.Set(g.monitorSamples, float64(t.MonitorSamples))
+	m.Set(g.dropped, float64(t.DroppedOutOfWindow))
+	m.Set(g.distances, float64(t.PredictDistances))
+	m.Set(g.pruned, float64(t.PredictPruned))
+	if !t.Watermark.IsZero() {
+		m.Set(g.watermark, float64(t.Watermark.UnixNano())/1e9)
+	}
+	if e.cfg.GaugeLabel != "" {
+		return // a shard coordinator publishes the fleet-wide families
+	}
+	if db != nil {
+		db.RecordFootprint()
+	}
+	if e.cfg.Detector != nil {
 		e.cfg.Detector.Publish(m)
 	}
 }
@@ -577,27 +615,22 @@ func (e *Engine) ensureMonitorWindowLocked(t time.Time) {
 	_, e.monitorEnd = e.monitor.Window()
 }
 
-// advanceLocked slides the monitoring store's retention window up to the
-// stream watermark, evicting expired records, and refreshes the
-// resident-bytes gauges so a long-running daemon exposes its live store
-// footprint.
+// advanceLocked moves the detector's clock to the stream watermark,
+// expiring elapsed alerts, and slides the monitoring store's retention
+// window up to it, evicting expired records. The store call is skipped
+// while the watermark is inside the window: monitorEnd is kept equal to
+// the store's window end, and Advance is a no-op there.
 func (e *Engine) advanceLocked() {
 	if e.cfg.Detector != nil && !e.watermark.IsZero() {
 		e.cfg.Detector.Advance(e.watermark)
 	}
-	if e.monitor == nil || e.watermark.IsZero() {
+	if e.monitor == nil || !e.watermark.After(e.monitorEnd) {
 		return
 	}
 	if n := e.monitor.Advance(e.watermark); n > 0 {
 		e.cfg.Observer.Metrics().Add("stream.monitor_evicted", int64(n))
 	}
 	_, e.monitorEnd = e.monitor.Window()
-	// Shard engines share one registry; the monitordb footprint gauges are
-	// point-in-time values, so the coordinator publishes the fleet sum at
-	// scrape time instead of letting N engines stomp each other's writes.
-	if e.cfg.GaugeLabel == "" {
-		e.monitor.RecordFootprint()
-	}
 }
 
 func (e *Engine) applyLocked(ev *Event) error {
@@ -964,9 +997,10 @@ func (e *Engine) Seq() int64 {
 	return e.events
 }
 
-// Totals is a cheap counter snapshot for cross-shard aggregation: the
-// values the coordinator sums (or maxes, for the watermark) to publish
-// fleet-wide gauges without assembling a full Snapshot.
+// Totals is a cheap counter snapshot: the values the engine's collector
+// publishes as its stream.* gauges, and a shard coordinator sums (or maxes,
+// for the watermark) into fleet-wide ones, without assembling a full
+// Snapshot.
 type Totals struct {
 	Events             int64
 	Tickets            int64
@@ -984,6 +1018,10 @@ type Totals struct {
 func (e *Engine) Totals() Totals {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.totalsLocked()
+}
+
+func (e *Engine) totalsLocked() Totals {
 	return Totals{
 		Events:             e.events,
 		Tickets:            e.tickets,

@@ -335,11 +335,17 @@ func runtimeMetrics() []obs.Metric {
 // optional (see WriteExport).
 func Handler(reg *obs.Registry, help map[string]string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		metrics := append(reg.Export(), runtimeMetrics()...)
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := WriteExport(w, metrics, help); err != nil {
-			// The response is already streaming; nothing recoverable.
-			return
-		}
+		ServeExport(w, reg.Export(), help)
 	})
+}
+
+// ServeExport writes a registry export (plus live Go runtime gauges) as a
+// /metrics response, for handlers that read the export before answering —
+// to set a header from it, say.
+func ServeExport(w http.ResponseWriter, metrics []obs.Metric, help map[string]string) {
+	metrics = append(metrics, runtimeMetrics()...)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	// An error means the response is already streaming; nothing is
+	// recoverable.
+	_ = WriteExport(w, metrics, help)
 }
