@@ -34,7 +34,9 @@
 //
 // With -replay the daemon generates the selected dcsim dataset and streams
 // it into its own engine in arrival order — at full speed by default, or
-// paced by -replay-speed (simulated seconds per wall second).
+// paced by -replay-speed (simulated seconds per wall second). Each replay
+// batch takes the path a POSTed one does: JSONL encode, pooled decode,
+// group commit, and in durable mode a WAL record holding the body.
 package main
 
 import (
@@ -75,8 +77,6 @@ func run() error {
 		parallel    = flag.Int("parallelism", 0, "worker count for -replay generation (0 = all CPUs)")
 		replay      = flag.Bool("replay", false, "generate the selected dataset and stream it into the engine")
 		replaySpeed = flag.Float64("replay-speed", 0, "simulated seconds streamed per wall second (0 = full speed)")
-		replayBatch = flag.Int("replay-batch", 5000, "events per replay ingestion batch")
-		replayWire  = flag.Bool("replay-wire", false, "with -replay: push the events through the JSONL wire codec (encode once, then pooled decode + grouped ingest under decode/ingest spans) instead of applying in-process slices")
 		classify    = flag.Bool("classify", false, "with -replay: train the two-stage ticket classifier on the generated tickets and score the stream online")
 		dataDir     = flag.String("data-dir", "", "directory for the durable store (WAL + checkpoints); empty runs in-memory only")
 		shards      = flag.Int("shards", 1, "stream-engine shards (machine-hash partitions; each shard is an independent engine behind its own ingest queue)")
@@ -101,9 +101,6 @@ func run() error {
 		study = failscope.FleetStudy()
 	default:
 		return fmt.Errorf("unknown scale %q", *scale)
-	}
-	if *replayWire && !*replay {
-		return fmt.Errorf("-replay-wire needs -replay")
 	}
 	if *seed != 0 {
 		study.Generator.Seed = *seed
@@ -266,10 +263,8 @@ func run() error {
 
 	replayDone := make(chan error, 1)
 	stopReplay := make(chan struct{})
-	if *replay && *replayWire {
-		go func() { replayDone <- replayWireEvents(rt, o, events, *replayBatch, stopReplay) }()
-	} else if *replay {
-		go func() { replayDone <- replayEvents(rt, events, *replayBatch, *replaySpeed, stopReplay) }()
+	if *replay {
+		go func() { replayDone <- replayEvents(rt, o, events, *replaySpeed, stopReplay) }()
 	} else {
 		replayDone <- nil
 	}
@@ -367,93 +362,32 @@ func checkpoint(store *durable.Store, eng *stream.Engine, trigger string) (int64
 	return seq, err
 }
 
-// replayWireEvents replays through the full wire path so RunReports carry
-// decode and ingest spans: the events are encoded to JSONL once (one batch
-// per *batch events), then every batch goes through a pooled zero-copy
-// decode pass (the "decode" span, pure codec cost) and a decode+group-
-// commit pass (the "ingest" span, the server's end-to-end ingestion cost).
-func replayWireEvents(rt *shard.Router, o *obs.Observer, events []stream.Event, batch int, stop <-chan struct{}) error {
-	if batch < 1 {
-		batch = 1
-	}
-	encSpan := o.Start("encode-wire")
-	var wire bytes.Buffer
-	bounds := []int{0}
-	for lo := 0; lo < len(events); lo += batch {
-		hi := lo + batch
-		if hi > len(events) {
-			hi = len(events)
-		}
-		if err := stream.EncodeJSONL(&wire, events[lo:hi]); err != nil {
-			encSpan.End()
-			return err
-		}
-		bounds = append(bounds, wire.Len())
-	}
-	encSpan.AddItems(len(events))
-	encSpan.End()
-	raw := wire.Bytes()
+// replayBatch is how many events the replay posts per batch: 5000
+// events encode to about 600 KB, well under maxBatchBytes.
+const replayBatch = 5000
 
-	stopped := func() bool {
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
-		}
-	}
-	var rd bytes.Reader
-	decSpan := o.Start("decode")
-	for i := 0; i+1 < len(bounds) && !stopped(); i++ {
-		rd.Reset(raw[bounds[i]:bounds[i+1]])
-		b := stream.GetBatch()
-		n, err := b.DecodeJSONLInto(&rd)
-		b.Release()
-		if err != nil {
-			decSpan.End()
-			return fmt.Errorf("replay decode: %w", err)
-		}
-		decSpan.AddItems(n)
-	}
-	decSpan.End()
-
-	ingSpan := o.Start("ingest")
-	for i := 0; i+1 < len(bounds) && !stopped(); i++ {
-		rd.Reset(raw[bounds[i]:bounds[i+1]])
-		b := stream.GetBatch()
-		n, err := b.DecodeJSONLInto(&rd)
-		if err == nil {
-			_, err = rt.ApplyBatchTimed(b)
-		}
-		b.Release()
-		if err != nil {
-			ingSpan.End()
-			return fmt.Errorf("replay ingest: %w", err)
-		}
-		ingSpan.AddItems(n)
-	}
-	ingSpan.End()
-	return nil
-}
-
-// replayEvents streams the dataset into the engine in arrival order.
-// speed > 0 paces the stream: that many simulated seconds pass per wall
-// second, measured batch to batch on the event timestamps.
-func replayEvents(rt *shard.Router, events []stream.Event, batch int, speed float64, stop <-chan struct{}) error {
-	if batch < 1 {
-		batch = 1
-	}
-	var prev time.Time
-	for lo := 0; lo < len(events); lo += batch {
+// replayEvents streams the dataset into the router in arrival order, the
+// way a client posts it: each batch is encoded to JSONL in one reused
+// buffer, decoded into a pooled batch and applied by ApplyBatchTimed, so
+// a durable daemon journals the body as received. speed > 0 paces the
+// stream: that many simulated seconds pass per wall second, measured
+// batch to batch on the event timestamps. A closed stop channel ends the
+// replay before the next batch.
+func replayEvents(rt *shard.Router, o *obs.Observer, events []stream.Event, speed float64, stop <-chan struct{}) error {
+	span := o.Start("replay")
+	defer span.End()
+	var (
+		body []byte
+		rd   bytes.Reader
+		prev time.Time
+	)
+	for lo := 0; lo < len(events); lo += replayBatch {
 		select {
 		case <-stop:
 			return nil
 		default:
 		}
-		hi := lo + batch
-		if hi > len(events) {
-			hi = len(events)
-		}
+		hi := min(lo+replayBatch, len(events))
 		if speed > 0 {
 			if at := events[lo].When(); !at.IsZero() {
 				if !prev.IsZero() && at.After(prev) {
@@ -467,9 +401,21 @@ func replayEvents(rt *shard.Router, events []stream.Event, batch int, speed floa
 				prev = at
 			}
 		}
-		if err := rt.Apply(events[lo:hi]); err != nil {
+		var err error
+		if body, err = stream.AppendJSONL(body[:0], events[lo:hi]); err != nil {
 			return fmt.Errorf("replay: %w", err)
 		}
+		rd.Reset(body)
+		b := stream.GetBatch()
+		n, err := b.DecodeJSONLInto(&rd)
+		if err == nil {
+			_, err = rt.ApplyBatchTimed(b)
+		}
+		b.Release()
+		if err != nil {
+			return fmt.Errorf("replay: %w", err)
+		}
+		span.AddItems(n)
 	}
 	return nil
 }

@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"failscope"
 	"failscope/internal/detect"
 	"failscope/internal/durable"
 	"failscope/internal/fidelity"
@@ -298,31 +302,182 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 // TestReplayEventsPacingAndStop covers the replay loop: full-speed replay
-// applies everything; a closed stop channel halts it early.
+// applies everything; a paced replay waits out the event-time gap between
+// batches; a closed stop channel halts it before the first batch.
 func TestReplayEventsPacingAndStop(t *testing.T) {
-	eng, err := stream.NewEngine(stream.Config{Observation: testWindow})
-	if err != nil {
-		t.Fatal(err)
+	newRouter := func() (*shard.Router, *stream.Engine) {
+		eng, err := stream.NewEngine(stream.Config{Observation: testWindow})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shard.Single(eng), eng
 	}
 	events, err := stream.DecodeJSONL(strings.NewReader(testBatch(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := replayEvents(shard.Single(eng), events, 2, 0, make(chan struct{})); err != nil {
+	rt, eng := newRouter()
+	if err := replayEvents(rt, nil, events, 0, make(chan struct{})); err != nil {
 		t.Fatal(err)
 	}
 	if snap := eng.Snapshot(); snap.Events != int64(len(events)) {
 		t.Fatalf("replayed %d events, want %d", snap.Events, len(events))
 	}
 
-	stopped := make(chan struct{})
-	close(stopped)
-	eng2, _ := stream.NewEngine(stream.Config{Observation: testWindow})
-	if err := replayEvents(shard.Single(eng2), events, 1, 0, stopped); err != nil {
+	// Two batches an event-time hour apart, at an hour per 50ms of wall time.
+	first, second := testWindow.Start, testWindow.Start.Add(time.Hour)
+	paced := make([]stream.Event, 2*replayBatch)
+	for i := range paced {
+		at := &first
+		if i >= replayBatch {
+			at = &second
+		}
+		paced[i] = stream.Event{Type: "advance", Time: at}
+	}
+	rt, eng = newRouter()
+	const gap = 50 * time.Millisecond
+	t0 := time.Now()
+	if err := replayEvents(rt, nil, paced, float64(time.Hour/gap), make(chan struct{})); err != nil {
 		t.Fatal(err)
 	}
-	if snap := eng2.Snapshot(); snap.Events != 0 {
+	if took := time.Since(t0); took < gap {
+		t.Errorf("paced replay took %v, want >= %v", took, gap)
+	}
+	if seq := eng.Seq(); seq != int64(len(paced)) {
+		t.Fatalf("paced replay applied %d events, want %d", seq, len(paced))
+	}
+
+	stopped := make(chan struct{})
+	close(stopped)
+	rt, eng = newRouter()
+	if err := replayEvents(rt, nil, events, 0, stopped); err != nil {
+		t.Fatal(err)
+	}
+	if snap := eng.Snapshot(); snap.Events != 0 {
 		t.Fatalf("stopped replay still applied %d events", snap.Events)
+	}
+}
+
+// wireCounter is a durable store that counts how the engine journaled
+// each batch: from its body (AppendWire) or by re-encoding it (Append).
+type wireCounter struct {
+	*durable.Store
+	wire, reencoded int
+}
+
+func (c *wireCounter) AppendWire(startSeq int64, count int, jsonl []byte) error {
+	c.wire++
+	return c.Store.AppendWire(startSeq, count, jsonl)
+}
+
+func (c *wireCounter) Append(startSeq int64, events []stream.Event) error {
+	c.reencoded++
+	return c.Store.Append(startSeq, events)
+}
+
+// appendOnly hides a journal's AppendWire, so the engine journals every
+// batch by Append.
+type appendOnly struct{ stream.Journal }
+
+// replayStream is a three-batch stream of machines and crash tickets.
+func replayStream() []stream.Event {
+	events := make([]stream.Event, 0, 2*replayBatch+100)
+	for m := 0; m < 50; m++ {
+		events = append(events, stream.Event{Type: "machine", Machine: &model.Machine{
+			ID: model.MachineID(fmt.Sprintf("pm-%02d", m)), Kind: model.PM, System: model.SysI,
+		}})
+	}
+	for i := 0; len(events) < cap(events); i++ {
+		at := testWindow.Start.Add(time.Duration(i) * time.Hour)
+		events = append(events, stream.Event{Type: "ticket", Ticket: &model.Ticket{
+			ID: fmt.Sprintf("t%d", i), ServerID: model.MachineID(fmt.Sprintf("pm-%02d", i%50)),
+			System: model.SysI, Opened: at, Closed: at.Add(time.Hour),
+			IsCrash: true, Class: model.ClassHardware,
+		}})
+	}
+	return events
+}
+
+// TestReplayEventsJournalsWire replays into a durable engine: every batch
+// reaches the WAL through AppendWire, the WAL is byte-identical to one
+// written by Store.Append of the same batches, and recovering it rebuilds
+// the live engine's state image.
+func TestReplayEventsJournalsWire(t *testing.T) {
+	events := replayStream()
+	// journaled returns an engine journaled to a store in dir, and the
+	// store's Close.
+	journaled := func(dir string, wrap func(*durable.Store) stream.Journal) (*stream.Engine, func() error) {
+		t.Helper()
+		st, err := durable.Open(dir, durable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := stream.NewEngine(stream.Config{Observation: testWindow})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetJournal(wrap(st))
+		return eng, st.Close
+	}
+	image := func(eng *stream.Engine) []byte {
+		t.Helper()
+		var img bytes.Buffer
+		if _, err := eng.WriteState(&img); err != nil {
+			t.Fatal(err)
+		}
+		return img.Bytes()
+	}
+
+	wireDir, refDir := t.TempDir(), t.TempDir()
+	var counter *wireCounter
+	live, closeLive := journaled(wireDir, func(st *durable.Store) stream.Journal {
+		counter = &wireCounter{Store: st}
+		return counter
+	})
+	if err := replayEvents(shard.Single(live), nil, events, 0, make(chan struct{})); err != nil {
+		t.Fatal(err)
+	}
+	ref, closeRef := journaled(refDir, func(st *durable.Store) stream.Journal { return appendOnly{st} })
+	for lo := 0; lo < len(events); lo += replayBatch {
+		if err := ref.Apply(events[lo:min(lo+replayBatch, len(events))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := errors.Join(closeLive(), closeRef()); err != nil {
+		t.Fatal(err)
+	}
+	if batches := (len(events) + replayBatch - 1) / replayBatch; counter.wire != batches || counter.reencoded != 0 {
+		t.Errorf("replay journaled %d batches from their body and %d by re-encoding, want %d and 0",
+			counter.wire, counter.reencoded, batches)
+	}
+
+	const segment = "wal-0000000000000001.log"
+	got, err := os.ReadFile(filepath.Join(wireDir, segment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(refDir, segment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("replay WAL (%d bytes) differs from the Store.Append WAL (%d bytes)", len(got), len(want))
+	}
+
+	st, err := durable.Open(wireDir, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	recovered, err := stream.NewEngine(stream.Config{Observation: testWindow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Recover(recovered); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image(recovered), image(live)) {
+		t.Error("recovered state image differs from the live engine's")
 	}
 }
 
@@ -589,6 +744,72 @@ func TestHealthzEnrichment(t *testing.T) {
 	}
 	if health.Watermark.IsZero() {
 		t.Errorf("watermark missing from healthz")
+	}
+}
+
+// TestHealthzMatchesSnapshot replays the small study into a 1- and a
+// 2-shard router: at quiesce, the counters /healthz reads from
+// Router.Totals equal the merged snapshot's.
+func TestHealthzMatchesSnapshot(t *testing.T) {
+	study := failscope.SmallStudy()
+	field, err := failscope.Generate(study.Generator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := failscope.StreamEventsFromField(field)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			o := obs.NewObserver("failscoped-healthz-test")
+			engines := make([]*stream.Engine, shards)
+			for i := range engines {
+				cfg := stream.Config{
+					Observation:      study.Generator.Observation,
+					MonitorEpoch:     study.Generator.MonitorEpoch,
+					MonitorRetention: study.Generator.MonitorRetention,
+					Observer:         o,
+				}
+				if shards > 1 {
+					cfg.GaugeLabel = fmt.Sprint(i)
+				}
+				if engines[i], err = stream.NewEngine(cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rt, err := shard.New(shard.Options{Engines: engines, Registry: o.Metrics()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			if err := replayEvents(rt, nil, events, 0, make(chan struct{})); err != nil {
+				t.Fatal(err)
+			}
+			srv := newServer(rt, o, serverOptions{})
+			t.Cleanup(srv.Close)
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+			var got struct {
+				Seq       int64     `json:"seq"`
+				Events    int64     `json:"events"`
+				Tickets   int64     `json:"tickets"`
+				Machines  int       `json:"machines"`
+				Watermark time.Time `json:"watermark"`
+			}
+			if err := json.NewDecoder(rec.Body).Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+			snap := rt.Snapshot()
+			if got.Seq != snap.Seq || got.Events != snap.Events || got.Tickets != snap.Tickets ||
+				got.Machines != snap.Machines || !got.Watermark.Equal(snap.Watermark) {
+				t.Errorf("/healthz = %+v, snapshot has seq %d, events %d, tickets %d, machines %d, watermark %v",
+					got, snap.Seq, snap.Events, snap.Tickets, snap.Machines, snap.Watermark)
+			}
+			if h := rec.Header().Get("X-Failscope-Seq"); h != fmt.Sprint(snap.Seq) {
+				t.Errorf("X-Failscope-Seq = %q, want %d", h, snap.Seq)
+			}
+			if snap.Seq != int64(len(events)) {
+				t.Errorf("replay reached seq %d, want %d", snap.Seq, len(events))
+			}
+		})
 	}
 }
 

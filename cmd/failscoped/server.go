@@ -61,9 +61,11 @@ var metricHelp = map[string]string{
 
 // maxBatchBytes caps a POST /v1/events body; a larger one is refused with
 // a 413 before anything from it is applied. A durable daemon journals the
-// body as received (durable.Store.AppendWire), so one WAL record holds at
-// most this many payload bytes; the store's own 64 MiB record bound stays
-// behind it for batches journaled by re-encoding (Store.Append).
+// body as received (durable.Store.AppendWire), as it does each -replay
+// batch's encoding (replayBatch events, far under the cap), so one WAL
+// record the daemon writes holds at most this many payload bytes. The
+// store's own 64 MiB record bound stays behind it for library callers that
+// journal by re-encoding (Store.Append).
 const maxBatchBytes = 8 << 20
 
 // Connection timeouts: how long a client may take to send its request
@@ -404,23 +406,25 @@ var buildVersion = sync.OnceValue(func() map[string]string {
 })
 
 // handleHealth is the liveness probe, enriched with build identity, uptime
-// and the ingestion counters a fleet health checker wants in one read.
+// and the ingestion counters a fleet health checker wants in one read. The
+// counters come from Router.Totals, not a snapshot: a probe never merges
+// shard state.
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	snap := s.rt.Snapshot()
-	setSeq(w, snap.Seq)
+	t := s.rt.Totals()
+	setSeq(w, t.Events)
 	body := map[string]any{
 		"status":          "ok",
-		"seq":             snap.Seq,
+		"seq":             t.Events,
 		"shards":          s.rt.Shards(),
 		"time":            time.Now().UTC().Format(time.RFC3339),
 		"build":           buildVersion(),
 		"uptime_seconds":  time.Since(s.started).Seconds(),
-		"events":          snap.Events,
+		"events":          t.Events,
 		"events_ingested": s.ingested.Value(),
 		"requests":        s.requests.Value(),
-		"tickets":         snap.Tickets,
-		"machines":        snap.Machines,
-		"watermark":       snap.Watermark,
+		"tickets":         t.Tickets,
+		"machines":        t.Machines,
+		"watermark":       t.Watermark,
 	}
 	if s.store != nil {
 		body["durable"] = map[string]any{

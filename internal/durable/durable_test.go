@@ -720,7 +720,7 @@ func TestCheckpointDuringIngest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for b := range work {
-				if err := eng.ApplyGrouped(b); err != nil {
+				if err := eng.Apply(b); err != nil {
 					t.Error(err)
 				}
 			}

@@ -28,10 +28,6 @@ const (
 	// the grid by; a sample further ahead goes to the row section instead,
 	// so one far-future timestamp cannot balloon the value column.
 	gridGapSlots = 256
-	// legacySampleBytes is the per-sample footprint of the previous
-	// {time.Time, float64} slice layout, kept for the resident-bytes
-	// comparison the observability gauges report.
-	legacySampleBytes = 32
 	// colSeriesOverheadBytes approximates the fixed per-series struct cost
 	// (slice headers + grid parameters) in Footprint accounting.
 	colSeriesOverheadBytes = 112
@@ -439,9 +435,7 @@ func (s *colSeries) evictBefore(start int64) int {
 }
 
 // Footprint reports the store's resident sample memory: columnar bytes as
-// allocated, split grid vs. row, next to what the previous 32-byte
-// {time.Time, float64} slice layout would hold for the same sample count —
-// the compression ratio the observability gauges track.
+// allocated, split grid vs. row.
 type Footprint struct {
 	Series      int   // number of (machine, metric) series
 	GridSamples int   // samples resident in value columns
@@ -449,7 +443,6 @@ type Footprint struct {
 	GridBytes   int64 // value columns + validity bitmaps, as allocated
 	RowBytes    int64 // row time/value columns, as allocated
 	Bytes       int64 // total resident estimate incl. per-series overhead
-	LegacyBytes int64 // the same samples at 32 bytes each (previous layout)
 }
 
 // Footprint computes the current series-storage footprint.
@@ -465,18 +458,16 @@ func (db *DB) Footprint() Footprint {
 		fp.RowBytes += int64(cap(s.rowT))*8 + int64(cap(s.rowV))*8
 	}
 	fp.Bytes = fp.GridBytes + fp.RowBytes + int64(fp.Series)*colSeriesOverheadBytes
-	fp.LegacyBytes = int64(fp.GridSamples+fp.RowSamples) * legacySampleBytes
 	return fp
 }
 
 // RecordFootprint publishes the footprint on the attached metrics registry
-// ("monitordb.series_bytes", ".series_bytes_legacy", ".grid_samples",
-// ".row_samples") and returns it. No-op gauges when uninstrumented.
+// ("monitordb.series_bytes", ".grid_samples", ".row_samples") and returns
+// it. No-op gauges when uninstrumented.
 func (db *DB) RecordFootprint() Footprint {
 	fp := db.Footprint()
 	reg := db.registry()
 	reg.Gauge("monitordb.series_bytes").Set(float64(fp.Bytes))
-	reg.Gauge("monitordb.series_bytes_legacy").Set(float64(fp.LegacyBytes))
 	reg.Gauge("monitordb.grid_samples").Set(float64(fp.GridSamples))
 	reg.Gauge("monitordb.row_samples").Set(float64(fp.RowSamples))
 	return fp

@@ -267,8 +267,8 @@ func TestColumnarEncodeRoundTrip(t *testing.T) {
 }
 
 // TestFootprintCompression checks the memory accounting and the headline
-// claim: a grid-shaped series must report well under half the bytes of the
-// legacy 32-byte-per-sample layout.
+// claim: a grid-shaped series must report well under half the bytes of a
+// {time.Time, float64} slice, 32 bytes per sample.
 func TestFootprintCompression(t *testing.T) {
 	db := newDB()
 	id := model.MachineID("m1")
@@ -281,11 +281,10 @@ func TestFootprintCompression(t *testing.T) {
 	if fp.Series != 1 || fp.GridSamples+fp.RowSamples != len(samples) {
 		t.Fatalf("footprint counts = %+v, want %d samples in 1 series", fp, len(samples))
 	}
-	if fp.LegacyBytes != int64(len(samples))*legacySampleBytes {
-		t.Fatalf("LegacyBytes = %d, want %d", fp.LegacyBytes, len(samples)*legacySampleBytes)
-	}
-	if ratio := float64(fp.LegacyBytes) / float64(fp.Bytes); ratio < 2.5 {
-		t.Fatalf("compression ratio = %.2fx (bytes=%d legacy=%d), want ≥ 2.5x", ratio, fp.Bytes, fp.LegacyBytes)
+	const sliceSampleBytes = 32
+	slice := int64(len(samples)) * sliceSampleBytes
+	if ratio := float64(slice) / float64(fp.Bytes); ratio < 2.5 {
+		t.Fatalf("compression ratio = %.2fx (bytes=%d slice=%d), want ≥ 2.5x", ratio, fp.Bytes, slice)
 	}
 	if math.Abs(float64(fp.GridBytes)-float64(fp.Bytes)) > float64(fp.Bytes) {
 		t.Fatalf("inconsistent byte split: %+v", fp)

@@ -188,7 +188,7 @@ func (r *Router) Engines() []*stream.Engine { return r.engines }
 func (r *Router) worker(i int) {
 	defer r.wg.Done()
 	for j := range r.queues[i] {
-		j.applied, j.err = r.engines[i].ApplyGroupedTimed(j.events)
+		j.applied, j.err = r.engines[i].ApplyTimed(j.events)
 		if j.err != nil {
 			j.err = fmt.Errorf("shard %d: %w", i, j.err)
 		}
@@ -229,7 +229,7 @@ func (r *Router) Apply(events []stream.Event) error {
 // slices, matching the single engine's partial-apply-on-error semantics).
 func (r *Router) ApplyTimed(events []stream.Event) (time.Duration, error) {
 	if len(r.engines) == 1 {
-		return r.engines[0].ApplyGroupedTimed(events)
+		return r.engines[0].ApplyTimed(events)
 	}
 	r.op.RLock()
 	defer r.op.RUnlock()
@@ -373,13 +373,29 @@ func (r *Router) Alerts() *detect.Snapshot {
 	return detect.Merge(r.detectors)
 }
 
-// Detector returns the single shard's detector on a passthrough router and
-// nil otherwise — merged reads go through Alerts.
-func (r *Router) Detector() *detect.Detector {
-	if len(r.detectors) == 1 {
-		return r.detectors[0]
+// Totals sums the shard engines' headline counters into the fleet-wide
+// ones (the watermark is the latest shard's): the numbers /healthz prints
+// and Publish exposes as the unlabeled stream.* gauges, without merging
+// snapshots. Each engine is read under its own lock in turn, so a read
+// racing ingest may mix shard generations; at quiesce it equals Snapshot's.
+func (r *Router) Totals() stream.Totals {
+	var tot stream.Totals
+	for _, e := range r.engines {
+		t := e.Totals()
+		tot.Events += t.Events
+		tot.Tickets += t.Tickets
+		tot.CrashTickets += t.CrashTickets
+		tot.MonitorSamples += t.MonitorSamples
+		tot.DroppedOutOfWindow += t.DroppedOutOfWindow
+		tot.PredictDistances += t.PredictDistances
+		tot.PredictPruned += t.PredictPruned
+		tot.Machines += t.Machines
+		tot.Incidents += t.Incidents
+		if t.Watermark.After(tot.Watermark) {
+			tot.Watermark = t.Watermark
+		}
 	}
-	return nil
+	return tot
 }
 
 // Publish pushes the shard.* families and, for multi-shard routers, the
@@ -394,27 +410,14 @@ func (r *Router) Publish(reg *obs.Registry) {
 	r.pub.Lock()
 	defer r.pub.Unlock()
 
-	var tot stream.Totals
 	for i, e := range r.engines {
-		t := e.Totals()
-		if delta := t.Events - r.pubEvents[i]; delta > 0 {
-			reg.Add(r.perShard[i].events, delta)
-			r.pubEvents[i] = t.Events
+		if ev := e.Seq(); ev > r.pubEvents[i] {
+			reg.Add(r.perShard[i].events, ev-r.pubEvents[i])
+			r.pubEvents[i] = ev
 		}
 		reg.Set(r.perShard[i].queueDepth, float64(len(r.queues[i])))
-		tot.Events += t.Events
-		tot.Tickets += t.Tickets
-		tot.CrashTickets += t.CrashTickets
-		tot.MonitorSamples += t.MonitorSamples
-		tot.DroppedOutOfWindow += t.DroppedOutOfWindow
-		tot.PredictDistances += t.PredictDistances
-		tot.PredictPruned += t.PredictPruned
-		tot.Machines += t.Machines
-		tot.Incidents += t.Incidents
-		if t.Watermark.After(tot.Watermark) {
-			tot.Watermark = t.Watermark
-		}
 	}
+	tot := r.Totals()
 	reg.Set("stream.events", float64(tot.Events))
 	reg.Set("stream.tickets", float64(tot.Tickets))
 	reg.Set("stream.crash_tickets", float64(tot.CrashTickets))
@@ -428,7 +431,7 @@ func (r *Router) Publish(reg *obs.Registry) {
 		reg.Set("stream.watermark_unix_seconds", float64(tot.Watermark.UnixNano())/1e9)
 	}
 
-	var bytes, legacy, grid, rows int64
+	var bytes, grid, rows int64
 	monitored := false
 	for _, e := range r.engines {
 		db := e.Monitor()
@@ -438,13 +441,11 @@ func (r *Router) Publish(reg *obs.Registry) {
 		monitored = true
 		fp := db.Footprint()
 		bytes += fp.Bytes
-		legacy += fp.LegacyBytes
 		grid += int64(fp.GridSamples)
 		rows += int64(fp.RowSamples)
 	}
 	if monitored {
 		reg.Set("monitordb.series_bytes", float64(bytes))
-		reg.Set("monitordb.series_bytes_legacy", float64(legacy))
 		reg.Set("monitordb.grid_samples", float64(grid))
 		reg.Set("monitordb.row_samples", float64(rows))
 	}

@@ -2,10 +2,10 @@ package stream
 
 // BenchmarkWireDecode{Legacy,Pooled} pit the two JSONL decode paths against
 // each other on a real small-study event mix (tickets, machines, samples,
-// placements): the legacy per-line json.Unmarshal path that ApplyJSONL used
-// before pooling, and the pooled zero-copy fast parser behind
-// Batch.DecodeJSONLInto. Outputs are proven identical by the parity tests
-// in decode_test.go; these benchmarks track the cost gap.
+// placements): the legacy per-line json.Unmarshal path (DecodeJSONL) and
+// the pooled zero-copy fast parser behind Batch.DecodeJSONLInto. Outputs
+// are proven identical by the parity tests in decode_test.go; these
+// benchmarks track the cost gap.
 
 import (
 	"bytes"

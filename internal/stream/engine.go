@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -148,7 +147,7 @@ type Engine struct {
 	// journal, when non-nil, receives every applied batch (under mu).
 	journal Journal
 
-	// Group-commit queue (ApplyGrouped): qmu guards the waiter list and
+	// Group-commit queue (applyGrouped): qmu guards the waiter list and
 	// the leader flag; it is never held while e.mu is being acquired.
 	qmu     sync.Mutex
 	queue   []*applyReq
@@ -177,11 +176,11 @@ type Engine struct {
 
 	// applyM holds the group-commit path's metric handles, resolved by the
 	// first group (under mu), so the path takes no registry lock per group
-	// and an engine that never groups adds no families.
+	// and an engine that never applies adds no families.
 	applyM *applyMetrics
 }
 
-// applyMetrics are the metric handles ApplyGrouped records into.
+// applyMetrics are the metric handles the group-commit path records into.
 type applyMetrics struct {
 	ms              *obs.Histogram // stream.apply_ms
 	groups, batches *obs.Counter   // stream.apply_groups, stream.apply_grouped_batches
@@ -368,38 +367,6 @@ func (e *Engine) syncJournalLocked() error {
 	return nil
 }
 
-// Apply folds one ordered event batch into the engine's state.
-func (e *Engine) Apply(events []Event) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	err := e.journalBatchLocked(events, nil)
-	if err == nil {
-		err = e.applyBatchLocked(events)
-	}
-	e.advanceLocked()
-	if serr := e.syncJournalLocked(); serr != nil && err == nil {
-		err = serr
-	}
-	return err
-}
-
-// ApplyJSONL decodes a JSONL batch and applies it, returning the number of
-// events applied. Decode errors name the offending line. The decode runs
-// through a pooled zero-copy batch; the engine copies what it keeps, so
-// recycling after Apply is safe.
-func (e *Engine) ApplyJSONL(r io.Reader) (int, error) {
-	b := GetBatch()
-	defer b.Release()
-	n, err := b.DecodeJSONLInto(r)
-	if err != nil {
-		return 0, err
-	}
-	if err := e.Apply(b.Events); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
 // applyReq is one caller's batch waiting in the group-commit queue. The
 // leader records how long the engine spent inside applyBatchLocked for the
 // batch (applied) so the request's trace can show engine time separately
@@ -421,8 +388,8 @@ var applyReqPool = mempool.New("stream.applyreq", 64,
 // milliseconds.
 var applyBucketsMS = []float64{0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000}
 
-// applyBatchLocked applies one batch under e.mu with Apply's exact event
-// semantics and error format.
+// applyBatchLocked applies one batch under e.mu, stopping at the first
+// event that fails and naming its index in the batch.
 func (e *Engine) applyBatchLocked(events []Event) error {
 	for i := range events {
 		if err := e.applyLocked(&events[i]); err != nil {
@@ -432,31 +399,32 @@ func (e *Engine) applyBatchLocked(events []Event) error {
 	return nil
 }
 
-// ApplyGrouped applies a batch with leader-based group commit: the first
-// caller to arrive takes e.mu once, applies its own batch plus every batch
-// that concurrent callers enqueue while it holds the lock, then runs one
-// watermark advance (and, with a journal, one sync) for the whole group.
-// Under concurrent ingest this amortizes the per-batch fixed costs (lock
-// handoff, expiry and eviction checks) across the group; with a single
-// caller it degenerates to Apply. Statistics are identical either way —
-// applyLocked runs per event in arrival order regardless of grouping.
-func (e *Engine) ApplyGrouped(events []Event) error {
-	_, err := e.ApplyGroupedTimed(events)
+// Apply folds one ordered event batch into the engine's state through
+// leader-based group commit: the first caller to arrive takes e.mu once,
+// applies its own batch plus every batch that concurrent callers enqueue
+// while it holds the lock, then runs one watermark advance (and, with a
+// journal, one sync) for the whole group. Under concurrent ingest this
+// amortizes the per-batch fixed costs (lock handoff, expiry and eviction
+// checks) across the group; a lone caller is a group of one. Statistics
+// are identical either way — applyLocked runs per event in arrival order
+// regardless of grouping. On error the batch's events before the failing
+// one stay applied.
+func (e *Engine) Apply(events []Event) error {
+	_, err := e.applyGrouped(events, nil)
 	return err
 }
 
-// ApplyGroupedTimed is ApplyGrouped returning, in addition, the wall time
-// the engine spent inside applyBatchLocked for this caller's batch —
-// engine-apply cost with the group-commit queue wait excluded, the third
-// leg of the request trace's decode → group-commit → engine-apply span
-// chain. The timing feeds metrics and traces only; statistics are
-// untouched.
-func (e *Engine) ApplyGroupedTimed(events []Event) (time.Duration, error) {
+// ApplyTimed is Apply returning, in addition, the wall time the engine
+// spent inside applyBatchLocked for this caller's batch — engine-apply
+// cost with the group-commit queue wait excluded, the third leg of the
+// request trace's decode → group-commit → engine-apply span chain. The
+// timing feeds metrics and traces only; statistics are untouched.
+func (e *Engine) ApplyTimed(events []Event) (time.Duration, error) {
 	return e.applyGrouped(events, nil)
 }
 
-// ApplyBatchTimed is ApplyGroupedTimed for a batch decoded from the wire:
-// a WireJournal records the body the batch was decoded from, as received,
+// ApplyBatchTimed is ApplyTimed for a batch decoded from the wire: a
+// WireJournal records the body the batch was decoded from, as received,
 // instead of re-encoding its events. Each batch of a commit group is
 // journaled from its own body. A batch whose events did not all come from
 // one DecodeJSONLInto call is journaled by Append.

@@ -2,9 +2,7 @@ package stream
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -24,41 +22,38 @@ func groupedTestConfig(t *testing.T) Config {
 	return Config{Observation: model.Window{Start: start, End: start.AddDate(1, 0, 0)}}
 }
 
-// TestApplyGroupedMatchesApply replays the same event stream through Apply
-// and single-threaded ApplyGrouped and requires identical snapshots: with
-// no concurrent callers, group commit must be a plain Apply.
-func TestApplyGroupedMatchesApply(t *testing.T) {
+// TestApplyBatchingInvariant replays the same event stream as 512-event
+// Apply calls and as one Apply of the whole stream and requires identical
+// state images: how a caller batches the stream, and so how many groups
+// it commits in, must not change the statistics.
+func TestApplyBatchingInvariant(t *testing.T) {
 	field, _, _ := smallBatch(t)
 	events := EventsFromField(field.Data, field.Tickets, field.Monitor)
 
-	run := func(apply func(e *Engine, batch []Event) error) *Snapshot {
+	image := func(batch int) []byte {
 		eng, err := NewEngine(groupedTestConfig(t))
 		if err != nil {
 			t.Fatal(err)
 		}
-		const batch = 512
 		for lo := 0; lo < len(events); lo += batch {
-			hi := lo + batch
-			if hi > len(events) {
-				hi = len(events)
-			}
-			if err := apply(eng, events[lo:hi]); err != nil {
+			if err := eng.Apply(events[lo:min(lo+batch, len(events))]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return eng.Snapshot()
+		var img bytes.Buffer
+		if _, err := eng.WriteState(&img); err != nil {
+			t.Fatal(err)
+		}
+		return img.Bytes()
 	}
 
-	plain := run(func(e *Engine, b []Event) error { return e.Apply(b) })
-	grouped := run(func(e *Engine, b []Event) error { return e.ApplyGrouped(b) })
-	if !reflect.DeepEqual(plain, grouped) {
-		pj, _ := json.Marshal(plain)
-		gj, _ := json.Marshal(grouped)
-		t.Fatalf("snapshots diverge:\napply:   %s\ngrouped: %s", pj, gj)
+	whole := image(len(events))
+	if batched := image(512); !bytes.Equal(batched, whole) {
+		t.Fatalf("state images diverge: %d bytes in 512-event batches, %d in one batch", len(batched), len(whole))
 	}
 }
 
-// TestApplyGroupedConcurrent hammers ApplyGrouped from many goroutines
+// TestApplyGroupedConcurrent hammers Apply from many goroutines
 // (the -race regression test for the leader/follower handoff) and checks
 // nothing is lost or double-applied: every batch's events are counted
 // exactly once and per-server ticket order is preserved within a batch.
@@ -79,7 +74,7 @@ func TestApplyGroupedConcurrent(t *testing.T) {
 			defer wg.Done()
 			id := model.MachineID(fmt.Sprintf("S1-PM-%04d", w))
 			mach := &model.Machine{ID: id, Kind: model.PM, System: 1, Created: base}
-			if err := eng.ApplyGrouped([]Event{{Type: "machine", Machine: mach}}); err != nil {
+			if err := eng.Apply([]Event{{Type: "machine", Machine: mach}}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -94,7 +89,7 @@ func TestApplyGroupedConcurrent(t *testing.T) {
 						Description: "x", Resolution: "y", IsCrash: true,
 					}})
 				}
-				if err := eng.ApplyGrouped(evs); err != nil {
+				if err := eng.Apply(evs); err != nil {
 					t.Error(err)
 					return
 				}
@@ -122,10 +117,10 @@ func TestApplyGroupedConcurrent(t *testing.T) {
 }
 
 // TestIngestSteadyStateAllocs pins the server ingestion path — pooled wire
-// decode plus group-commit apply — at its steady-state allocation cost.
-// The legacy path (DecodeJSONL + Apply) pays ~14 decoder allocations per
-// event before the engine even sees the batch; the pooled path must stay
-// under 4 per event end to end once pools are warm.
+// decode plus ApplyBatchTimed — at its steady-state allocation cost. The
+// legacy decoder (DecodeJSONL) pays ~14 allocations per event before the
+// engine even sees the batch; the pooled path must stay under 4 per event
+// end to end once pools are warm.
 func TestIngestSteadyStateAllocs(t *testing.T) {
 	if !mempool.Enabled() {
 		t.Skip("pooling disabled")
@@ -136,7 +131,7 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 	}
 	base, _ := time.Parse(time.RFC3339, "2012-07-02T00:00:00Z")
 	id := model.MachineID("S1-PM-0001")
-	if err := eng.ApplyGrouped([]Event{{Type: "machine", Machine: &model.Machine{
+	if err := eng.Apply([]Event{{Type: "machine", Machine: &model.Machine{
 		ID: id, Kind: model.PM, System: 1, Created: base,
 	}}}); err != nil {
 		t.Fatal(err)
@@ -166,7 +161,7 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 		if _, err := b.DecodeJSONLInto(&rd); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.ApplyGrouped(b.Events); err != nil {
+		if _, err := eng.ApplyBatchTimed(b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -216,7 +216,7 @@ func (j *recordingJournal) Sync() error {
 	return nil
 }
 
-// TestJournalCapturesApplyOrder hammers ApplyGrouped from many goroutines
+// TestJournalCapturesApplyOrder hammers Apply from many goroutines
 // and proves the journal's cardinal property: records are contiguous in
 // sequence, cover every applied event, and replaying them in append order
 // into a fresh engine reproduces the original state exactly.
@@ -237,7 +237,7 @@ func TestJournalCapturesApplyOrder(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for b := range batches {
-				if err := eng.ApplyGrouped(b); err != nil {
+				if err := eng.Apply(b); err != nil {
 					t.Error(err)
 					return
 				}

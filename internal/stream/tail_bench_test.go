@@ -12,7 +12,7 @@ import (
 // BenchmarkGroupCommitTail replays the small study in 1,000-event batches
 // into an engine configured as failscoped -scale small runs it (monitoring,
 // online detector, an observed registry) from one caller, so every
-// ApplyGroupedTimed call is a group of one. It reports the engine's own
+// ApplyTimed call is a group of one. It reports the engine's own
 // apply time per group and the tail: the rest of the call, which is the
 // work done under the engine lock after the batches apply (watermark
 // advance, expiry and eviction checks) plus the lock and queue handoff.
@@ -43,7 +43,7 @@ func BenchmarkGroupCommitTail(b *testing.B) {
 		b.StartTimer()
 		for lo := 0; lo < len(events); lo += batch {
 			t0 := time.Now()
-			own, err := eng.ApplyGroupedTimed(events[lo:min(lo+batch, len(events))])
+			own, err := eng.ApplyTimed(events[lo:min(lo+batch, len(events))])
 			if err != nil {
 				b.Fatal(err)
 			}

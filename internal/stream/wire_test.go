@@ -79,7 +79,7 @@ func TestApplyBatchTimedJournalsWire(t *testing.T) {
 	if _, err := eng.ApplyBatchTimed(b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ApplyGroupedTimed(b.Events); err != nil {
+	if _, err := eng.ApplyTimed(b.Events); err != nil {
 		t.Fatal(err)
 	}
 	if len(j.wires) != 1 || !bytes.Equal(j.wires[0], body) {
