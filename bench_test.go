@@ -608,7 +608,7 @@ func benchKMeans(b *testing.B, parallelism int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := textmine.KMeansParallel(vectors, vocab.Size(), 32, 20, xrand.New(1), parallelism); err != nil {
+		if _, err := textmine.KMeans(vectors, vocab.Size(), 32, 20, xrand.New(1), parallelism, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,9 +21,10 @@
 //	failscoped -scale small -v -debug-addr localhost:6060
 //	failscoped -data-dir /var/lib/failscope [-checkpoint-interval 1m]
 //
-// With -shards N > 1 the engine splits into N machine-hash shards behind
-// per-shard bounded ingest queues; reads merge the shard snapshots back
-// into the single-engine shape (see internal/shard and DESIGN.md §15).
+// With -shards N > 1 the engine splits into N machine-hash shards, each
+// applying its slice of a batch through its own group commit; reads merge
+// the shard snapshots back into the single-engine shape (see
+// internal/shard and DESIGN.md §15).
 //
 // With -data-dir the daemon runs durably: every ingested batch is framed
 // into a write-ahead log before its POST succeeds, a checkpoint spills the
@@ -79,8 +80,7 @@ func run() error {
 		replaySpeed = flag.Float64("replay-speed", 0, "simulated seconds streamed per wall second (0 = full speed)")
 		classify    = flag.Bool("classify", false, "with -replay: train the two-stage ticket classifier on the generated tickets and score the stream online")
 		dataDir     = flag.String("data-dir", "", "directory for the durable store (WAL + checkpoints); empty runs in-memory only")
-		shards      = flag.Int("shards", 1, "stream-engine shards (machine-hash partitions; each shard is an independent engine behind its own ingest queue)")
-		shardQueue  = flag.Int("shard-queue", shard.DefaultQueueLen, "per-shard ingest queue capacity in batches (full queues block posters)")
+		shards      = flag.Int("shards", 1, "stream-engine shards (machine-hash partitions; each shard is an independent engine with its own group commit)")
 		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "with -data-dir: cadence of periodic checkpoints, on top of the ones sealed WAL segments trigger (0 disables the ticker; sealed segments and drain still checkpoint)")
 		detectOn    = flag.Bool("detect", true, "run the online failure detector (serves /v1/alerts and detect.* metrics)")
 		detHorizon  = flag.Duration("detect-horizon", 0, "alert confirmation horizon (0 = calibrated default)")
@@ -168,7 +168,7 @@ func run() error {
 	// disjoint across shards, so detection state never splits). The frozen
 	// classifier model is read-only at predict time and safely shared; a
 	// single-shard daemon gets exactly the pre-sharding configuration — no
-	// gauge labels, no queues.
+	// gauge labels.
 	engines := make([]*stream.Engine, *shards)
 	var detectors []*detect.Detector
 	for i := range engines {
@@ -194,7 +194,6 @@ func run() error {
 	rt, err := shard.New(shard.Options{
 		Engines:   engines,
 		Detectors: detectors,
-		QueueLen:  *shardQueue,
 		Registry:  o.Metrics(),
 	})
 	if err != nil {

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
 
+	"failscope/internal/detect"
 	"failscope/internal/durable"
 	"failscope/internal/mempool"
 	"failscope/internal/obs"
@@ -19,7 +21,9 @@ import (
 	"failscope/internal/telemetry"
 )
 
-// metricHelp maps the daemon's registry names to their /metrics HELP text.
+// metricHelp maps the daemon's registry names to their /metrics HELP text:
+// the table below plus (init) the stream.* and detect.* entries their
+// packages keep next to the code that publishes them.
 var metricHelp = map[string]string{
 	"serve.requests":                    "HTTP requests accepted by the daemon, any endpoint",
 	"serve.events_ingested":             "events applied to the streaming engine via /v1/events",
@@ -29,18 +33,6 @@ var metricHelp = map[string]string{
 	"http.requests":                     "requests completed, by endpoint",
 	"http.errors":                       "requests answered >= 400, by endpoint and status code",
 	"http.request_ms":                   "request latency in milliseconds, by endpoint",
-	"stream.events":                     "events applied by the streaming engine",
-	"stream.apply_ms":                   "engine batch-apply latency in milliseconds",
-	"stream.state_lock_ms":              "milliseconds a state image (checkpoint) held the engine lock (ingest waits behind it)",
-	"stream.watermark_unix_seconds":     "engine event-time watermark as a unix timestamp",
-	"detect.alerts_active":              "failure alerts currently raised by the online detector",
-	"detect.alerts_raised":              "failure alerts raised since start, any source",
-	"detect.alerts_cleared":             "failure alerts cleared since start (confirmed or expired)",
-	"detect.alerts_confirmed":           "alerts confirmed by a crash ticket inside the horizon",
-	"detect.alerts_expired":             "alerts expired without a crash (false alarms)",
-	"detect.alerts_raised_anomaly":      "alerts raised by the CUSUM usage-anomaly detector",
-	"detect.machines":                   "machines the online detector is tracking",
-	"detect.lead_time_ms":               "milliseconds from alert raise to the confirming crash ticket",
 	"wire.decode_fast":                  "JSONL lines decoded by the zero-copy fast scanner",
 	"wire.decode_fallback":              "JSONL lines that fell back to encoding/json",
 	"durable.wal_bytes":                 "bytes appended to the write-ahead log this process",
@@ -55,8 +47,12 @@ var metricHelp = map[string]string{
 	"durable.recovery_replayed_events":  "events replayed into the engine by the last recovery",
 	"durable.recovery_replay_ms":        "wall time of the last recovery in milliseconds",
 	"shard.events":                      "events applied, by shard",
-	"shard.queue_depth":                 "batches waiting in a shard's ingest queue",
 	"shard.merge_ms":                    "cross-shard snapshot merge latency in milliseconds",
+}
+
+func init() {
+	maps.Copy(metricHelp, stream.MetricHelp)
+	maps.Copy(metricHelp, detect.MetricHelp)
 }
 
 // maxBatchBytes caps a POST /v1/events body; a larger one is refused with
@@ -353,8 +349,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // exportedSeq finds the stream.events gauge in a sorted registry export.
 func exportedSeq(metrics []obs.Metric) (int64, bool) {
-	i := sort.Search(len(metrics), func(i int) bool { return metrics[i].Name >= "stream.events" })
-	if i < len(metrics) && metrics[i].Name == "stream.events" && metrics[i].Kind == obs.KindGauge {
+	i := sort.Search(len(metrics), func(i int) bool { return metrics[i].Name >= stream.SeqGauge })
+	if i < len(metrics) && metrics[i].Name == stream.SeqGauge && metrics[i].Kind == obs.KindGauge {
 		return int64(metrics[i].Value), true
 	}
 	return 0, false

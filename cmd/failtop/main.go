@@ -13,8 +13,8 @@
 // clearing the terminal and exits — non-zero when the scrape fails, the
 // page fails conformance, or the exposition is empty, which makes it the
 // CI scrape-smoke checker. When the daemon runs sharded (-shards N) a
-// shards pane appears: per-shard event totals and rates, ingest queue
-// depths and the snapshot-merge latency quantiles. When the daemon runs
+// shards pane appears: per-shard event totals and rates and the
+// snapshot-merge latency quantiles. When the daemon runs
 // with online detection the dashboard adds an alerts pane: active/raised/
 // cleared alert counts, confirm/expire resolution tallies and the
 // lead-time quantiles. When it runs durably (-data-dir) a durability pane
@@ -334,12 +334,11 @@ func render(w io.Writer, prev, cur *sample, base string) {
 	}
 
 	if ids := shardIDs(cur); len(ids) > 0 {
-		fmt.Fprintf(w, "%-22s %10s %10s %10s\n", "shard", "events", "ev/s", "queue")
+		fmt.Fprintf(w, "%-22s %10s %10s\n", "shard", "events", "ev/s")
 		for _, id := range ids {
-			fmt.Fprintf(w, "%-22s %10s %10s %10s\n", id,
+			fmt.Fprintf(w, "%-22s %10s %10s\n", id,
 				fmtNum(cur.fams.Value("shard_events_total", "shard", id)),
-				fmtNum(labeledRate(prev, cur, "shard_events_total", "shard", id)),
-				fmtNum(cur.fams.Value("shard_queue_depth", "shard", id)))
+				fmtNum(labeledRate(prev, cur, "shard_events_total", "shard", id)))
 		}
 		fmt.Fprintf(w, "merge      %12s merges   p50 %sms  p95 %sms  p99 %sms\n\n",
 			fmtNum(histCount(cur, "shard_merge_ms")),

@@ -29,7 +29,9 @@
 package detect
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"failscope/internal/model"
@@ -222,15 +224,18 @@ type Detector struct {
 	// recomputed by each scan, never persisted — zero (a fresh or restored
 	// detector) forces the next Advance to scan.
 	nextDeadline time.Time
+	// due mirrors nextDeadline for Due's lock-free readers: its Unix
+	// second, or math.MaxInt64 (never) while no alert is active. Raises,
+	// clears and scans keep it current.
+	due atomic.Int64
 
 	raisedBySource map[string]int64
 	confirmed      int64
 	expired        int64
 
-	leadDays  sketch.Moments
-	leadQ     *sketch.Quantile
-	pubRaised int64 // counter value already pushed to the registry
-	pubClear  int64
+	leadDays sketch.Moments
+	leadQ    *sketch.Quantile
+	pub      Totals // the totals last pushed to the registry (Publish)
 
 	recent  []Alert // cleared ring, oldest first
 	scratch textmine.PredictScratch
@@ -240,13 +245,15 @@ type Detector struct {
 // New creates a detector; zero-value config fields take the calibrated
 // defaults.
 func New(cfg Config) *Detector {
-	return &Detector{
+	d := &Detector{
 		cfg:            cfg.withDefaults(),
 		machines:       make(map[model.MachineID]*machineState),
 		hostVMs:        make(map[model.MachineID]int),
 		raisedBySource: make(map[string]int64),
 		leadQ:          sketch.NewQuantile(sketch.DefaultK),
 	}
+	d.due.Store(math.MaxInt64)
+	return d
 }
 
 // Config returns the detector's effective (defaulted) configuration.
@@ -501,16 +508,39 @@ func (d *Detector) ObserveSample(id model.MachineID, metric monitordb.Metric, at
 }
 
 // Advance moves the detector's watermark, expiring active alerts whose
-// horizon has fully elapsed. Expiry order is deterministic (by raise
-// time, then machine ID) regardless of map iteration. The machine scan
-// runs only once the watermark has passed nextDeadline; before that no
-// deadline can be behind it, so the skip expires exactly what a scan
-// would (nothing).
+// horizon has fully elapsed (see Expire). The engine calls it for every
+// "advance" heartbeat, so the detector's clock — its snapshot watermark
+// and machine-weeks — reaches the stream's.
 func (d *Detector) Advance(watermark time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.noteTimeLocked(watermark)
-	if d.activeCount == 0 || !d.watermark.After(d.nextDeadline) {
+	d.expireLocked(d.watermark)
+}
+
+// Due reports whether the watermark t may have passed an active alert's
+// deadline — whether Expire(t) can have anything to do. It reads one
+// atomic and takes no lock, so the engine asks on every watermark move;
+// a true answer is conservative (Expire re-checks exactly).
+func (d *Detector) Due(t time.Time) bool { return t.Unix() >= d.due.Load() }
+
+// Expire expires the active alerts whose deadline lies before t without
+// moving the detector's clock. Expiry order is deterministic (by raise
+// time, then machine ID) regardless of map iteration. The engine calls it
+// per event, before the event is observed, whenever Due says the event's
+// watermark may have passed a deadline, so which alerts are active when an
+// event arrives depends on the events alone, not on how they were batched.
+func (d *Detector) Expire(t time.Time) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.expireLocked(t)
+}
+
+// expireLocked runs the machine scan only once t has passed nextDeadline;
+// before that no deadline can be behind it, so the skip expires exactly
+// what a scan would (nothing).
+func (d *Detector) expireLocked(t time.Time) {
+	if d.activeCount == 0 || !t.After(d.nextDeadline) {
 		return
 	}
 	var due []*machineState
@@ -519,7 +549,7 @@ func (d *Detector) Advance(watermark time.Time) {
 		a := st.active
 		switch {
 		case a == nil:
-		case a.Deadline.Before(d.watermark):
+		case a.Deadline.Before(t):
 			due = append(due, st)
 		case next.IsZero() || a.Deadline.Before(next):
 			next = a.Deadline
@@ -530,6 +560,16 @@ func (d *Detector) Advance(watermark time.Time) {
 	for _, st := range due {
 		d.clearLocked(st, OutcomeExpired, st.active.Deadline)
 	}
+	d.storeDueLocked()
+}
+
+// storeDueLocked publishes nextDeadline to Due.
+func (d *Detector) storeDueLocked() {
+	if d.activeCount == 0 {
+		d.due.Store(math.MaxInt64)
+		return
+	}
+	d.due.Store(d.nextDeadline.Unix())
 }
 
 // sortStates orders machine states by their active alert's raise time,
@@ -569,6 +609,7 @@ func (d *Detector) raiseLocked(st *machineState, at time.Time, source, metric st
 		d.nextDeadline = a.Deadline
 	}
 	d.activeCount++
+	d.storeDueLocked()
 	d.raisedBySource[source]++
 }
 
@@ -576,6 +617,7 @@ func (d *Detector) clearLocked(st *machineState, outcome string, at time.Time) {
 	a := st.active
 	st.active = nil
 	d.activeCount--
+	d.storeDueLocked()
 	a.Outcome = outcome
 	a.ClearedAt = at
 	if outcome == OutcomeConfirmed {
@@ -598,27 +640,87 @@ func (d *Detector) clearLocked(st *machineState, outcome string, at time.Time) {
 	}
 }
 
-// Publish pushes the detector's gauge and counter families into the
-// registry; the engine's registry collector calls it when the registry is
-// read. Counters advance by the delta since the last Publish.
+// Totals is a cheap counter snapshot: the values Publish exposes as the
+// detect.* families, and a sharded coordinator sums (Add) into fleet-wide
+// ones without assembling full Snapshots.
+type Totals struct {
+	Raised        int64
+	RaisedAnomaly int64
+	Confirmed     int64
+	Expired       int64
+	CrashTickets  int64
+	Active        int
+	Machines      int
+}
+
+// Totals returns the detector's headline counters.
+func (d *Detector) Totals() Totals {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.totalsLocked()
+}
+
+func (d *Detector) totalsLocked() Totals {
+	return Totals{
+		Raised:        d.raisedBySource[SourceRecurrence] + d.raisedBySource[SourceAnomaly],
+		RaisedAnomaly: d.raisedBySource[SourceAnomaly],
+		Confirmed:     d.confirmed,
+		Expired:       d.expired,
+		CrashTickets:  d.crashTickets,
+		Active:        d.activeCount,
+		Machines:      len(d.machines),
+	}
+}
+
+// Add sums u into t.
+func (t *Totals) Add(u Totals) {
+	t.Raised += u.Raised
+	t.RaisedAnomaly += u.RaisedAnomaly
+	t.Confirmed += u.Confirmed
+	t.Expired += u.Expired
+	t.CrashTickets += u.CrashTickets
+	t.Active += u.Active
+	t.Machines += u.Machines
+}
+
+// Publish pushes t into the registry as the detect.* families: gauges are
+// set outright, and the detect.alerts_raised and detect.alerts_cleared
+// counters advance by their growth since *pub, the totals this publisher
+// last pushed, which Publish then moves up to t.
+func (t Totals) Publish(r *obs.Registry, pub *Totals) {
+	r.Set("detect.alerts_active", float64(t.Active))
+	r.Set("detect.machines", float64(t.Machines))
+	if delta := t.Raised - pub.Raised; delta > 0 {
+		r.Add("detect.alerts_raised", delta)
+		pub.Raised = t.Raised
+	}
+	if delta := t.Confirmed + t.Expired - (pub.Confirmed + pub.Expired); delta > 0 {
+		r.Add("detect.alerts_cleared", delta)
+		pub.Confirmed, pub.Expired = t.Confirmed, t.Expired
+	}
+	r.Set("detect.alerts_confirmed", float64(t.Confirmed))
+	r.Set("detect.alerts_expired", float64(t.Expired))
+	r.Set("detect.alerts_raised_anomaly", float64(t.RaisedAnomaly))
+}
+
+// MetricHelp is the /metrics HELP text of the detect.* families.
+var MetricHelp = map[string]string{
+	"detect.alerts_active":         "failure alerts currently raised by the online detector",
+	"detect.alerts_raised":         "failure alerts raised since start, any source",
+	"detect.alerts_cleared":        "failure alerts cleared since start (confirmed or expired)",
+	"detect.alerts_confirmed":      "alerts confirmed by a crash ticket inside the horizon",
+	"detect.alerts_expired":        "alerts expired without a crash (false alarms)",
+	"detect.alerts_raised_anomaly": "alerts raised by the CUSUM usage-anomaly detector",
+	"detect.machines":              "machines the online detector is tracking",
+	"detect.lead_time_ms":          "milliseconds from alert raise to the confirming crash ticket",
+}
+
+// Publish pushes the detector's detect.* families into the registry; the
+// engine's registry collector calls it when the registry is read.
 func (d *Detector) Publish(r *obs.Registry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	r.Set("detect.alerts_active", float64(d.activeCount))
-	r.Set("detect.machines", float64(len(d.machines)))
-	raised := d.raisedBySource[SourceRecurrence] + d.raisedBySource[SourceAnomaly]
-	if delta := raised - d.pubRaised; delta > 0 {
-		r.Add("detect.alerts_raised", delta)
-		d.pubRaised = raised
-	}
-	cleared := d.confirmed + d.expired
-	if delta := cleared - d.pubClear; delta > 0 {
-		r.Add("detect.alerts_cleared", delta)
-		d.pubClear = cleared
-	}
-	r.Set("detect.alerts_confirmed", float64(d.confirmed))
-	r.Set("detect.alerts_expired", float64(d.expired))
-	r.Set("detect.alerts_raised_anomaly", float64(d.raisedBySource[SourceAnomaly]))
+	d.totalsLocked().Publish(r, &d.pub)
 }
 
 // Snapshot is the queryable detection state: the active alerts, the

@@ -6,34 +6,6 @@ import (
 	"failscope/internal/sketch"
 )
 
-// Totals is a cheap counter snapshot for cross-shard aggregation — the
-// values a sharded coordinator sums to publish fleet-wide detect.* gauges
-// without assembling full Snapshots.
-type Totals struct {
-	Raised        int64
-	RaisedAnomaly int64
-	Confirmed     int64
-	Expired       int64
-	CrashTickets  int64
-	Active        int
-	Machines      int
-}
-
-// Totals returns the detector's headline counters.
-func (d *Detector) Totals() Totals {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return Totals{
-		Raised:        d.raisedBySource[SourceRecurrence] + d.raisedBySource[SourceAnomaly],
-		RaisedAnomaly: d.raisedBySource[SourceAnomaly],
-		Confirmed:     d.confirmed,
-		Expired:       d.expired,
-		CrashTickets:  d.crashTickets,
-		Active:        d.activeCount,
-		Machines:      len(d.machines),
-	}
-}
-
 // Merge assembles one Snapshot from N shard detectors as if a single
 // detector had observed the whole stream. Counters sum exactly (the
 // router's hash ownership keeps machines disjoint, so no alert is ever

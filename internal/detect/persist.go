@@ -31,13 +31,12 @@ package detect
 // deadline, crashes, risk, cause, outcome, clearedAt, leadDays.
 //
 // The expiry bound (nextDeadline) is not in the image: a restore resets
-// it to zero, which makes the next Advance scan and recompute it.
+// it to zero, which makes Due true and the next expiry scan recompute it.
 //
-// The publish watermarks (pubRaised/pubClear) are deliberately reset to
-// zero on restore: the restarted process has a fresh metrics registry, and
-// a zero watermark makes the next Publish re-add the full historical
-// counts so the detect_* counters converge to an uninterrupted run's
-// values.
+// The publish watermark (pub) is deliberately reset to zero on restore:
+// the restarted process has a fresh metrics registry, and a zero
+// watermark makes the next Publish re-add the full historical counts so
+// the detect_* counters converge to an uninterrupted run's values.
 
 import (
 	"fmt"
@@ -250,11 +249,12 @@ func (d *Detector) RestoreState(r *binimg.Reader) error {
 	d.machines, d.hostVMs = n.machines, n.hostVMs
 	d.firstEvent, d.watermark = n.firstEvent, n.watermark
 	d.nextID, d.activeCount, d.crashTickets = n.nextID, n.activeCount, n.crashTickets
-	d.nextDeadline = time.Time{} // unknown until the next Advance scans
+	d.nextDeadline = time.Time{} // unknown until the next scan
+	d.storeDueLocked()
 	d.raisedBySource = n.raisedBySource
 	d.confirmed, d.expired = n.confirmed, n.expired
 	d.leadDays, d.leadQ = n.leadDays, n.leadQ
-	d.pubRaised, d.pubClear = 0, 0
+	d.pub = Totals{}
 	d.recent = n.recent
 	return nil
 }

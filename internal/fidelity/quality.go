@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"failscope/internal/model"
+	"failscope/internal/monitordb"
 )
 
 // ClassScore is one row of the six-class confusion summary: how well one
@@ -118,8 +119,8 @@ func ScoreQuality(in Input) *Quality {
 			TicketsGenerated:      int64(m["dcsim.tickets"]),
 			TicketsInWindow:       int64(m["ingest.tickets_in_window"]),
 			TicketsWindowDropped:  int64(m["ingest.tickets_window_dropped"]),
-			MonitorSamples:        int64(m["monitordb.samples"]),
-			MonitorSamplesDropped: int64(m["monitordb.samples_dropped"]),
+			MonitorSamples:        int64(m[monitordb.MetricSamples]),
+			MonitorSamplesDropped: int64(m[monitordb.MetricSamplesDropped]),
 		}
 		d.Consistent = d.TicketsGenerated == 0 ||
 			d.TicketsGenerated == d.TicketsInWindow+d.TicketsWindowDropped

@@ -18,7 +18,11 @@ package monitordb
 // layout produced, so rollups, joins and the eviction behaviour are
 // unchanged bit for bit while resident bytes drop ~4x on grid-shaped data.
 
-import "sort"
+import (
+	"sort"
+
+	"failscope/internal/obs"
+)
 
 const (
 	// detectAfterRows is how many rows a series accumulates before the
@@ -461,14 +465,28 @@ func (db *DB) Footprint() Footprint {
 	return fp
 }
 
+// Add sums o into fp.
+func (fp *Footprint) Add(o Footprint) {
+	fp.Series += o.Series
+	fp.GridSamples += o.GridSamples
+	fp.RowSamples += o.RowSamples
+	fp.GridBytes += o.GridBytes
+	fp.RowBytes += o.RowBytes
+	fp.Bytes += o.Bytes
+}
+
+// Publish sets the footprint gauges monitordb.series_bytes,
+// .grid_samples and .row_samples (no-ops on a nil registry).
+func (fp Footprint) Publish(r *obs.Registry) {
+	r.Set("monitordb.series_bytes", float64(fp.Bytes))
+	r.Set("monitordb.grid_samples", float64(fp.GridSamples))
+	r.Set("monitordb.row_samples", float64(fp.RowSamples))
+}
+
 // RecordFootprint publishes the footprint on the attached metrics registry
-// ("monitordb.series_bytes", ".grid_samples", ".row_samples") and returns
-// it. No-op gauges when uninstrumented.
+// and returns it.
 func (db *DB) RecordFootprint() Footprint {
 	fp := db.Footprint()
-	reg := db.registry()
-	reg.Gauge("monitordb.series_bytes").Set(float64(fp.Bytes))
-	reg.Gauge("monitordb.grid_samples").Set(float64(fp.GridSamples))
-	reg.Gauge("monitordb.row_samples").Set(float64(fp.RowSamples))
+	fp.Publish(db.registry())
 	return fp
 }

@@ -107,14 +107,21 @@ type DB struct {
 	log *obs.Logger
 }
 
+// Sample-count counter names, exported for readers of a registry
+// snapshot (the fidelity scoreboard's drop accounting).
+const (
+	MetricSamples        = "monitordb.samples"
+	MetricSamplesDropped = "monitordb.samples_dropped"
+)
+
 // Instrument attaches a metrics registry: subsequent writes count samples
 // (accepted and dropped), power events and placement steps, and rollup
 // queries count bucket computations. Passing nil detaches.
 func (db *DB) Instrument(reg *obs.Registry) {
 	db.mu.Lock()
 	db.metrics = reg
-	db.samples = reg.Counter("monitordb.samples")
-	db.samplesDropped = reg.Counter("monitordb.samples_dropped")
+	db.samples = reg.Counter(MetricSamples)
+	db.samplesDropped = reg.Counter(MetricSamplesDropped)
 	db.powerEvents = reg.Counter("monitordb.power_events")
 	db.placements = reg.Counter("monitordb.placements")
 	db.evictions = reg.Counter("monitordb.evicted")

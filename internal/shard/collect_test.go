@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,13 +98,7 @@ func TestGaugesPublishedOnRead(t *testing.T) {
 			var dt detect.Totals
 			for i, e := range r.Engines() {
 				bytes += e.Monitor().Footprint().Bytes
-				d := r.detectors[i].Totals()
-				dt.Raised += d.Raised
-				dt.RaisedAnomaly += d.RaisedAnomaly
-				dt.Confirmed += d.Confirmed
-				dt.Expired += d.Expired
-				dt.Active += d.Active
-				dt.Machines += d.Machines
+				dt.Add(r.detectors[i].Totals())
 			}
 			if dt.Raised == 0 || dt.Expired == 0 || dt.Confirmed == 0 {
 				t.Fatalf("detector totals %+v: want raised, expired and confirmed alerts", dt)
@@ -143,5 +139,46 @@ func TestGaugesPublishedOnRead(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPublishMatchesSingleEngine requires a 4-shard router to publish the
+// same unlabeled stream.* and detect.* values as one engine fed the same
+// stream: the router sums the shard totals and publishes them through the
+// same publishers the engine and its detector use. The apply-path
+// families count commit groups and batches per engine, so they are the
+// one legitimate difference.
+func TestPublishMatchesSingleEngine(t *testing.T) {
+	events := collectStream(16, 40)
+	read := func(n int) map[string]float64 {
+		o := obs.NewObserver("publish-test")
+		r := collectRouter(t, n, o)
+		if err := r.Apply(events); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for name, v := range o.Metrics().Snapshot() {
+			if (strings.HasPrefix(name, "stream.") || strings.HasPrefix(name, "detect.")) &&
+				!strings.HasPrefix(name, "stream.apply_") && !strings.Contains(name, "{") {
+				out[name] = v
+			}
+		}
+		return out
+	}
+	single, sharded := read(1), read(4)
+	if single["detect.alerts_raised"] == 0 || single["stream.events"] == 0 {
+		t.Fatalf("stream raised no alerts or applied nothing: %v", single)
+	}
+	if !reflect.DeepEqual(single, sharded) {
+		for name := range single {
+			if single[name] != sharded[name] {
+				t.Errorf("%s: one engine %v, 4 shards %v", name, single[name], sharded[name])
+			}
+		}
+		for name := range sharded {
+			if _, ok := single[name]; !ok {
+				t.Errorf("%s: published only by 4 shards (%v)", name, sharded[name])
+			}
+		}
 	}
 }

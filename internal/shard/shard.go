@@ -18,33 +18,34 @@
 //     shard's detector sees the fleet-wide consolidation level its risk
 //     scores read — co-resident VMs of one host live on many shards.
 //   - Watermark advances are broadcast (primary on shard 0, replicas
-//     elsewhere) so every shard's clock — and its detector's expiry scan —
-//     moves together.
+//     elsewhere) so every shard's clock — and its detector's — moves
+//     together.
 //   - Events with no machine key land on shard 0.
 //
-// Each shard is fed by its own bounded queue; a full queue blocks the
-// poster (backpressure) rather than dropping. One Router call returns only
-// after every shard has folded its slice in, so callers keep the POST
-// semantics of the single engine: a 2xx response means the batch is
-// applied.
+// The caller applies each shard's slice through that engine's own group
+// commit, the shards in parallel; concurrent posters meet in each engine's
+// group commit, which holds them until their batch is applied
+// (backpressure, never a drop). One Router call returns only after every
+// shard has folded its slice in, so callers keep the POST semantics of the
+// single engine: a 2xx response means the batch is applied.
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"failscope/internal/detect"
-	"failscope/internal/mempool"
 	"failscope/internal/model"
+	"failscope/internal/monitordb"
 	"failscope/internal/obs"
+	"failscope/internal/par"
 	"failscope/internal/stream"
 	"failscope/internal/telemetry"
 )
-
-// DefaultQueueLen is the per-shard ingest queue capacity, in batches.
-const DefaultQueueLen = 64
 
 // Options configures a Router.
 type Options struct {
@@ -58,10 +59,6 @@ type Options struct {
 	// Nil when detection is off.
 	Detectors []*detect.Detector
 
-	// QueueLen is the per-shard ingest queue capacity in batches;
-	// DefaultQueueLen when zero.
-	QueueLen int
-
 	// Registry, when non-nil, receives the shard.* families and — for
 	// multi-shard routers — the fleet-aggregate stream.*, detect.* and
 	// monitordb.* gauges, published when it is read (Publish is its
@@ -69,51 +66,30 @@ type Options struct {
 	Registry *obs.Registry
 }
 
-// job is one shard's slice of a routed batch, waiting on its queue.
-type job struct {
-	events  []stream.Event
-	applied time.Duration
-	err     error
-	done    chan struct{}
-}
-
-var jobPool = mempool.New("shard.job", 256,
-	func() *job { return &job{done: make(chan struct{}, 1)} },
-	func(j *job) *job { j.events = nil; j.applied = 0; j.err = nil; return j },
-)
-
 // Router routes event batches across shard engines and merges their reads.
-// A single-engine router is a pure passthrough: no queues, no workers, no
-// labels — byte-for-byte the pre-sharding daemon.
+// A single-engine router is a pure passthrough: no labels, no published
+// families — byte-for-byte the pre-sharding daemon.
 type Router struct {
 	engines   []*stream.Engine
 	detectors []*detect.Detector
-	queues    []chan *job
 	reg       *obs.Registry
-	wg        sync.WaitGroup
+	closed    atomic.Bool
 
-	// op guards enqueue against Close: appliers hold it shared, Close
-	// exclusively, so no send can race a channel close.
-	op     sync.RWMutex
-	closed bool
-
-	// scratch pools the per-call routing buffers ([][]Event + job list).
+	// scratch pools the per-call routing buffers.
 	scratch sync.Pool
 
-	// pub guards the publish watermarks for counter families (monotone
-	// deltas into the shared registry).
-	pub       sync.Mutex
-	pubEvents []int64
-	pubRaised int64
-	pubClear  int64
-
-	// perShard caches the labeled shard.* metric names.
-	perShard []shardNames
+	// pub guards the publish state: the fleet gauge names, and the
+	// watermarks of the counter families (monotone deltas into the shared
+	// registry).
+	pub         sync.Mutex
+	gauges      stream.GaugeNames
+	shardEvents []string // labeled shard.events counter names
+	pubEvents   []int64
+	pubDetect   detect.Totals
 }
 
-type shardNames struct {
-	events, queueDepth string
-}
+// errClosed fails every apply issued after Close.
+var errClosed = errors.New("shard: router closed")
 
 // mergeBucketsMS are the shard.merge_ms histogram bounds: snapshot merges
 // are O(weeks + classes + failing machines), well under a second.
@@ -131,34 +107,25 @@ func New(opts Options) (*Router, error) {
 		return nil, fmt.Errorf("shard: %d detectors for %d engines", len(opts.Detectors), n)
 	}
 	r := &Router{
-		engines:   opts.Engines,
-		detectors: opts.Detectors,
-		reg:       opts.Registry,
-		pubEvents: make([]int64, n),
-		perShard:  make([]shardNames, n),
+		engines:     opts.Engines,
+		detectors:   opts.Detectors,
+		reg:         opts.Registry,
+		gauges:      stream.NewGaugeNames(""),
+		shardEvents: make([]string, n),
+		pubEvents:   make([]int64, n),
 	}
-	for i := range r.perShard {
-		label := strconv.Itoa(i)
-		r.perShard[i] = shardNames{
-			events:     telemetry.Labeled("shard.events", "shard", label),
-			queueDepth: telemetry.Labeled("shard.queue_depth", "shard", label),
-		}
+	for i := range r.shardEvents {
+		r.shardEvents[i] = telemetry.Labeled("shard.events", "shard", strconv.Itoa(i))
 	}
 	r.scratch.New = func() any {
-		return &routeScratch{perShard: make([][]stream.Event, n), jobs: make([]*job, 0, n)}
+		return &routeScratch{
+			perShard: make([][]stream.Event, n),
+			applied:  make([]time.Duration, n),
+			errs:     make([]error, n),
+		}
 	}
 	if n > 1 {
 		opts.Registry.Collect("shard", r.Publish)
-		qlen := opts.QueueLen
-		if qlen <= 0 {
-			qlen = DefaultQueueLen
-		}
-		r.queues = make([]chan *job, n)
-		for i := range r.queues {
-			r.queues[i] = make(chan *job, qlen)
-			r.wg.Add(1)
-			go r.worker(i)
-		}
 	}
 	return r, nil
 }
@@ -183,19 +150,6 @@ func (r *Router) Shards() int { return len(r.engines) }
 // Engines exposes the shard engines (read-mostly: tests and recovery).
 func (r *Router) Engines() []*stream.Engine { return r.engines }
 
-// worker drains one shard's queue; each batch slice applies through the
-// engine's own group-commit path.
-func (r *Router) worker(i int) {
-	defer r.wg.Done()
-	for j := range r.queues[i] {
-		j.applied, j.err = r.engines[i].ApplyTimed(j.events)
-		if j.err != nil {
-			j.err = fmt.Errorf("shard %d: %w", i, j.err)
-		}
-		j.done <- struct{}{}
-	}
-}
-
 // shardOf hashes a machine key to its owning shard (FNV-1a mod N). The
 // empty key — events with no machine affinity — lands on shard 0.
 func (r *Router) shardOf(key model.MachineID) int {
@@ -210,9 +164,11 @@ func (r *Router) shardOf(key model.MachineID) int {
 	return int(h % uint32(len(r.engines)))
 }
 
+// routeScratch is one call's per-shard slices and results.
 type routeScratch struct {
 	perShard [][]stream.Event
-	jobs     []*job
+	applied  []time.Duration
+	errs     []error
 }
 
 // Apply routes one batch and waits for every shard to fold its slice in.
@@ -228,13 +184,11 @@ func (r *Router) Apply(events []stream.Event) error {
 // shard's error is returned (other shards may still have applied their
 // slices, matching the single engine's partial-apply-on-error semantics).
 func (r *Router) ApplyTimed(events []stream.Event) (time.Duration, error) {
+	if r.closed.Load() {
+		return 0, errClosed
+	}
 	if len(r.engines) == 1 {
 		return r.engines[0].ApplyTimed(events)
-	}
-	r.op.RLock()
-	defer r.op.RUnlock()
-	if r.closed {
-		return 0, fmt.Errorf("shard: router closed")
 	}
 
 	sc := r.scratch.Get().(*routeScratch)
@@ -274,32 +228,20 @@ func (r *Router) ApplyTimed(events []stream.Event) (time.Duration, error) {
 		}
 	}
 
-	for s := 0; s < n; s++ {
-		if len(sc.perShard[s]) == 0 {
-			continue
+	par.ForEach(n, n, func(s int) {
+		if len(sc.perShard[s]) > 0 {
+			sc.applied[s], sc.errs[s] = r.engines[s].ApplyTimed(sc.perShard[s])
 		}
-		j := jobPool.Get()
-		j.events = sc.perShard[s]
-		r.queues[s] <- j // full queue blocks: backpressure, never drop
-		sc.jobs = append(sc.jobs, j)
-	}
+	})
 	var applied time.Duration
 	var err error
-	for _, j := range sc.jobs {
-		<-j.done
-		if j.applied > applied {
-			applied = j.applied
-		}
-		if err == nil && j.err != nil {
-			err = j.err
-		}
-		jobPool.Put(j)
-	}
-
 	for s := range sc.perShard {
-		sc.perShard[s] = sc.perShard[s][:0]
+		applied = max(applied, sc.applied[s])
+		if err == nil && sc.errs[s] != nil {
+			err = fmt.Errorf("shard %d: %w", s, sc.errs[s])
+		}
+		sc.perShard[s], sc.applied[s], sc.errs[s] = sc.perShard[s][:0], 0, nil
 	}
-	sc.jobs = sc.jobs[:0]
 	r.scratch.Put(sc)
 	return applied, err
 }
@@ -310,10 +252,10 @@ func (r *Router) ApplyTimed(events []stream.Event) (time.Duration, error) {
 // the events, which no longer match the body, and applies them as
 // ApplyTimed does (durable mode runs one shard).
 func (r *Router) ApplyBatchTimed(b *stream.Batch) (time.Duration, error) {
-	if len(r.engines) == 1 {
-		return r.engines[0].ApplyBatchTimed(b)
+	if len(r.engines) > 1 || r.closed.Load() {
+		return r.ApplyTimed(b.Events)
 	}
-	return r.ApplyTimed(b.Events)
+	return r.engines[0].ApplyBatchTimed(b)
 }
 
 // keyOf is the event's routing key: the machine whose per-server state the
@@ -381,28 +323,18 @@ func (r *Router) Alerts() *detect.Snapshot {
 func (r *Router) Totals() stream.Totals {
 	var tot stream.Totals
 	for _, e := range r.engines {
-		t := e.Totals()
-		tot.Events += t.Events
-		tot.Tickets += t.Tickets
-		tot.CrashTickets += t.CrashTickets
-		tot.MonitorSamples += t.MonitorSamples
-		tot.DroppedOutOfWindow += t.DroppedOutOfWindow
-		tot.PredictDistances += t.PredictDistances
-		tot.PredictPruned += t.PredictPruned
-		tot.Machines += t.Machines
-		tot.Incidents += t.Incidents
-		if t.Watermark.After(tot.Watermark) {
-			tot.Watermark = t.Watermark
-		}
+		tot.Add(e.Totals())
 	}
 	return tot
 }
 
-// Publish pushes the shard.* families and, for multi-shard routers, the
-// fleet-aggregate gauges the shard engines leave to the coordinator. A
-// multi-shard router registers it as Options.Registry's collector, so it
-// runs whenever that registry is read; a passthrough router publishes
-// nothing (its engine owns the whole surface, exactly as before sharding).
+// Publish pushes, for multi-shard routers, the labeled shard.events
+// counters and the fleet sums of the families the shard engines leave to
+// the coordinator, each through its package's own publisher
+// (stream.Totals, monitordb.Footprint, detect.Totals). A multi-shard
+// router registers it as Options.Registry's collector, so it runs
+// whenever that registry is read; a passthrough router publishes nothing
+// (its engine owns the whole surface, exactly as before sharding).
 func (r *Router) Publish(reg *obs.Registry) {
 	if len(r.engines) == 1 || reg == nil {
 		return
@@ -410,92 +342,38 @@ func (r *Router) Publish(reg *obs.Registry) {
 	r.pub.Lock()
 	defer r.pub.Unlock()
 
-	for i, e := range r.engines {
-		if ev := e.Seq(); ev > r.pubEvents[i] {
-			reg.Add(r.perShard[i].events, ev-r.pubEvents[i])
-			r.pubEvents[i] = ev
-		}
-		reg.Set(r.perShard[i].queueDepth, float64(len(r.queues[i])))
-	}
-	tot := r.Totals()
-	reg.Set("stream.events", float64(tot.Events))
-	reg.Set("stream.tickets", float64(tot.Tickets))
-	reg.Set("stream.crash_tickets", float64(tot.CrashTickets))
-	reg.Set("stream.machines", float64(tot.Machines))
-	reg.Set("stream.incidents", float64(tot.Incidents))
-	reg.Set("stream.monitor_samples", float64(tot.MonitorSamples))
-	reg.Set("stream.dropped_out_of_window", float64(tot.DroppedOutOfWindow))
-	reg.Set("stream.predict_distances", float64(tot.PredictDistances))
-	reg.Set("stream.predict_distances_pruned", float64(tot.PredictPruned))
-	if !tot.Watermark.IsZero() {
-		reg.Set("stream.watermark_unix_seconds", float64(tot.Watermark.UnixNano())/1e9)
-	}
-
-	var bytes, grid, rows int64
+	var tot stream.Totals
+	var fp monitordb.Footprint
 	monitored := false
-	for _, e := range r.engines {
-		db := e.Monitor()
-		if db == nil {
-			continue
+	for i, e := range r.engines {
+		t := e.Totals()
+		if t.Events > r.pubEvents[i] {
+			reg.Add(r.shardEvents[i], t.Events-r.pubEvents[i])
+			r.pubEvents[i] = t.Events
 		}
-		monitored = true
-		fp := db.Footprint()
-		bytes += fp.Bytes
-		grid += int64(fp.GridSamples)
-		rows += int64(fp.RowSamples)
+		tot.Add(t)
+		if db := e.Monitor(); db != nil {
+			monitored = true
+			fp.Add(db.Footprint())
+		}
 	}
+	tot.Publish(reg, &r.gauges)
 	if monitored {
-		reg.Set("monitordb.series_bytes", float64(bytes))
-		reg.Set("monitordb.grid_samples", float64(grid))
-		reg.Set("monitordb.row_samples", float64(rows))
+		fp.Publish(reg)
 	}
-
-	if len(r.detectors) == len(r.engines) {
-		var dt detect.Totals
-		missing := false
-		for _, d := range r.detectors {
-			if d == nil {
-				missing = true
-				break
-			}
-			t := d.Totals()
-			dt.Raised += t.Raised
-			dt.RaisedAnomaly += t.RaisedAnomaly
-			dt.Confirmed += t.Confirmed
-			dt.Expired += t.Expired
-			dt.Active += t.Active
-			dt.Machines += t.Machines
-		}
-		if !missing {
-			reg.Set("detect.alerts_active", float64(dt.Active))
-			reg.Set("detect.machines", float64(dt.Machines))
-			if delta := dt.Raised - r.pubRaised; delta > 0 {
-				reg.Add("detect.alerts_raised", delta)
-				r.pubRaised = dt.Raised
-			}
-			if delta := dt.Confirmed + dt.Expired - r.pubClear; delta > 0 {
-				reg.Add("detect.alerts_cleared", delta)
-				r.pubClear = dt.Confirmed + dt.Expired
-			}
-			reg.Set("detect.alerts_confirmed", float64(dt.Confirmed))
-			reg.Set("detect.alerts_expired", float64(dt.Expired))
-			reg.Set("detect.alerts_raised_anomaly", float64(dt.RaisedAnomaly))
-		}
-	}
-}
-
-// Close stops the workers after draining the queues. Applies issued after
-// Close fail; Close is idempotent.
-func (r *Router) Close() {
-	r.op.Lock()
-	if r.closed {
-		r.op.Unlock()
+	if len(r.detectors) != len(r.engines) {
 		return
 	}
-	r.closed = true
-	for _, q := range r.queues {
-		close(q)
+	var dt detect.Totals
+	for _, d := range r.detectors {
+		if d == nil {
+			return
+		}
+		dt.Add(d.Totals())
 	}
-	r.op.Unlock()
-	r.wg.Wait()
+	dt.Publish(reg, &r.pubDetect)
 }
+
+// Close makes every later apply fail, at any shard count; an apply already
+// running completes. Close is idempotent.
+func (r *Router) Close() { r.closed.Store(true) }

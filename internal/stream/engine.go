@@ -172,7 +172,7 @@ type Engine struct {
 
 	// gauges caches the (possibly shard-labeled) metric names so a
 	// registry read never rebuilds labeled strings.
-	gauges gaugeNames
+	gauges GaugeNames
 
 	// applyM holds the group-commit path's metric handles, resolved by the
 	// first group (under mu), so the path takes no registry lock per group
@@ -270,22 +270,25 @@ func newEngineState(weeks int) engineState {
 	return st
 }
 
-// gaugeNames holds the engine's gauge family names, pre-labeled with
-// Config.GaugeLabel when one is set.
-type gaugeNames struct {
+// GaugeNames are the stream.* gauge family names Totals.Publish writes,
+// built once per publisher so a registry read never rebuilds labeled
+// strings.
+type GaugeNames struct {
 	events, tickets, crashTickets, machines, incidents    string
 	monitorSamples, dropped, distances, pruned, watermark string
 }
 
-func buildGaugeNames(label string) gaugeNames {
+// NewGaugeNames returns the stream.* gauge names, under a {shard="label"}
+// Prometheus label when label is non-empty.
+func NewGaugeNames(label string) GaugeNames {
 	name := func(base string) string {
 		if label == "" {
 			return base
 		}
 		return telemetry.Labeled(base, "shard", label)
 	}
-	return gaugeNames{
-		events:         name("stream.events"),
+	return GaugeNames{
+		events:         name(SeqGauge),
 		tickets:        name("stream.tickets"),
 		crashTickets:   name("stream.crash_tickets"),
 		machines:       name("stream.machines"),
@@ -310,7 +313,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:         cfg,
 		win:         cfg.Observation,
 		engineState: newEngineState(cfg.Observation.NumWeeks()),
-		gauges:      buildGaugeNames(cfg.GaugeLabel),
+		gauges:      NewGaugeNames(cfg.GaugeLabel),
 	}
 	if cfg.MonitorRetention > 0 {
 		e.monitor = monitordb.New(cfg.MonitorEpoch, cfg.MonitorRetention)
@@ -384,6 +387,22 @@ var applyReqPool = mempool.New("stream.applyreq", 64,
 	func(r *applyReq) *applyReq { r.events, r.wire, r.applied, r.err = nil, nil, 0, nil; return r },
 )
 
+// SeqGauge is the gauge an unlabeled engine publishes its sequence (Seq)
+// as, and a shard router the fleet's.
+const SeqGauge = "stream.events"
+
+// stateLockMetric is WriteState's lock-hold histogram.
+const stateLockMetric = "stream.state_lock_ms"
+
+// MetricHelp is the /metrics HELP text of the stream.* families that have
+// one beyond the generated line.
+var MetricHelp = map[string]string{
+	SeqGauge:                        "events applied by the streaming engine",
+	"stream.apply_ms":               "engine batch-apply latency in milliseconds",
+	stateLockMetric:                 "milliseconds a state image (checkpoint) held the engine lock (ingest waits behind it)",
+	"stream.watermark_unix_seconds": "engine event-time watermark as a unix timestamp",
+}
+
 // applyBucketsMS are the engine-apply latency histogram bounds, in
 // milliseconds.
 var applyBucketsMS = []float64{0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000}
@@ -402,13 +421,13 @@ func (e *Engine) applyBatchLocked(events []Event) error {
 // Apply folds one ordered event batch into the engine's state through
 // leader-based group commit: the first caller to arrive takes e.mu once,
 // applies its own batch plus every batch that concurrent callers enqueue
-// while it holds the lock, then runs one watermark advance (and, with a
-// journal, one sync) for the whole group. Under concurrent ingest this
-// amortizes the per-batch fixed costs (lock handoff, expiry and eviction
-// checks) across the group; a lone caller is a group of one. Statistics
-// are identical either way — applyLocked runs per event in arrival order
-// regardless of grouping. On error the batch's events before the failing
-// one stay applied.
+// while it holds the lock, then runs one monitoring-window advance (and,
+// with a journal, one sync) for the whole group. Under concurrent ingest
+// this amortizes the per-batch fixed costs (lock handoff, eviction checks)
+// across the group; a lone caller is a group of one. Statistics and
+// detector state are identical either way — applyLocked runs per event in
+// arrival order regardless of grouping, alert expiry included. On error
+// the batch's events before the failing one stay applied.
 func (e *Engine) Apply(events []Event) error {
 	_, err := e.applyGrouped(events, nil)
 	return err
@@ -433,9 +452,9 @@ func (e *Engine) ApplyBatchTimed(b *Batch) (time.Duration, error) {
 }
 
 func (e *Engine) applyGrouped(events []Event, wire []byte) (time.Duration, error) {
-	req := applyReqPool.Get()
 	e.qmu.Lock()
 	if e.leading {
+		req := applyReqPool.Get()
 		req.events, req.wire = events, wire
 		e.queue = append(e.queue, req)
 		e.qmu.Unlock()
@@ -446,7 +465,6 @@ func (e *Engine) applyGrouped(events []Event, wire []byte) (time.Duration, error
 	}
 	e.leading = true
 	e.qmu.Unlock()
-	applyReqPool.Put(req) // the leader never parks, it doesn't need one
 
 	e.mu.Lock()
 	am := e.applyMetricsLocked()
@@ -535,19 +553,7 @@ func (e *Engine) publish(m *obs.Registry) {
 	t := e.totalsLocked()
 	db := e.monitor // RestoreState swaps it under mu
 	e.mu.Unlock()
-	g := &e.gauges
-	m.Set(g.events, float64(t.Events))
-	m.Set(g.tickets, float64(t.Tickets))
-	m.Set(g.crashTickets, float64(t.CrashTickets))
-	m.Set(g.machines, float64(t.Machines))
-	m.Set(g.incidents, float64(t.Incidents))
-	m.Set(g.monitorSamples, float64(t.MonitorSamples))
-	m.Set(g.dropped, float64(t.DroppedOutOfWindow))
-	m.Set(g.distances, float64(t.PredictDistances))
-	m.Set(g.pruned, float64(t.PredictPruned))
-	if !t.Watermark.IsZero() {
-		m.Set(g.watermark, float64(t.Watermark.UnixNano())/1e9)
-	}
+	t.Publish(m, &e.gauges)
 	if e.cfg.GaugeLabel != "" {
 		return // a shard coordinator publishes the fleet-wide families
 	}
@@ -583,15 +589,11 @@ func (e *Engine) ensureMonitorWindowLocked(t time.Time) {
 	_, e.monitorEnd = e.monitor.Window()
 }
 
-// advanceLocked moves the detector's clock to the stream watermark,
-// expiring elapsed alerts, and slides the monitoring store's retention
-// window up to it, evicting expired records. The store call is skipped
+// advanceLocked slides the monitoring store's retention window up to the
+// stream watermark, evicting expired records. The store call is skipped
 // while the watermark is inside the window: monitorEnd is kept equal to
 // the store's window end, and Advance is a no-op there.
 func (e *Engine) advanceLocked() {
-	if e.cfg.Detector != nil && !e.watermark.IsZero() {
-		e.cfg.Detector.Advance(e.watermark)
-	}
 	if e.monitor == nil || !e.watermark.After(e.monitorEnd) {
 		return
 	}
@@ -613,6 +615,12 @@ func (e *Engine) applyLocked(ev *Event) error {
 	}
 	if t := ev.When(); t.After(e.watermark) {
 		e.watermark = t
+		// Expire before the event is observed: an alert whose deadline
+		// the stream has passed must not block a raise, however the
+		// stream was cut into batches and commit groups.
+		if d := e.cfg.Detector; d != nil && d.Due(t) {
+			d.Expire(t)
+		}
 	}
 	switch ev.Type {
 	case "machine":
@@ -670,7 +678,12 @@ func (e *Engine) applyLocked(ev *Event) error {
 		}
 		return nil
 	case "advance":
-		return nil // watermark already taken above
+		// The watermark is already taken above; the heartbeat moves the
+		// detector's clock too, on every shard it is broadcast to.
+		if e.cfg.Detector != nil && !e.watermark.IsZero() {
+			e.cfg.Detector.Advance(e.watermark)
+		}
+		return nil
 	default:
 		return fmt.Errorf("unknown event type %q", ev.Type)
 	}
@@ -966,9 +979,8 @@ func (e *Engine) Seq() int64 {
 }
 
 // Totals is a cheap counter snapshot: the values the engine's collector
-// publishes as its stream.* gauges, and a shard coordinator sums (or maxes,
-// for the watermark) into fleet-wide ones, without assembling a full
-// Snapshot.
+// publishes as its stream.* gauges, and a shard coordinator sums (Add) into
+// fleet-wide ones, without assembling a full Snapshot.
 type Totals struct {
 	Events             int64
 	Tickets            int64
@@ -1001,5 +1013,38 @@ func (e *Engine) totalsLocked() Totals {
 		Machines:           e.ownedLocked(),
 		Incidents:          e.incidents,
 		Watermark:          e.watermark,
+	}
+}
+
+// Add sums u's counters into t; the watermark becomes the later of the two.
+func (t *Totals) Add(u Totals) {
+	t.Events += u.Events
+	t.Tickets += u.Tickets
+	t.CrashTickets += u.CrashTickets
+	t.MonitorSamples += u.MonitorSamples
+	t.DroppedOutOfWindow += u.DroppedOutOfWindow
+	t.PredictDistances += u.PredictDistances
+	t.PredictPruned += u.PredictPruned
+	t.Machines += u.Machines
+	t.Incidents += u.Incidents
+	if u.Watermark.After(t.Watermark) {
+		t.Watermark = u.Watermark
+	}
+}
+
+// Publish sets the stream.* gauges under g's names from t (the watermark
+// only once there is one).
+func (t Totals) Publish(r *obs.Registry, g *GaugeNames) {
+	r.Set(g.events, float64(t.Events))
+	r.Set(g.tickets, float64(t.Tickets))
+	r.Set(g.crashTickets, float64(t.CrashTickets))
+	r.Set(g.machines, float64(t.Machines))
+	r.Set(g.incidents, float64(t.Incidents))
+	r.Set(g.monitorSamples, float64(t.MonitorSamples))
+	r.Set(g.dropped, float64(t.DroppedOutOfWindow))
+	r.Set(g.distances, float64(t.PredictDistances))
+	r.Set(g.pruned, float64(t.PredictPruned))
+	if !t.Watermark.IsZero() {
+		r.Set(g.watermark, float64(t.Watermark.UnixNano())/1e9)
 	}
 }

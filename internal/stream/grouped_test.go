@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"failscope/internal/detect"
 	"failscope/internal/mempool"
 	"failscope/internal/model"
 	"failscope/internal/monitordb"
@@ -22,34 +23,46 @@ func groupedTestConfig(t *testing.T) Config {
 	return Config{Observation: model.Window{Start: start, End: start.AddDate(1, 0, 0)}}
 }
 
-// TestApplyBatchingInvariant replays the same event stream as 512-event
-// Apply calls and as one Apply of the whole stream and requires identical
-// state images: how a caller batches the stream, and so how many groups
-// it commits in, must not change the statistics.
+// TestApplyBatchingInvariant replays the same event stream as 1-, 512-
+// and 5,000-event Apply calls and as one Apply of the whole stream, with
+// and without a detector, and requires identical state images: how a
+// caller batches the stream, and so how many groups it commits in, must
+// not change the statistics or the detector's alerts.
 func TestApplyBatchingInvariant(t *testing.T) {
 	field, _, _ := smallBatch(t)
 	events := EventsFromField(field.Data, field.Tickets, field.Monitor)
 
-	image := func(batch int) []byte {
-		eng, err := NewEngine(groupedTestConfig(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for lo := 0; lo < len(events); lo += batch {
-			if err := eng.Apply(events[lo:min(lo+batch, len(events))]); err != nil {
-				t.Fatal(err)
+	for _, detected := range []bool{false, true} {
+		t.Run(fmt.Sprintf("detector=%v", detected), func(t *testing.T) {
+			image := func(batch int) []byte {
+				cfg := groupedTestConfig(t)
+				if detected {
+					cfg.Detector = detect.New(detect.Config{})
+				}
+				eng, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for lo := 0; lo < len(events); lo += batch {
+					if err := eng.Apply(events[lo:min(lo+batch, len(events))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var img bytes.Buffer
+				if _, err := eng.WriteState(&img); err != nil {
+					t.Fatal(err)
+				}
+				return img.Bytes()
 			}
-		}
-		var img bytes.Buffer
-		if _, err := eng.WriteState(&img); err != nil {
-			t.Fatal(err)
-		}
-		return img.Bytes()
-	}
 
-	whole := image(len(events))
-	if batched := image(512); !bytes.Equal(batched, whole) {
-		t.Fatalf("state images diverge: %d bytes in 512-event batches, %d in one batch", len(batched), len(whole))
+			whole := image(len(events))
+			for _, batch := range []int{1, 512, 5000} {
+				if got := image(batch); !bytes.Equal(got, whole) {
+					t.Errorf("state images diverge: %d bytes in %d-event batches, %d in one batch",
+						len(got), batch, len(whole))
+				}
+			}
+		})
 	}
 }
 

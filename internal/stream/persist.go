@@ -85,7 +85,7 @@ func (e *Engine) WriteState(w io.Writer) (int64, error) {
 		d.WriteState(bw)
 	}
 	err := bw.Flush()
-	e.cfg.Observer.Metrics().Histogram("stream.state_lock_ms", stateLockBucketsMS...).
+	e.cfg.Observer.Metrics().Histogram(stateLockMetric, stateLockBucketsMS...).
 		Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 	if err != nil {
 		return 0, fmt.Errorf("stream: write state: %w", err)

@@ -27,16 +27,12 @@ func benchKMeansInput(b *testing.B) ([]SparseVector, int) {
 	return benchVectors.vecs, benchVectors.dim
 }
 
-func benchKMeansRun(b *testing.B, prune bool) {
+func benchKMeansRun(b *testing.B, run func(vecs []SparseVector, dim int) *KMeansResult) {
 	vecs, dim := benchKMeansInput(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := kmeansRun(vecs, dim, 32, 40, xrand.New(5), 1, nil, prune)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Centroids) != 32 {
+		if res := run(vecs, dim); len(res.Centroids) != 32 {
 			b.Fatalf("got %d centroids", len(res.Centroids))
 		}
 	}
@@ -44,7 +40,19 @@ func benchKMeansRun(b *testing.B, prune bool) {
 
 // BenchmarkKMeans_Exact is the exhaustive-scan baseline the pruned kernel
 // is held against (same vectors, seed and sweep budget).
-func BenchmarkKMeans_Exact(b *testing.B) { benchKMeansRun(b, false) }
+func BenchmarkKMeans_Exact(b *testing.B) {
+	benchKMeansRun(b, func(vecs []SparseVector, dim int) *KMeansResult {
+		return exactKMeans(vecs, dim, 32, 40, xrand.New(5), 1)
+	})
+}
 
 // BenchmarkKMeans_Pruned runs the production Hamerly-style bounded kernel.
-func BenchmarkKMeans_Pruned(b *testing.B) { benchKMeansRun(b, true) }
+func BenchmarkKMeans_Pruned(b *testing.B) {
+	benchKMeansRun(b, func(vecs []SparseVector, dim int) *KMeansResult {
+		res, err := KMeans(vecs, dim, 32, 40, xrand.New(5), 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	})
+}

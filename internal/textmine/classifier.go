@@ -87,7 +87,7 @@ func Train(texts []string, labels []int, opts TrainOptions, r *xrand.RNG) (*Clas
 	if k > len(vectors) {
 		k = len(vectors)
 	}
-	res, err := KMeansObserved(vectors, vocab.Size(), k, opts.MaxIter, r, opts.Parallelism, o)
+	res, err := KMeans(vectors, vocab.Size(), k, opts.MaxIter, r, opts.Parallelism, o)
 	if err != nil {
 		return nil, err
 	}

@@ -20,27 +20,6 @@ type KMeansResult struct {
 	Iterations  int
 }
 
-// KMeans clusters unit-normalized sparse vectors into k clusters using
-// k-means++ seeding and Lloyd iterations. Because the vectors are unit
-// length, squared Euclidean distance is 2 − 2·cosine, so this is spherical
-// k-means in effect — the standard choice for TF-IDF ticket text.
-//
-// KMeans is the sequential reference; KMeansParallel produces the same
-// result bit for bit at any worker count.
-func KMeans(vectors []SparseVector, dim, k, maxIter int, r *xrand.RNG) (*KMeansResult, error) {
-	return KMeansParallel(vectors, dim, k, maxIter, r, 1)
-}
-
-// KMeansParallel is KMeans with the assignment step (the O(n·k·nnz) bulk of
-// the work) and the k-means++ D² update fanned out over parallelism workers.
-// Documents are partitioned into fixed par.BlockSize blocks regardless of
-// worker count and the per-block inertia partials are merged in block
-// order, so the float arithmetic — and therefore every assignment, centroid
-// and the RNG draw sequence — is identical to the sequential path.
-func KMeansParallel(vectors []SparseVector, dim, k, maxIter int, r *xrand.RNG, parallelism int) (*KMeansResult, error) {
-	return KMeansObserved(vectors, dim, k, maxIter, r, parallelism, nil)
-}
-
 // boundEps is the absolute safety margin the distance-bound pruning keeps
 // between a bound and the exact distance it compares against. Distances on
 // the unit sphere lie in [0, 2] (squared in [0, 4]) and their float64
@@ -48,23 +27,29 @@ func KMeansParallel(vectors []SparseVector, dim, k, maxIter int, r *xrand.RNG, p
 // decision unambiguous: a centroid is only skipped when it is provably
 // farther than the incumbent by more than any possible rounding noise, and
 // genuine near-ties fall through to the exact scan. This is what keeps the
-// pruned kernels bit-identical to the exhaustive ones.
+// pruned kernel bit-identical to an exhaustive one.
 const boundEps = 1e-6
 
-// KMeansObserved is KMeansParallel with stage observability: the k-means++
-// seeding and the Lloyd sweeps record spans (pool busy time, iteration
-// counts) and convergence metrics on o. Observation reads the clock only —
-// never the RNG — so the clustering is bit-identical to KMeansParallel.
-func KMeansObserved(vectors []SparseVector, dim, k, maxIter int, r *xrand.RNG, parallelism int, o *obs.Observer) (*KMeansResult, error) {
-	return kmeansRun(vectors, dim, k, maxIter, r, parallelism, o, true)
-}
-
-// kmeansRun is the shared Lloyd implementation. With prune set, assignment
-// sweeps use Hamerly-style bounds (see below) to skip full centroid scans;
-// the pruned path computes the exact same float expressions whenever a
-// distance is actually evaluated, so the result is bit-identical either
-// way (TestKMeansPrunedMatchesExact holds the two paths together).
-func kmeansRun(vectors []SparseVector, dim, k, maxIter int, r *xrand.RNG, parallelism int, o *obs.Observer, prune bool) (*KMeansResult, error) {
+// KMeans clusters unit-normalized sparse vectors into k clusters using
+// k-means++ seeding and Lloyd iterations. Because the vectors are unit
+// length, squared Euclidean distance is 2 − 2·cosine, so this is spherical
+// k-means in effect — the standard choice for TF-IDF ticket text.
+//
+// The assignment step (the O(n·k·nnz) bulk of the work) and the k-means++
+// D² update fan out over parallelism workers. Documents are partitioned
+// into fixed par.BlockSize blocks regardless of worker count and the
+// per-block inertia partials are merged in block order, so the float
+// arithmetic — and therefore every assignment, centroid and the RNG draw
+// sequence — is identical at any worker count.
+//
+// Assignment sweeps use Hamerly-style bounds (see below) to skip full
+// centroid scans; whenever a distance is actually evaluated it is the
+// exact float expression an exhaustive scan computes, so the result is
+// bit-identical to one (TestKMeansPrunedMatchesExact holds the kernel to
+// an exhaustive reference). With o set, the seeding and the Lloyd sweeps
+// record spans (pool busy time, iteration counts) and convergence metrics;
+// observation reads the clock only, never the RNG.
+func KMeans(vectors []SparseVector, dim, k, maxIter int, r *xrand.RNG, parallelism int, o *obs.Observer) (*KMeansResult, error) {
 	n := len(vectors)
 	if n == 0 {
 		return nil, ErrNoData
@@ -114,10 +99,10 @@ func kmeansRun(vectors []SparseVector, dim, k, maxIter int, r *xrand.RNG, parall
 	// dirty tracks which centroids gained or lost a member in the last
 	// sweep (per block during the sweep, merged after). A clean centroid's
 	// member set is unchanged, so its sum, count, mean and squared norm
-	// would all recompute to the same bits — the pruned path skips them and
+	// would all recompute to the same bits — the kernel skips them and
 	// rebuilds only dirty centroids, turning the O(n·nnz + k·dim) recompute
 	// into work proportional to how much actually changed. Empty centroids
-	// stay dirty every iteration because the reference path redraws their
+	// stay dirty every iteration because an exhaustive pass redraws their
 	// reseed from the RNG each time.
 	// cT is the centroid matrix transposed (feature-major, cT[j*k+c] =
 	// centroids[c][j]). A full scan then walks the document's features once
@@ -127,30 +112,20 @@ func kmeansRun(vectors []SparseVector, dim, k, maxIter int, r *xrand.RNG, parall
 	// SparseVector.Dot uses — so every distance comes out bit-identical.
 	// blockAcc gives each block its own k accumulators.
 	var (
-		prev       []float64 // previous centroids, for drift; k*dim
-		lastD      []float64
-		lastDValid []bool
-		cMoved     []bool
-		dirty      []bool
-		blockDirty []bool // nb*k, block b owns blockDirty[b*k : (b+1)*k]
-		cT         []float64
-		blockAcc   []float64 // nb*k, block b owns blockAcc[b*k : (b+1)*k]
-	)
-	if prune {
-		prev = make([]float64, k*dim)
-		lastD = make([]float64, n)
+		prev       = make([]float64, k*dim) // previous centroids, for drift
+		lastD      = make([]float64, n)
 		lastDValid = make([]bool, n)
-		cMoved = make([]bool, k)
-		dirty = make([]bool, k)
-		blockDirty = make([]bool, nb*k)
-		cT = make([]float64, dim*k)
-		for j := 0; j < dim; j++ {
-			col := cT[j*k : j*k+k]
-			for c := range centroids {
-				col[c] = centroids[c][j]
-			}
+		cMoved     = make([]bool, k)
+		dirty      = make([]bool, k)
+		blockDirty = make([]bool, nb*k) // block b owns blockDirty[b*k : (b+1)*k]
+		cT         = make([]float64, dim*k)
+		blockAcc   = make([]float64, nb*k) // block b owns blockAcc[b*k : (b+1)*k]
+	)
+	for j := 0; j < dim; j++ {
+		col := cT[j*k : j*k+k]
+		for c := range centroids {
+			col[c] = centroids[c][j]
 		}
-		blockAcc = make([]float64, nb*k)
 	}
 
 	// One closure for every sweep (instead of one per iteration) keeps the
@@ -161,72 +136,54 @@ func kmeansRun(vectors []SparseVector, dim, k, maxIter int, r *xrand.RNG, parall
 		nDist, nPruned := int64(0), int64(0)
 		for i := lo; i < hi; i++ {
 			vec := vectors[i]
-			if prune {
-				if a := assign[i]; a >= 0 {
-					var dA float64
-					if lastDValid[i] {
-						dA = lastD[i]
-						nPruned++
-					} else {
-						// ||x - c||^2 = ||x||^2 + ||c||^2 - 2 x·c, ||x|| = 1.
-						dA = 1 + cNorm2[a] - 2*vec.Dot(centroids[a])
-						nDist++
-						lastD[i] = dA
-						lastDValid[i] = true
-					}
-					if math.Sqrt(math.Max(dA, 0))+boundEps < lb[i] {
-						nPruned += int64(k - 1)
-						partial += dA
-						continue
-					}
+			if a := assign[i]; a >= 0 {
+				var dA float64
+				if lastDValid[i] {
+					dA = lastD[i]
+					nPruned++
+				} else {
+					// ||x - c||^2 = ||x||^2 + ||c||^2 - 2 x·c, ||x|| = 1.
+					dA = 1 + cNorm2[a] - 2*vec.Dot(centroids[a])
+					nDist++
+					lastD[i] = dA
+					lastDValid[i] = true
+				}
+				if math.Sqrt(math.Max(dA, 0))+boundEps < lb[i] {
+					nPruned += int64(k - 1)
+					partial += dA
+					continue
+				}
+			}
+			acc := blockAcc[b*k : (b+1)*k]
+			for c := range acc {
+				acc[c] = 0
+			}
+			for fi, idx := range vec.Idx {
+				v := vec.Val[fi]
+				col := cT[idx*k : idx*k+k]
+				for c := range col {
+					acc[c] += v * col[c]
 				}
 			}
 			best, bestDist, secondDist := -1, math.Inf(1), math.Inf(1)
-			if prune {
-				acc := blockAcc[b*k : (b+1)*k]
-				for c := range acc {
-					acc[c] = 0
-				}
-				for fi, idx := range vec.Idx {
-					v := vec.Val[fi]
-					col := cT[idx*k : idx*k+k]
-					for c := range col {
-						acc[c] += v * col[c]
-					}
-				}
-				for c := range acc {
-					d := 1 + cNorm2[c] - 2*acc[c]
-					if d < bestDist {
-						secondDist = bestDist
-						best, bestDist = c, d
-					} else if d < secondDist {
-						secondDist = d
-					}
-				}
-			} else {
-				for c := range centroids {
-					d := 1 + cNorm2[c] - 2*vec.Dot(centroids[c])
-					if d < bestDist {
-						secondDist = bestDist
-						best, bestDist = c, d
-					} else if d < secondDist {
-						secondDist = d
-					}
+			for c := range acc {
+				d := 1 + cNorm2[c] - 2*acc[c]
+				if d < bestDist {
+					secondDist = bestDist
+					best, bestDist = c, d
+				} else if d < secondDist {
+					secondDist = d
 				}
 			}
 			nDist += int64(k)
 			lb[i] = math.Sqrt(math.Max(secondDist, 0))
-			if prune {
-				lastD[i] = bestDist
-				lastDValid[i] = true
-			}
+			lastD[i] = bestDist
+			lastDValid[i] = true
 			if assign[i] != best {
-				if prune {
-					if a := assign[i]; a >= 0 {
-						blockDirty[b*k+a] = true
-					}
-					blockDirty[b*k+best] = true
+				if a := assign[i]; a >= 0 {
+					blockDirty[b*k+a] = true
 				}
+				blockDirty[b*k+best] = true
 				assign[i] = best
 				changed = true
 			}
@@ -244,7 +201,7 @@ func kmeansRun(vectors []SparseVector, dim, k, maxIter int, r *xrand.RNG, parall
 	iter := 0
 	for ; iter < maxIter; iter++ {
 		for c := range centroids {
-			if prune && iter > 0 && !dirty[c] {
+			if iter > 0 && !dirty[c] {
 				continue // unchanged centroid: same bits, same norm
 			}
 			cNorm2[c] = 0
@@ -265,132 +222,104 @@ func kmeansRun(vectors []SparseVector, dim, k, maxIter int, r *xrand.RNG, parall
 			break
 		}
 		// Recompute centroids. Sequential: a factor k cheaper than the
-		// assignment sweep and trivially deterministic this way. The pruned
-		// path rebuilds only dirty centroids — the member sums accumulate in
+		// assignment sweep and trivially deterministic this way. Only
+		// dirty centroids are rebuilt — the member sums accumulate in
 		// document index order either way, so a rebuilt centroid gets the
-		// same bits the full pass would give it, and a skipped one keeps
-		// them. Empty clusters always rebuild because the reference path
+		// same bits a full pass would give it, and a skipped one keeps
+		// them. Empty clusters always rebuild because an exhaustive pass
 		// redraws their reseed each iteration (same RNG sequence).
-		if prune {
-			for c := range dirty {
-				dirty[c] = counts[c] == 0
-			}
-			for b := 0; b < nb; b++ {
-				row := blockDirty[b*k : (b+1)*k]
-				for c, d := range row {
-					if d {
-						dirty[c] = true
-						row[c] = false
-					}
-				}
-			}
-			for c := range centroids {
-				if !dirty[c] {
-					continue
-				}
-				copy(prev[c*dim:(c+1)*dim], centroids[c])
-				counts[c] = 0
-				for j := range centroids[c] {
-					centroids[c][j] = 0
-				}
-			}
-			for i, vec := range vectors {
-				if a := assign[i]; dirty[a] {
-					vec.AddTo(centroids[a])
-					counts[a]++
-				}
-			}
-			for c := range centroids {
-				if !dirty[c] {
-					continue
-				}
-				if counts[c] == 0 {
-					// Re-seed an empty cluster at a random document.
-					copyInto(centroids[c], vectors[r.Intn(n)])
-					continue
-				}
-				inv := 1 / float64(counts[c])
-				for j := range centroids[c] {
-					centroids[c][j] *= inv
-				}
-			}
-			// Refresh the transposed matrix feature-major: the writes land
-			// in each feature's k-slab and the reads stream one row per
-			// dirty centroid, instead of a stride-k write per coordinate.
-			for j := 0; j < dim; j++ {
-				col := cT[j*k : j*k+k]
-				for c := range centroids {
-					if dirty[c] {
-						col[c] = centroids[c][j]
-					}
-				}
-			}
-		} else {
-			for c := range counts {
-				counts[c] = 0
-			}
-			for c := range centroids {
-				for j := range centroids[c] {
-					centroids[c][j] = 0
-				}
-			}
-			for i, vec := range vectors {
-				vec.AddTo(centroids[assign[i]])
-				counts[assign[i]]++
-			}
-			for c := range centroids {
-				if counts[c] == 0 {
-					// Re-seed an empty cluster at a random document.
-					copyInto(centroids[c], vectors[r.Intn(n)])
-					continue
-				}
-				inv := 1 / float64(counts[c])
-				for j := range centroids[c] {
-					centroids[c][j] *= inv
+		for c := range dirty {
+			dirty[c] = counts[c] == 0
+		}
+		for b := 0; b < nb; b++ {
+			row := blockDirty[b*k : (b+1)*k]
+			for c, d := range row {
+				if d {
+					dirty[c] = true
+					row[c] = false
 				}
 			}
 		}
-		if prune {
-			// Every lower bound loses at most the largest distance any
-			// centroid just moved; an empty-cluster reseed simply shows up
-			// as a large drift and disables pruning until bounds tighten.
-			// The same pass flags which centroids moved at all, which is
-			// what invalidates the cached assigned-centroid distances.
-			maxDrift := 0.0
-			anyMoved := false
+		for c := range centroids {
+			if !dirty[c] {
+				continue
+			}
+			copy(prev[c*dim:(c+1)*dim], centroids[c])
+			counts[c] = 0
+			for j := range centroids[c] {
+				centroids[c][j] = 0
+			}
+		}
+		for i, vec := range vectors {
+			if a := assign[i]; dirty[a] {
+				vec.AddTo(centroids[a])
+				counts[a]++
+			}
+		}
+		for c := range centroids {
+			if !dirty[c] {
+				continue
+			}
+			if counts[c] == 0 {
+				// Re-seed an empty cluster at a random document.
+				copyInto(centroids[c], vectors[r.Intn(n)])
+				continue
+			}
+			inv := 1 / float64(counts[c])
+			for j := range centroids[c] {
+				centroids[c][j] *= inv
+			}
+		}
+		// Refresh the transposed matrix feature-major: the writes land in
+		// each feature's k-slab and the reads stream one row per dirty
+		// centroid, instead of a stride-k write per coordinate.
+		for j := 0; j < dim; j++ {
+			col := cT[j*k : j*k+k]
 			for c := range centroids {
-				if !dirty[c] {
-					cMoved[c] = false // skipped rebuild: identical bits
-					continue
-				}
-				ss := 0.0
-				moved := false
-				old := prev[c*dim : (c+1)*dim]
-				for j, v := range centroids[c] {
-					dv := v - old[j]
-					if dv != 0 {
-						moved = true
-					}
-					ss += dv * dv
-				}
-				cMoved[c] = moved
-				if moved {
-					anyMoved = true
-				}
-				if d := math.Sqrt(ss); d > maxDrift {
-					maxDrift = d
+				if dirty[c] {
+					col[c] = centroids[c][j]
 				}
 			}
-			if maxDrift > 0 {
-				for i := range lb {
-					lb[i] -= maxDrift
-				}
+		}
+		// Every lower bound loses at most the largest distance any
+		// centroid just moved; an empty-cluster reseed simply shows up as
+		// a large drift and disables pruning until bounds tighten. The
+		// same pass flags which centroids moved at all, which is what
+		// invalidates the cached assigned-centroid distances.
+		maxDrift := 0.0
+		anyMoved := false
+		for c := range centroids {
+			if !dirty[c] {
+				cMoved[c] = false // skipped rebuild: identical bits
+				continue
 			}
-			if anyMoved {
-				for i, a := range assign {
-					if cMoved[a] {
-						lastDValid[i] = false
-					}
+			ss := 0.0
+			moved := false
+			old := prev[c*dim : (c+1)*dim]
+			for j, v := range centroids[c] {
+				dv := v - old[j]
+				if dv != 0 {
+					moved = true
+				}
+				ss += dv * dv
+			}
+			cMoved[c] = moved
+			if moved {
+				anyMoved = true
+			}
+			if d := math.Sqrt(ss); d > maxDrift {
+				maxDrift = d
+			}
+		}
+		if maxDrift > 0 {
+			for i := range lb {
+				lb[i] -= maxDrift
+			}
+		}
+		if anyMoved {
+			for i, a := range assign {
+				if cMoved[a] {
+					lastDValid[i] = false
 				}
 			}
 		}

@@ -43,12 +43,12 @@ func TestKMeansParallelMatchesSequential(t *testing.T) {
 		vectors[i] = vocab.Vectorize(d)
 	}
 
-	ref, err := KMeans(vectors, vocab.Size(), 8, 40, xrand.New(5))
+	ref, err := KMeans(vectors, vocab.Size(), 8, 40, xrand.New(5), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0), 0} {
-		got, err := KMeansParallel(vectors, vocab.Size(), 8, 40, xrand.New(5), workers)
+		got, err := KMeans(vectors, vocab.Size(), 8, 40, xrand.New(5), workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

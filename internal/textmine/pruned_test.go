@@ -1,18 +1,95 @@
 package textmine
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"failscope/internal/obs"
+	"failscope/internal/par"
 	"failscope/internal/xrand"
 )
 
+// exactKMeans is the exhaustive Lloyd reference the pruned kernel is held
+// to: the same k-means++ seeding, every document scanned against every
+// centroid with SparseVector.Dot each sweep, every centroid rebuilt each
+// iteration, and the per-block inertia partials merged in block order.
+func exactKMeans(vectors []SparseVector, dim, k, maxIter int, r *xrand.RNG, parallelism int) *KMeansResult {
+	n := len(vectors)
+	centroids := seedPlusPlus(vectors, dim, k, r, parallelism, nil)
+	assign := make([]int, n)
+	for i := range assign {
+		assign[i] = -1
+	}
+	cNorm2 := make([]float64, k)
+	counts := make([]int, k)
+	nb := par.Blocks(n)
+	blockInertia := make([]float64, nb)
+	blockChanged := make([]bool, nb)
+	sweep := func(b, lo, hi int) {
+		partial, changed := 0.0, false
+		for i := lo; i < hi; i++ {
+			best, bestDist := -1, math.Inf(1)
+			for c := range centroids {
+				if d := 1 + cNorm2[c] - 2*vectors[i].Dot(centroids[c]); d < bestDist {
+					best, bestDist = c, d
+				}
+			}
+			if assign[i] != best {
+				assign[i] = best
+				changed = true
+			}
+			partial += bestDist
+		}
+		blockInertia[b], blockChanged[b] = partial, changed
+	}
+	var inertia float64
+	iter := 0
+	for ; iter < maxIter; iter++ {
+		for c := range centroids {
+			cNorm2[c] = 0
+			for _, v := range centroids[c] {
+				cNorm2[c] += v * v
+			}
+		}
+		par.ForEachBlock(parallelism, n, sweep)
+		inertia = 0
+		changed := false
+		for b := 0; b < nb; b++ {
+			inertia += blockInertia[b]
+			changed = changed || blockChanged[b]
+		}
+		if !changed {
+			break
+		}
+		for c := range centroids {
+			counts[c] = 0
+			for j := range centroids[c] {
+				centroids[c][j] = 0
+			}
+		}
+		for i, vec := range vectors {
+			vec.AddTo(centroids[assign[i]])
+			counts[assign[i]]++
+		}
+		for c := range centroids {
+			if counts[c] == 0 {
+				copyInto(centroids[c], vectors[r.Intn(n)])
+				continue
+			}
+			inv := 1 / float64(counts[c])
+			for j := range centroids[c] {
+				centroids[c][j] *= inv
+			}
+		}
+	}
+	return &KMeansResult{Assignments: assign, Centroids: centroids, Inertia: inertia, Iterations: iter}
+}
+
 // TestKMeansPrunedMatchesExact is the guard on the Hamerly-style bound
-// pruning: the production path (pruning on) must reproduce the exhaustive
-// scan bit for bit — assignments, centroids, inertia, iteration count and
-// the RNG draw sequence (checked implicitly through reseeds) — while
-// actually skipping a meaningful share of distance evaluations.
+// pruning: the production kernel must reproduce the exhaustive reference
+// bit for bit — assignments, centroids, inertia, iteration count and the
+// RNG draw sequence (checked implicitly through reseeds).
 func TestKMeansPrunedMatchesExact(t *testing.T) {
 	docs := clusterCorpus(1100)
 	vocab := BuildVocabulary(docs, 1)
@@ -22,11 +99,8 @@ func TestKMeansPrunedMatchesExact(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 0} {
-		exact, err := kmeansRun(vectors, vocab.Size(), 16, 40, xrand.New(5), workers, nil, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pruned, err := kmeansRun(vectors, vocab.Size(), 16, 40, xrand.New(5), workers, nil, true)
+		exact := exactKMeans(vectors, vocab.Size(), 16, 40, xrand.New(5), workers)
+		pruned, err := KMeans(vectors, vocab.Size(), 16, 40, xrand.New(5), workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +139,7 @@ func TestKMeansPruningActuallyPrunes(t *testing.T) {
 	}
 	// Count via the metrics the kernel publishes on its observer.
 	o := obs.NewObserver("pruning-test")
-	if _, err := kmeansRun(vectors, vocab.Size(), 16, 40, xrand.New(5), 1, o, true); err != nil {
+	if _, err := KMeans(vectors, vocab.Size(), 16, 40, xrand.New(5), 1, o); err != nil {
 		t.Fatal(err)
 	}
 	snap := o.Metrics().Snapshot()

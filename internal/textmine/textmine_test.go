@@ -119,7 +119,7 @@ func TestKMeansInvariants(t *testing.T) {
 	for i, d := range docs {
 		vectors[i] = vocab.Vectorize(d)
 	}
-	res, err := KMeans(vectors, vocab.Size(), 4, 50, r)
+	res, err := KMeans(vectors, vocab.Size(), 4, 50, r, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +152,14 @@ func TestKMeansInvariants(t *testing.T) {
 }
 
 func TestKMeansErrors(t *testing.T) {
-	if _, err := KMeans(nil, 3, 2, 10, xrand.New(1)); err == nil {
+	if _, err := KMeans(nil, 3, 2, 10, xrand.New(1), 1, nil); err == nil {
 		t.Error("empty input accepted")
 	}
 	vecs := []SparseVector{{Idx: []int{0}, Val: []float64{1}}}
-	if _, err := KMeans(vecs, 1, 0, 10, xrand.New(1)); err == nil {
+	if _, err := KMeans(vecs, 1, 0, 10, xrand.New(1), 1, nil); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := KMeans(vecs, 1, 2, 10, xrand.New(1)); err == nil {
+	if _, err := KMeans(vecs, 1, 2, 10, xrand.New(1), 1, nil); err == nil {
 		t.Error("k>n accepted")
 	}
 }
@@ -178,7 +178,7 @@ func TestKMeansInertiaNonIncreasingWithK(t *testing.T) {
 	}
 	var prev float64 = math.Inf(1)
 	for _, k := range []int{1, 2, 4, 8} {
-		res, err := KMeans(vectors, vocab.Size(), k, 60, xrand.New(7))
+		res, err := KMeans(vectors, vocab.Size(), k, 60, xrand.New(7), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
