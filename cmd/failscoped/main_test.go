@@ -14,6 +14,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1048,5 +1050,148 @@ func TestDurableServerSurface(t *testing.T) {
 	}
 	if info.Seq != 0 || info.ReplayedRecords != 0 {
 		t.Errorf("first boot on empty dir recovered %+v, want zeros", info)
+	}
+}
+
+// TestConcurrentPostsRecoverLiveAlerts posts the small study from several
+// clients at once, so commit groups hold more than one batch, then drops
+// the durable store without a drain or checkpoint (a crash) and recovers a
+// fresh engine and detector from the directory. Recovery applies one WAL
+// record at a time, so the recovered /v1/alerts and /v1/report equal the
+// live ones byte for byte only if detection does not depend on how the
+// batches were grouped.
+func TestConcurrentPostsRecoverLiveAlerts(t *testing.T) {
+	study := failscope.SmallStudy()
+	field, err := failscope.Generate(study.Generator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Twenty machines crash every 4 to 8 days all year. With a 3-day
+	// horizon each alert they raise expires before their next crash, so
+	// expiries interleave with raises all through the stream.
+	for m := 0; m < 20; m++ {
+		id := model.MachineID(fmt.Sprintf("pm-burst-%02d", m))
+		field.Data.Machines = append(field.Data.Machines, &model.Machine{ID: id, Kind: model.PM, System: model.SysI})
+		gap := time.Duration(4+m%5) * 24 * time.Hour
+		for at := study.Generator.Observation.Start.Add(time.Duration(m) * time.Hour); at.Before(study.Generator.Observation.End); at = at.Add(gap) {
+			field.Tickets.Append(model.Ticket{
+				ServerID: id, System: model.SysI, Opened: at, Closed: at.Add(time.Hour),
+				IsCrash: true, Class: model.ClassSoftware,
+			})
+		}
+	}
+	events := stream.EventsFromField(field.Data, field.Tickets, field.Monitor)
+	var bodies [][]byte
+	for lo := 0; lo < len(events); lo += replayBatch {
+		var buf bytes.Buffer
+		if err := stream.EncodeJSONL(&buf, events[lo:min(lo+replayBatch, len(events))]); err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, buf.Bytes())
+	}
+
+	dir := t.TempDir()
+	// boot recovers an engine with a detector of its own from dir and
+	// serves it, journaled to the directory's store.
+	boot := func(o *obs.Observer) *httptest.Server {
+		t.Helper()
+		eng, err := stream.NewEngine(stream.Config{
+			Observation:      study.Generator.Observation,
+			FineWindow:       study.Generator.FineWindow,
+			MonitorEpoch:     study.Generator.MonitorEpoch,
+			MonitorRetention: study.Generator.MonitorRetention,
+			Observer:         o,
+			Detector:         failscope.NewDetector(failscope.DetectorConfig{Horizon: 3 * 24 * time.Hour}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := durable.Open(dir, durable.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := store.Recover(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetJournal(store)
+		srv := newServer(shard.Single(eng), o, serverOptions{store: store, recovery: &info})
+		t.Cleanup(srv.Close)
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	get := func(ts *httptest.Server, path string) []byte {
+		t.Helper()
+		res, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		b, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, res.StatusCode, b)
+		}
+		return b
+	}
+
+	o := obs.NewObserver("failscoped-crash-test")
+	live := boot(o)
+	const posters = 4
+	var next atomic.Int64
+	errs := make(chan error, posters)
+	var wg sync.WaitGroup
+	for p := 0; p < posters; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(bodies)); i = next.Add(1) - 1 {
+				res, err := http.Post(live.URL+"/v1/events", "application/jsonl", bytes.NewReader(bodies[i]))
+				if err != nil {
+					errs <- err
+					return
+				}
+				io.Copy(io.Discard, res.Body)
+				res.Body.Close()
+				if res.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("batch %d: status %d", i, res.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	m := o.Metrics().Snapshot()
+	if m["stream.apply_grouped_batches"] <= m["stream.apply_groups"] {
+		t.Fatalf("no commit group held more than one batch (%v batches in %v groups)",
+			m["stream.apply_grouped_batches"], m["stream.apply_groups"])
+	}
+	liveAlerts, liveReport := get(live, "/v1/alerts"), get(live, "/v1/report")
+	var alerts struct {
+		Detection detect.Snapshot `json:"detection"`
+	}
+	if err := json.Unmarshal(liveAlerts, &alerts); err != nil {
+		t.Fatal(err)
+	}
+	if alerts.Detection.Raised == 0 || alerts.Detection.Expired == 0 {
+		t.Fatalf("live detection raised %d and expired %d alerts, want both > 0",
+			alerts.Detection.Raised, alerts.Detection.Expired)
+	}
+
+	// The crash: the live store is neither drained nor checkpointed nor
+	// closed; a second store opens the same directory.
+	recovered := boot(obs.NewObserver("failscoped-crash-test-recovered"))
+	if got := get(recovered, "/v1/alerts"); !bytes.Equal(got, liveAlerts) {
+		t.Errorf("recovered /v1/alerts differs from the live one:\nlive:      %.400s\nrecovered: %.400s", liveAlerts, got)
+	}
+	if got := get(recovered, "/v1/report"); !bytes.Equal(got, liveReport) {
+		t.Errorf("recovered /v1/report differs from the live one:\nlive:      %.400s\nrecovered: %.400s", liveReport, got)
 	}
 }

@@ -120,9 +120,7 @@ func Generate(cfg Config) (*Output, error) {
 
 	// Monitoring database: usage series, placements, power events.
 	monSpan := o.Start("monitoring")
-	for _, ss := range systems {
-		writeMonitoring(cfg, ss, monitor, monSpan)
-	}
+	writeMonitoring(cfg, systems, monitor)
 	monSpan.End()
 	monitor.RecordFootprint()
 
@@ -198,38 +196,44 @@ func backgroundTickets(cfg Config, ss *systemState, renderer *ticketdb.Renderer,
 	return out
 }
 
-// writeMonitoring populates the monitoring database for one system: a
-// birth-marker sample at each machine's first observable moment, weekly
-// usage averages across the observation year, monthly VM placements (with
-// occasional migrations) and power events inside the fine window. Each
-// machine's draws come from its own streams and land as batched writes, so
-// machines shard across workers; the DB's content is order-independent
-// (one writer per series, commutative first-seen minimum and host-load
-// counts) and its encoder sorts, so the persisted bytes are identical at
-// every parallelism level.
-func writeMonitoring(cfg Config, ss *systemState, db *monitordb.DB, sp *obs.Span) {
-	machines := allMachines(ss)
-	sp.AddPool(par.ForEachBlock(cfg.Parallelism, len(machines), func(_, lo, hi int) {
-		sc := scratchPool.Get()
-		for i := lo; i < hi; i++ {
-			writeUsage(cfg, machines[i], db, sc)
+// writeMonitoring populates the monitoring database, one system after
+// another: a birth-marker sample at each machine's first observable moment,
+// weekly usage averages across the observation year, monthly VM placements
+// (with occasional migrations) and power events inside the fine window.
+// It runs on one worker. Every write takes the DB's one lock, so a second
+// worker only queued behind it and lost at every scale (DESIGN.md §7).
+// Each machine's draws come from its own streams, so the content is the
+// same at every cfg.Parallelism.
+func writeMonitoring(cfg Config, systems []*systemState, db *monitordb.DB) {
+	// Room for the birth marker and every weekly sample: the buffers
+	// never grow.
+	n := int(cfg.Observation.Duration()/(7*24*time.Hour)) + 2
+	sc := genScratch{
+		cpu: make([]monitordb.Sample, 0, n),
+		mem: make([]monitordb.Sample, 0, n),
+		dsk: make([]monitordb.Sample, 0, n),
+		net: make([]monitordb.Sample, 0, n),
+	}
+	for _, ss := range systems {
+		for _, st := range allMachines(ss) {
+			writeUsage(cfg, st, db, &sc)
 		}
-		scratchPool.Put(sc)
-	}))
-	sp.AddPool(par.ForEachBlock(cfg.Parallelism, len(ss.vms), func(_, lo, hi int) {
-		sc := scratchPool.Get()
-		for i := lo; i < hi; i++ {
-			st := ss.vms[i]
-			writePlacements(cfg, ss, st, db, sc)
-			writePowerEvents(cfg, st, db, sc)
+		for _, st := range ss.vms {
+			writePlacements(cfg, ss, st, db)
+			writePowerEvents(cfg, st, db)
 		}
-		scratchPool.Put(sc)
-	}))
+	}
+}
+
+// genScratch holds the four usage-series buffers the monitoring writers
+// stage each machine in. AddSeries copies what it accepts, so one set of
+// buffers serves every machine.
+type genScratch struct {
+	cpu, mem, dsk, net []monitordb.Sample
 }
 
 // writeUsage emits one machine's birth marker and weekly usage series,
-// staging them in the worker's scratch buffers (AddSeries copies what it
-// accepts, so the buffers recycle machine to machine).
+// staged in the scratch buffers.
 func writeUsage(cfg Config, st *machineState, db *monitordb.DB, sc *genScratch) {
 	rng := machineRNG(cfg, streamUsage, st.m.ID)
 	first := st.m.Created
@@ -261,10 +265,9 @@ func writeUsage(cfg Config, st *machineState, db *monitordb.DB, sc *genScratch) 
 
 // writePlacements emits one VM's monthly placements over the observation
 // year, with rare migrations.
-func writePlacements(cfg Config, ss *systemState, st *machineState, db *monitordb.DB, sc *genScratch) {
+func writePlacements(cfg Config, ss *systemState, st *machineState, db *monitordb.DB) {
 	rng := machineRNG(cfg, streamPlacement, st.m.ID)
 	cur := ss.boxes[st.boxIdx]
-	steps := sc.steps[:0]
 	for t := cfg.Observation.Start; t.Before(cfg.Observation.End); t = t.AddDate(0, 1, 0) {
 		if st.m.Created.After(t) {
 			continue
@@ -272,15 +275,13 @@ func writePlacements(cfg Config, ss *systemState, st *machineState, db *monitord
 		if rng.Bool(cfg.Spatial.MigrationProb) && len(ss.boxes) > 1 {
 			cur = ss.boxes[rng.Intn(len(ss.boxes))]
 		}
-		steps = append(steps, monitordb.PlacementStep{Host: cur.m.ID, Time: t})
+		db.SetPlacement(st.m.ID, cur.m.ID, t)
 	}
-	db.SetPlacements(st.m.ID, steps)
-	sc.steps = steps
 }
 
 // writePowerEvents emits one VM's power-state transitions inside the fine
 // 15-minute window only — the paper has two months of fine-grained data.
-func writePowerEvents(cfg Config, st *machineState, db *monitordb.DB, sc *genScratch) {
+func writePowerEvents(cfg Config, st *machineState, db *monitordb.DB) {
 	if st.onOffPerMonth <= 0 {
 		return
 	}
@@ -288,18 +289,15 @@ func writePowerEvents(cfg Config, st *machineState, db *monitordb.DB, sc *genScr
 	fine := cfg.FineWindow
 	months := fine.Duration().Hours() / (24 * 30)
 	cycles := rng.Poisson(st.onOffPerMonth * months)
-	events := sc.events[:0]
 	for i := 0; i < cycles; i++ {
 		off := fine.Start.Add(time.Duration(rng.Float64() * float64(fine.Duration())))
 		downFor := time.Duration((0.5 + 6*rng.Float64()) * float64(time.Hour))
 		on := off.Add(downFor)
-		events = append(events, monitordb.PowerEvent{Time: off, On: false})
+		db.AddPowerEvent(st.m.ID, monitordb.PowerEvent{Time: off, On: false})
 		if on.Before(fine.End) {
-			events = append(events, monitordb.PowerEvent{Time: on, On: true})
+			db.AddPowerEvent(st.m.ID, monitordb.PowerEvent{Time: on, On: true})
 		}
 	}
-	db.AddPowerEvents(st.m.ID, events)
-	sc.events = events
 }
 
 func noisy(rng *xrand.RNG, v, sd float64) float64 {

@@ -40,10 +40,8 @@ func canonicalDB() *DB {
 			)
 			db.AddSeries(id, metric, samples)
 		}
-		db.AddPowerEvents(id, []PowerEvent{
-			{Time: obsWin.Start.Add(time.Duration(m) * time.Hour), On: false},
-			{Time: obsWin.Start.Add(time.Duration(m)*time.Hour + 90*time.Minute + 250*time.Millisecond), On: true},
-		})
+		db.AddPowerEvent(id, PowerEvent{Time: obsWin.Start.Add(time.Duration(m) * time.Hour), On: false})
+		db.AddPowerEvent(id, PowerEvent{Time: obsWin.Start.Add(time.Duration(m)*time.Hour + 90*time.Minute + 250*time.Millisecond), On: true})
 		for mo := 0; mo < 6; mo++ {
 			db.SetPlacement(id, model.MachineID(fmt.Sprintf("box-%d", (m+mo/3)%4)), obsWin.Start.AddDate(0, mo, 5))
 		}

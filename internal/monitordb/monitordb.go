@@ -22,7 +22,6 @@ import (
 
 	"failscope/internal/model"
 	"failscope/internal/obs"
-	"failscope/internal/par"
 )
 
 // Metric identifies one monitored quantity.
@@ -97,8 +96,7 @@ type DB struct {
 	windowEnd   time.Time
 
 	// metrics, when instrumented, counts writes under "monitordb.*". A nil
-	// registry (the default) makes every count a no-op; counters are
-	// atomic, so workers increment without taking db.mu. The write
+	// registry (the default) makes every count a no-op. The write
 	// counters are resolved from it once, by Instrument.
 	metrics                                                     *obs.Registry
 	samples, samplesDropped, powerEvents, placements, evictions *obs.Counter
@@ -115,8 +113,8 @@ const (
 )
 
 // Instrument attaches a metrics registry: subsequent writes count samples
-// (accepted and dropped), power events and placement steps, and rollup
-// queries count bucket computations. Passing nil detaches.
+// (accepted and dropped), power events, placement steps and evictions.
+// Passing nil detaches.
 func (db *DB) Instrument(reg *obs.Registry) {
 	db.mu.Lock()
 	db.metrics = reg
@@ -216,9 +214,10 @@ func (db *DB) noteSeenLocked(id model.MachineID, t time.Time) {
 	}
 }
 
-// AddSeries appends a batch of usage samples to one series under a single
-// lock acquisition — the bulk-write path for parallel generators. Samples
-// outside the retention window are dropped exactly as Add drops them.
+// AddSeries appends a run of usage samples to one series under a single
+// lock acquisition — the bulk-write path of the generator and the dump
+// decoder. Samples outside the retention window are dropped exactly as Add
+// drops them.
 func (db *DB) AddSeries(id model.MachineID, metric Metric, samples []Sample) {
 	if len(samples) == 0 {
 		return
@@ -271,32 +270,21 @@ func (db *DB) AddSeries(id model.MachineID, metric Metric, samples []Sample) {
 	}
 }
 
-// AddPowerEvent records a power-state transition.
+// AddPowerEvent records a power-state transition. Events outside the
+// acceptance window are dropped, as Add drops samples.
 func (db *DB) AddPowerEvent(id model.MachineID, ev PowerEvent) {
-	db.AddPowerEvents(id, []PowerEvent{ev})
-}
-
-// AddPowerEvents records a batch of power-state transitions under a single
-// lock acquisition.
-func (db *DB) AddPowerEvents(id model.MachineID, events []PowerEvent) {
-	if len(events) == 0 {
-		return
-	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	accepted := 0
-	for _, ev := range events {
-		if db.outsideWindowLocked(ev.Time) {
-			continue
-		}
-		db.power[id] = append(db.power[id], ev)
-		db.noteSeenLocked(id, ev.Time)
-		accepted++
+	if db.outsideWindowLocked(ev.Time) {
+		return
 	}
-	db.powerEvents.Add(int64(accepted))
+	db.power[id] = append(db.power[id], ev)
+	db.noteSeenLocked(id, ev.Time)
+	db.powerEvents.Add(1)
 }
 
-// PlacementStep is one month's placement of a VM, for batch writes.
+// PlacementStep is one month's placement of a VM, as ForEachPlacement
+// reports it.
 type PlacementStep struct {
 	Host model.MachineID
 	Time time.Time
@@ -309,20 +297,6 @@ func (db *DB) SetPlacement(vm, host model.MachineID, t time.Time) {
 	defer db.mu.Unlock()
 	db.setPlacementLocked(vm, host, t)
 	db.placements.Add(1)
-}
-
-// SetPlacements records a VM's placement schedule under a single lock
-// acquisition.
-func (db *DB) SetPlacements(vm model.MachineID, steps []PlacementStep) {
-	if len(steps) == 0 {
-		return
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, s := range steps {
-		db.setPlacementLocked(vm, s.Host, s.Time)
-	}
-	db.placements.Add(int64(len(steps)))
 }
 
 func (db *DB) setPlacementLocked(vm, host model.MachineID, t time.Time) {
@@ -520,27 +494,6 @@ func (db *DB) AvgConsolidation(vm model.MachineID, w model.Window) (float64, boo
 		return 0, false
 	}
 	return sum / float64(n), true
-}
-
-// RollupAll computes the bucketed rollup of one metric for every machine in
-// the database over the window, sharding machines across
-// par.Workers(parallelism) goroutines (readers only take the shared read
-// lock). Machines without samples in the window are omitted. This is the
-// multi-granularity fleet view of §III.A at scale.
-func (db *DB) RollupAll(metric Metric, w model.Window, bucket time.Duration, parallelism int) map[model.MachineID][]Sample {
-	ids := db.Machines()
-	rollups := make([][]Sample, len(ids))
-	par.ForEach(parallelism, len(ids), func(i int) {
-		rollups[i] = db.Rollup(ids[i], metric, w, bucket)
-	})
-	db.registry().Add("monitordb.rollups", int64(len(ids)))
-	out := make(map[model.MachineID][]Sample, len(ids))
-	for i, id := range ids {
-		if len(rollups[i]) > 0 {
-			out[id] = rollups[i]
-		}
-	}
-	return out
 }
 
 // Window returns the current acceptance window: [start, end] inclusive.

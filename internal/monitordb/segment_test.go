@@ -38,10 +38,8 @@ func buildSegmentDB(t *testing.T) *DB {
 		})
 	}
 
-	db.AddPowerEvents("S1-VM-0001", []PowerEvent{
-		{Time: epoch.Add(2 * time.Hour), On: false},
-		{Time: epoch.Add(3 * time.Hour), On: true},
-	})
+	db.AddPowerEvent("S1-VM-0001", PowerEvent{Time: epoch.Add(2 * time.Hour), On: false})
+	db.AddPowerEvent("S1-VM-0001", PowerEvent{Time: epoch.Add(3 * time.Hour), On: true})
 	db.SetPlacement("S1-VM-0001", "S1-PM-0009", epoch)
 	db.SetPlacement("S1-VM-0001", "S1-PM-0010", epoch) // overwrite same month
 	db.SetPlacement("S1-VM-0001", "S1-PM-0010", epoch.AddDate(0, 1, 0))

@@ -358,3 +358,46 @@ func TestCollectRunsOnRead(t *testing.T) {
 	nilReg.Collect("a", func(*Registry) { t.Error("collector ran on a nil registry") })
 	nilReg.Snapshot()
 }
+
+// TestSnapshotFlattensExport pins Snapshot's key set and values over every
+// metric shape: counters and gauges under their names, a labelled
+// histogram expanded to
+// .count/.sum/.le_<bound>/.le_inf/.p50/.p95/.p99, and nothing at all for a
+// histogram that never observed a sample.
+func TestSnapshotFlattensExport(t *testing.T) {
+	r := NewRegistry()
+	r.Add("ingest.events", 7)
+	r.Set("stream.seq", 2.5)
+	name := `serve.http_request_ms{endpoint="/v1/events"}`
+	h := r.Histogram(name, 1e6, 0.5, 10)
+	for _, v := range []float64{0.25, 5, 7, 2e6} {
+		h.Observe(v)
+	}
+	r.Histogram("empty", 1)
+
+	want := map[string]float64{
+		"ingest.events":    7,
+		"stream.seq":       2.5,
+		name + ".count":    4,
+		name + ".sum":      2_000_012.25,
+		name + ".le_0.5":   1,
+		name + ".le_10":    2,
+		name + ".le_1e+06": 0,
+		name + ".le_inf":   1,
+		name + ".p50":      h.Quantile(0.5),
+		name + ".p95":      h.Quantile(0.95),
+		name + ".p99":      h.Quantile(0.99),
+	}
+	got := r.Snapshot()
+	if len(got) != len(want) {
+		t.Errorf("Snapshot has %d keys, want %d:\n%v", len(got), len(want), got)
+	}
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			t.Errorf("Snapshot[%q] = %v (present %v), want %v", k, g, ok, v)
+		}
+	}
+	if got[name+".p50"] != 6 { // midway between the middle samples 5 and 7
+		t.Errorf("p50 = %v, want 6", got[name+".p50"])
+	}
+}

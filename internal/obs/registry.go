@@ -118,9 +118,9 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.n)
 }
 
-// export copies the histogram's typed state for exposition encoders. A
-// histogram that never observed a sample returns nil, mirroring snapshot's
-// empty-histogram suppression.
+// export copies the histogram's typed state for Export. A histogram that
+// never observed a sample returns nil: zero-valued count/sum/bucket/quantile
+// entries would only pollute RunReport diffs and scrapes.
 func (h *Histogram) export() *HistogramData {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -136,26 +136,6 @@ func (h *Histogram) export() *HistogramData {
 		P95:    h.q.Query(0.95),
 		P99:    h.q.Query(0.99),
 	}
-}
-
-// snapshot flattens the histogram into metric entries under its name. A
-// histogram that never observed a sample emits nothing: zero-valued
-// count/sum/bucket/quantile entries would only pollute RunReport diffs.
-func (h *Histogram) snapshot(name string, out map[string]float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return
-	}
-	out[name+".count"] = float64(h.n)
-	out[name+".sum"] = h.sum
-	for i, b := range h.bounds {
-		out[fmt.Sprintf("%s.le_%g", name, b)] = float64(h.counts[i])
-	}
-	out[name+".le_inf"] = float64(h.counts[len(h.bounds)])
-	out[name+".p50"] = h.q.Query(0.5)
-	out[name+".p95"] = h.q.Query(0.95)
-	out[name+".p99"] = h.q.Query(0.99)
 }
 
 // Registry is a named metric store: counters, gauges and histograms keyed
@@ -277,28 +257,27 @@ func (r *Registry) collectLocked() {
 	}
 }
 
-// Snapshot returns every metric flattened to name → value, after running
-// the collectors. Counters map directly, gauges map directly, histograms
-// expand to .count/.sum/.le_* entries. Empty (non-nil) map on a nil
+// Snapshot returns every metric flattened to name → value: Export's
+// entries, with each histogram expanded under its name to .count, .sum,
+// .le_<bound>, .le_inf, .p50, .p95 and .p99. Empty (non-nil) map on a nil
 // registry.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
-	if r == nil {
-		return out
-	}
-	r.collectMu.Lock()
-	defer r.collectMu.Unlock()
-	r.collectLocked()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		out[name] = float64(c.Value())
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		h.snapshot(name, out)
+	for _, m := range r.Export() {
+		h := m.Hist
+		if h == nil {
+			out[m.Name] = m.Value
+			continue
+		}
+		out[m.Name+".count"] = float64(h.Count)
+		out[m.Name+".sum"] = h.Sum
+		for i, b := range h.Bounds {
+			out[fmt.Sprintf("%s.le_%g", m.Name, b)] = float64(h.Counts[i])
+		}
+		out[m.Name+".le_inf"] = float64(h.Counts[len(h.Bounds)])
+		out[m.Name+".p50"] = h.P50
+		out[m.Name+".p95"] = h.P95
+		out[m.Name+".p99"] = h.P99
 	}
 	return out
 }
@@ -333,9 +312,9 @@ type Metric struct {
 }
 
 // Export returns every metric in typed form, sorted by name, after running
-// the collectors — the feed for exposition encoders that need bucket
-// structure the flat Snapshot loses. Histograms that never observed a
-// sample are suppressed, matching Snapshot. Nil slice on a nil registry.
+// the collectors. It is the registry's one read path: Snapshot flattens it,
+// exposition encoders use its bucket structure. Histograms that never
+// observed a sample are suppressed. Nil slice on a nil registry.
 func (r *Registry) Export() []Metric {
 	if r == nil {
 		return nil

@@ -36,12 +36,6 @@ type Config struct {
 	// against the tickets' ground-truth labels.
 	Classifier *textmine.OnlineClassifier
 
-	// UsePredictions makes the engine trust the online classifier's
-	// crash/class decision instead of the tickets' ground-truth labels —
-	// the live-operation mode, where tickets arrive unlabeled. Requires
-	// Classifier.
-	UsePredictions bool
-
 	// Observer, when non-nil, counts stream metrics under "stream.*". It
 	// never affects the statistics.
 	Observer *obs.Observer
@@ -305,9 +299,6 @@ func NewGaugeNames(label string) GaugeNames {
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Observation.Duration() <= 0 {
 		return nil, fmt.Errorf("stream: empty observation window")
-	}
-	if cfg.UsePredictions && cfg.Classifier == nil {
-		return nil, fmt.Errorf("stream: UsePredictions requires a Classifier")
 	}
 	e := &Engine{
 		cfg:         cfg,
@@ -756,7 +747,6 @@ func (e *Engine) addTicketLocked(t model.Ticket) {
 		e.sysAll[t.System]++
 	}
 
-	isCrash, class := t.IsCrash, t.Class
 	if e.cfg.Classifier != nil {
 		pred := e.cfg.Classifier.PredictWith(&e.predScratch, t.Description+" "+t.Resolution)
 		truth := labelOf(t.IsCrash, t.Class)
@@ -765,20 +755,13 @@ func (e *Engine) addTicketLocked(t model.Ticket) {
 		if pred == truth {
 			e.scoredHit++
 		}
-		if e.cfg.UsePredictions {
-			isCrash = pred > 0
-			class = model.FailureClass(pred)
-			if pred == 0 {
-				class = 0
-			}
-		}
 	}
-	if !isCrash {
+	if !t.IsCrash {
 		return
 	}
 	e.crashTickets++
 	if e.cfg.Detector != nil {
-		e.cfg.Detector.ObserveTicket(&t, class)
+		e.cfg.Detector.ObserveTicket(&t, t.Class)
 	}
 	if t.System >= 1 && t.System <= model.NumSystems {
 		e.sysCrash[t.System]++
@@ -790,12 +773,12 @@ func (e *Engine) addTicketLocked(t model.Ticket) {
 	if e.classCounts[t.System] == nil {
 		e.classCounts[t.System] = make(map[model.FailureClass]int)
 	}
-	e.classCounts[t.System][class]++
+	e.classCounts[t.System][t.Class]++
 	e.classTotals[t.System]++
 	if e.classCounts[0] == nil {
 		e.classCounts[0] = make(map[model.FailureClass]int)
 	}
-	e.classCounts[0][class]++
+	e.classCounts[0][t.Class]++
 	e.classTotals[0]++
 
 	m := e.machines[t.ServerID]
@@ -832,7 +815,7 @@ func (e *Engine) addTicketLocked(t model.Ticket) {
 
 	// Fig. 4 repair hours and reboot share.
 	e.kindCrashes[k]++
-	if class == model.ClassReboot {
+	if t.Class == model.ClassReboot {
 		e.reboots[k]++
 	}
 	if h := t.RepairTime().Hours(); h > 0 {

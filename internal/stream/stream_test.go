@@ -304,10 +304,6 @@ func TestEngineRejectsBadConfigAndEvents(t *testing.T) {
 		Start: time.Date(2012, 7, 1, 0, 0, 0, 0, time.UTC),
 		End:   time.Date(2013, 7, 1, 0, 0, 0, 0, time.UTC),
 	}
-	if _, err := NewEngine(Config{Observation: win, UsePredictions: true}); err == nil {
-		t.Error("NewEngine accepted UsePredictions without a classifier")
-	}
-
 	eng, err := NewEngine(Config{Observation: win})
 	if err != nil {
 		t.Fatal(err)

@@ -45,15 +45,13 @@ func smallStudyFingerprint(t *testing.T, parallelism int) string {
 	mon := res.Field.Monitor
 	wStart, wEnd := mon.Window()
 	rollWin := model.Window{Start: wStart, End: wEnd.Add(time.Nanosecond)}
-	rollups := mon.RollupAll(monitordb.MetricCPUUtil, rollWin, 7*24*time.Hour, parallelism)
-	ids := make([]string, 0, len(rollups))
-	for id := range rollups {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range mon.Machines() {
+		rollup := mon.Rollup(id, monitordb.MetricCPUUtil, rollWin, 7*24*time.Hour)
+		if len(rollup) == 0 {
+			continue
+		}
 		fmt.Fprintf(&buf, "rollup %s", id)
-		for _, s := range rollups[model.MachineID(id)] {
+		for _, s := range rollup {
 			fmt.Fprintf(&buf, " %d:%v", s.Time.UnixNano(), s.Value)
 		}
 		buf.WriteByte('\n')
