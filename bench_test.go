@@ -402,7 +402,7 @@ func BenchmarkPrediction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err = predict.TrainLogistic(ds.Train, predict.DefaultTrainOptions())
+		m, err = predict.TrainLogistic(ds.Train)
 		if err != nil {
 			b.Fatal(err)
 		}

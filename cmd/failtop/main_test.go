@@ -27,8 +27,8 @@ func fixturePage(t *testing.T, ingested int64) http.Handler {
 	h.Observe(0.5)
 	h.Observe(2)
 	reg.Set("stream.watermark_unix_seconds", float64(time.Now().Add(-90*time.Second).Unix()))
-	reg.Set("mempool.batch.hits", 30)
-	reg.Set("mempool.batch.misses", 10)
+	reg.Set("mempool.stream.batch.hits", 30)
+	reg.Set("mempool.stream.batch.misses", 10)
 	return telemetry.Handler(reg, nil)
 }
 
@@ -49,7 +49,7 @@ func TestScrapeAndRender(t *testing.T) {
 
 	for _, want := range []string{
 		"ingest", "500 events", "/v1/events", "watermark lag 1m30s",
-		"pool", "batch", "75", // 30 hits / 40 = 75% hit rate
+		"pool", "stream_batch", "75", // 30 hits / 40 = 75% hit rate
 		"memory", "heap",
 	} {
 		if !strings.Contains(page, want) {

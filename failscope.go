@@ -176,7 +176,7 @@ func BuildPredictionDataset(in AnalysisInput, split time.Time, trainShare float6
 
 // TrainPredictor fits the logistic failure predictor.
 func TrainPredictor(train []PredictionExample) (*PredictionModel, error) {
-	m, err := predict.TrainLogistic(train, predict.DefaultTrainOptions())
+	m, err := predict.TrainLogistic(train)
 	if err != nil {
 		return nil, fmt.Errorf("failscope: train predictor: %w", err)
 	}

@@ -63,21 +63,24 @@ const (
 	DefaultMinCrashes  = 4
 	DefaultBurstWindow = 30 * 24 * time.Hour
 	DefaultHorizon     = 120 * 24 * time.Hour
-
-	// Anomaly-detector defaults: EWMA level/scale smoothing, cold-start
-	// warmup in samples, and the CUSUM drift/threshold in σ-normalized
-	// residual units. The canonical studies' usage series are stationary
-	// noise, and at k=1/h=16 the CUSUM stays silent across all ~3M
-	// canonical samples (the detect_anomaly_alerts band enforces this)
-	// while a sustained clamped-scale level shift still trips within two
-	// or three samples.
-	DefaultEWMAAlpha      = 0.25
-	DefaultWarmup         = 12
-	DefaultCUSUMDrift     = 1.0
-	DefaultCUSUMThreshold = 16
-	DefaultResidualClamp  = 8
-	DefaultRingSize       = 64
 )
+
+// The anomaly detector's constants: EWMA level/scale smoothing, cold-start
+// warmup in samples, and the CUSUM drift/threshold in σ-normalized
+// residual units. The canonical studies' usage series are stationary
+// noise, and at k=1/h=16 the CUSUM stays silent across all ~3M canonical
+// samples (the detect_anomaly_alerts band enforces this) while a sustained
+// clamped-scale level shift still trips within two or three samples.
+const (
+	ewmaAlpha      float64 = 0.25
+	warmup                 = 12
+	cusumDrift     float64 = 1.0
+	cusumThreshold float64 = 16
+	residualClamp  float64 = 8
+)
+
+// ringSize caps the recently-cleared alert ring.
+const ringSize = 64
 
 // Config parameterizes a Detector. The zero value takes every default.
 type Config struct {
@@ -90,16 +93,6 @@ type Config struct {
 	// Horizon bounds an alert's life: the next crash inside it confirms,
 	// its elapse without one expires the alert as a false alarm.
 	Horizon time.Duration
-
-	// Anomaly-detector knobs (EWMA residual + CUSUM change-point).
-	EWMAAlpha      float64
-	Warmup         int
-	CUSUMDrift     float64
-	CUSUMThreshold float64
-	ResidualClamp  float64
-
-	// RingSize caps the recently-cleared alert ring.
-	RingSize int
 
 	// Classifier, when set, attributes a failure class to every raised
 	// alert from the triggering ticket's text (the frozen online model);
@@ -116,24 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = DefaultHorizon
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = DefaultEWMAAlpha
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = DefaultWarmup
-	}
-	if c.CUSUMDrift <= 0 {
-		c.CUSUMDrift = DefaultCUSUMDrift
-	}
-	if c.CUSUMThreshold <= 0 {
-		c.CUSUMThreshold = DefaultCUSUMThreshold
-	}
-	if c.ResidualClamp <= 0 {
-		c.ResidualClamp = DefaultResidualClamp
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = DefaultRingSize
 	}
 	return c
 }
@@ -458,7 +433,7 @@ func (d *Detector) ObserveSample(id model.MachineID, metric monitordb.Metric, at
 		return
 	}
 	resid := v - s.mean
-	if s.n >= d.cfg.Warmup {
+	if s.n >= warmup {
 		// The EWMA tracks mean absolute deviation; 1.2533 = √(π/2)
 		// rescales it to σ units for a Gaussian so the CUSUM drift and
 		// threshold read in standard deviations.
@@ -467,20 +442,20 @@ func (d *Detector) ObserveSample(id model.MachineID, metric monitordb.Metric, at
 			scale = 1e-9
 		}
 		r := resid / scale
-		if r > d.cfg.ResidualClamp {
-			r = d.cfg.ResidualClamp
-		} else if r < -d.cfg.ResidualClamp {
-			r = -d.cfg.ResidualClamp
+		if r > residualClamp {
+			r = residualClamp
+		} else if r < -residualClamp {
+			r = -residualClamp
 		}
-		s.pos += r - d.cfg.CUSUMDrift
+		s.pos += r - cusumDrift
 		if s.pos < 0 {
 			s.pos = 0
 		}
-		s.neg += -r - d.cfg.CUSUMDrift
+		s.neg += -r - cusumDrift
 		if s.neg < 0 {
 			s.neg = 0
 		}
-		if s.pos > d.cfg.CUSUMThreshold || s.neg > d.cfg.CUSUMThreshold {
+		if s.pos > cusumThreshold || s.neg > cusumThreshold {
 			s.pos, s.neg = 0, 0
 			if st.active == nil {
 				d.raiseLocked(st, at, SourceAnomaly, metric.String(), 0)
@@ -490,7 +465,7 @@ func (d *Detector) ObserveSample(id model.MachineID, metric monitordb.Metric, at
 		// the current scale must not be swallowed into the level/scale
 		// estimates faster than the CUSUM can accumulate it. On in-band
 		// residuals the cap never binds.
-		if lim := d.cfg.ResidualClamp * scale; resid > lim {
+		if lim := residualClamp * scale; resid > lim {
 			resid = lim
 		} else if resid < -lim {
 			resid = -lim
@@ -502,8 +477,8 @@ func (d *Detector) ObserveSample(id model.MachineID, metric monitordb.Metric, at
 	if abs < 0 {
 		abs = -abs
 	}
-	s.mean += d.cfg.EWMAAlpha * resid
-	s.dev += d.cfg.EWMAAlpha * (abs - s.dev)
+	s.mean += ewmaAlpha * resid
+	s.dev += ewmaAlpha * (abs - s.dev)
 	s.n++
 }
 
@@ -634,9 +609,9 @@ func (d *Detector) clearLocked(st *machineState, outcome string, at time.Time) {
 		d.expired++
 	}
 	d.recent = append(d.recent, *a)
-	if over := len(d.recent) - d.cfg.RingSize; over > 0 {
+	if over := len(d.recent) - ringSize; over > 0 {
 		copy(d.recent, d.recent[over:])
-		d.recent = d.recent[:d.cfg.RingSize]
+		d.recent = d.recent[:ringSize]
 	}
 }
 

@@ -124,7 +124,7 @@ func TestLateCrashExpiresFirst(t *testing.T) {
 func TestAnomalyTrip(t *testing.T) {
 	d := newTestDetector()
 	// Deterministic stationary wiggle around 40 for 3x warmup.
-	for i := 0; i < 3*DefaultWarmup; i++ {
+	for i := 0; i < 3*warmup; i++ {
 		v := 40.0
 		if i%2 == 0 {
 			v = 42
@@ -152,11 +152,11 @@ func TestAnomalyTrip(t *testing.T) {
 // resets nor trips the detector.
 func TestAnomalyStateSurvivesGaps(t *testing.T) {
 	d := newTestDetector()
-	for i := 0; i < 2*DefaultWarmup; i++ {
+	for i := 0; i < 2*warmup; i++ {
 		d.ObserveSample("m1", monitordb.MetricMemUtil, day(i), 50+float64(i%3))
 	}
 	// Two-year gap, then the same regime: still silent.
-	for i := 0; i < 2*DefaultWarmup; i++ {
+	for i := 0; i < 2*warmup; i++ {
 		d.ObserveSample("m1", monitordb.MetricMemUtil, day(800+i), 50+float64(i%3))
 	}
 	if s := d.Snapshot(); s.Raised != 0 {
@@ -192,16 +192,16 @@ func TestDeterministicExpiryOrder(t *testing.T) {
 }
 
 // TestClearedRingBounded: the recently-cleared ring holds the newest
-// RingSize alerts.
+// ringSize alerts.
 func TestClearedRingBounded(t *testing.T) {
-	d := New(Config{RingSize: 4})
+	d := New(Config{})
 	d.ObserveMachine(&model.Machine{ID: "m1", Kind: model.PM})
-	for i := 0; i < 10*DefaultMinCrashes; i++ {
+	for i := 0; i < ringSize+10+DefaultMinCrashes; i++ {
 		crash(d, "m1", day(i)) // every crash after the 4th confirms + re-raises
 	}
 	s := d.Snapshot()
-	if len(s.Recent) != 4 {
-		t.Fatalf("ring holds %d alerts, want 4", len(s.Recent))
+	if len(s.Recent) != ringSize {
+		t.Fatalf("ring holds %d alerts, want %d", len(s.Recent), ringSize)
 	}
 	for i := 1; i < len(s.Recent); i++ {
 		if s.Recent[i].ID > s.Recent[i-1].ID {
@@ -289,7 +289,7 @@ func TestScoreHealthy(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	cfg := New(Config{}).Config()
 	if cfg.MinCrashes != DefaultMinCrashes || cfg.BurstWindow != DefaultBurstWindow ||
-		cfg.Horizon != DefaultHorizon || cfg.CUSUMThreshold != DefaultCUSUMThreshold {
+		cfg.Horizon != DefaultHorizon {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 	custom := New(Config{Horizon: 24 * time.Hour}).Config()

@@ -84,8 +84,8 @@ func Merge(ds []*Detector) *Snapshot {
 		}
 		return alertBefore(&recent[j], &recent[i])
 	})
-	if cap := ds[0].cfg.RingSize; len(recent) > cap {
-		recent = recent[:cap]
+	if len(recent) > ringSize {
+		recent = recent[:ringSize]
 	}
 	s.Recent = recent
 	return s

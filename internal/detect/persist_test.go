@@ -57,9 +57,9 @@ func buildPersistDetector(t *testing.T) *Detector {
 	crash(d, "v2", day(56))
 
 	// v3: a sustained usage shift after warmup trips the CUSUM.
-	for i := 0; i < 3*DefaultWarmup+6; i++ {
+	for i := 0; i < 3*warmup+6; i++ {
 		v := 40 + 2*float64(i%2)
-		if i >= 3*DefaultWarmup {
+		if i >= 3*warmup {
 			v = 95
 		}
 		d.ObserveSample("v3", monitordb.MetricCPUUtil, day(50).Add(time.Duration(i)*time.Hour), v)

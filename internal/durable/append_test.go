@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"failscope/internal/dcsim"
-	"failscope/internal/mempool"
 	"failscope/internal/stream"
 )
 
@@ -101,9 +100,6 @@ func TestAppendMatchesJSONOnlyWAL(t *testing.T) {
 // batch once the pooled payload buffer has grown to the batch size, and
 // Store.AppendWire at zero from the first batch.
 func TestAppendSteadyStateAllocs(t *testing.T) {
-	if !mempool.Enabled() {
-		t.Skip("pooling disabled")
-	}
 	batches, err := studyBatches()
 	if err != nil {
 		t.Fatal(err)

@@ -29,11 +29,6 @@ type Options struct {
 	// opens a fresh one. Default 8 MiB.
 	SegmentBytes int64
 
-	// CheckpointRetain is how many completed checkpoints to keep; older
-	// ones are pruned after each new checkpoint lands, and the WAL keeps
-	// every segment the oldest kept one needs. Default 2.
-	CheckpointRetain int
-
 	// Registry receives the durable.* metrics (nil-safe).
 	Registry *obs.Registry
 }
@@ -42,11 +37,14 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
 	}
-	if o.CheckpointRetain <= 0 {
-		o.CheckpointRetain = 2
-	}
 	return o
 }
+
+// checkpointRetain is how many completed checkpoints a Store keeps: the
+// newest, and the one before it as a fallback should the newest be
+// damaged. Older ones are pruned after each new checkpoint lands, and the
+// WAL keeps every segment the oldest kept one needs.
+const checkpointRetain = 2
 
 // RecoveryInfo summarizes what Recover did; failscoped surfaces it on
 // /healthz so operators can see how a boot reconstructed its state.
@@ -438,7 +436,7 @@ func (s *Store) Checkpoint(eng *stream.Engine) (int64, error) {
 	return seq, nil
 }
 
-// pruneLocked deletes checkpoints beyond the retention count and WAL
+// pruneLocked deletes checkpoints beyond checkpointRetain and WAL
 // segments whose every record is covered by the oldest checkpoint kept —
 // a segment is disposable when its successor starts at or before that
 // checkpoint's seq+1. The segments between the kept checkpoints stay, so
@@ -447,7 +445,7 @@ func (s *Store) Checkpoint(eng *stream.Engine) (int64, error) {
 // deleted.
 func (s *Store) pruneLocked() {
 	seqs := s.checkpointSeqs()
-	for len(seqs) > s.opt.CheckpointRetain {
+	for len(seqs) > checkpointRetain {
 		os.RemoveAll(s.checkpointDir(seqs[0]))
 		seqs = seqs[1:]
 	}

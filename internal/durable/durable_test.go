@@ -218,12 +218,12 @@ func TestCheckpointPrunesWAL(t *testing.T) {
 	}
 }
 
-// TestCheckpointRetention: only CheckpointRetain checkpoint directories
+// TestCheckpointRetention: only checkpointRetain checkpoint directories
 // survive repeated checkpointing.
 func TestCheckpointRetention(t *testing.T) {
 	batches := testBatches(10)
 	dir := t.TempDir()
-	st, err := Open(dir, Options{CheckpointRetain: 2})
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +240,8 @@ func TestCheckpointRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := countGlob(t, dir, "checkpoint-*"); n != 2 {
-		t.Errorf("%d checkpoints on disk, want 2", n)
+	if n := countGlob(t, dir, "checkpoint-*"); n != checkpointRetain {
+		t.Errorf("%d checkpoints on disk, want %d", n, checkpointRetain)
 	}
 }
 

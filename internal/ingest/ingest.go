@@ -28,10 +28,9 @@ type Options struct {
 	Observation model.Window
 	FineWindow  model.Window
 
-	// TrainFraction of tickets (capped at MaxTrainDocs) provides the
+	// TrainFraction of tickets (capped at maxTrainDocs) provides the
 	// manually labeled examples the cluster labeling consults.
 	TrainFraction float64
-	MaxTrainDocs  int
 
 	// Classifier tuning; zero values take textmine defaults.
 	Clusters int
@@ -60,6 +59,10 @@ type Options struct {
 	Observer *obs.Observer
 }
 
+// maxTrainDocs caps the manually labeled training set, half of it for
+// crash tickets and half for background ones.
+const maxTrainDocs = 12000
+
 // DefaultOptions returns the pipeline defaults.
 func DefaultOptions(win, fine model.Window) Options {
 	return Options{
@@ -67,7 +70,6 @@ func DefaultOptions(win, fine model.Window) Options {
 		Observation:   win,
 		FineWindow:    fine,
 		TrainFraction: 0.30,
-		MaxTrainDocs:  12000,
 	}
 }
 
@@ -187,11 +189,6 @@ func trainStages(tickets []model.Ticket, opts Options, o *obs.Observer) (stage1,
 	if frac <= 0 || frac >= 1 {
 		frac = 0.3
 	}
-	maxTrain := opts.MaxTrainDocs
-	if maxTrain <= 0 {
-		maxTrain = 12000
-	}
-
 	// Stratified labeling: crash tickets are ~2% of the stream, so a
 	// uniform manual-labeling sample would teach the clusters nothing
 	// about failures. The support staff labeling incident tickets
@@ -202,8 +199,8 @@ func trainStages(tickets []model.Ticket, opts Options, o *obs.Observer) (stage1,
 	var trainLabels, testLabels []int
 	var testIdx []int
 	preds := make([]int, len(tickets))
-	crashBudget := maxTrain / 2
-	bgBudget := maxTrain - crashBudget
+	crashBudget := maxTrainDocs / 2
+	bgBudget := maxTrainDocs - crashBudget
 	crashTaken, bgTaken := 0, 0
 	for ti, t := range tickets {
 		text := t.Description + " " + t.Resolution

@@ -1,7 +1,8 @@
-// Package mempool provides the typed free lists behind the pipeline's
-// allocation discipline: hot paths (dcsim generation scratch, the stream
-// JSONL batch decoder, the failscoped ingest path) recycle their buffers
-// through a Pool instead of allocating per event.
+// Package mempool provides the typed free lists behind the daemon's
+// allocation discipline: its hot paths recycle their buffers through a
+// Pool instead of allocating per batch. Three pools exist: stream.batch
+// (wire-decode batches), stream.applyreq (group-commit waiter records) and
+// durable.walenc (WAL encode buffers).
 //
 // The pools are deliberately not sync.Pool: a bounded, mutex-guarded stack
 // keeps reuse deterministic (a Put followed by a Get returns the same
@@ -9,14 +10,11 @@
 // hit/miss/put/drop counters. The stack is bounded so a burst cannot pin
 // memory forever; overflowing Puts drop their buffer to the GC.
 //
-// Pooling is an optimization, never a semantic: every caller must produce
-// byte-identical output with pooling disabled (SetEnabled(false) makes Get
-// allocate fresh and Put drop), which is what the repo-root
-// TestParallelStudyByteIdentical pins. The ownership rules are in
+// Pooling is an optimization, never a semantic. The ownership rules are in
 // DESIGN.md §11: a buffer obtained from Get is owned exclusively by the
 // getter until Put, Put transfers ownership back to the pool, and nothing
 // reachable from a pooled buffer may be retained by a consumer (consumers
-// copy, as monitordb's bulk writers and the stream engine do).
+// copy, as the stream engine does).
 package mempool
 
 import (
@@ -26,27 +24,13 @@ import (
 	"failscope/internal/obs"
 )
 
-// enabled gates every pool in the process. On by default; the byte-identity
-// tests flip it off to prove pooling is semantics-free.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns pooling on or off process-wide and returns the previous
-// setting. With pooling off, Get always constructs a fresh value and Put
-// discards, so behavior is identical to the pre-pool code paths.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
-
-// Enabled reports whether pooling is on.
-func Enabled() bool { return enabled.Load() }
-
 // Stats is a point-in-time snapshot of one pool's counters.
 type Stats struct {
 	Name   string
 	Hits   int64 // Gets served from the free list
 	Misses int64 // Gets that constructed a fresh value
 	Puts   int64 // Puts accepted onto the free list
-	Drops  int64 // Puts discarded (pool full or pooling disabled)
+	Drops  int64 // Puts discarded (pool full)
 }
 
 // counters is the registry-facing face of a pool; the generic Pool[T]
@@ -122,40 +106,36 @@ func New[T any](name string, capacity int, newFn func() T, resetFn func(T) T) *P
 // Get returns a value from the free list, or a freshly constructed one.
 // The caller owns the value exclusively until it calls Put.
 func (p *Pool[T]) Get() T {
-	if enabled.Load() {
-		p.mu.Lock()
-		if n := len(p.free); n > 0 {
-			v := p.free[n-1]
-			var zero T
-			p.free[n-1] = zero // do not pin the value if the slot is never refilled
-			p.free = p.free[:n-1]
-			p.mu.Unlock()
-			p.hits.Add(1)
-			return v
-		}
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		v := p.free[n-1]
+		var zero T
+		p.free[n-1] = zero // do not pin the value if the slot is never refilled
+		p.free = p.free[:n-1]
 		p.mu.Unlock()
+		p.hits.Add(1)
+		return v
 	}
+	p.mu.Unlock()
 	p.misses.Add(1)
 	return p.newFn()
 }
 
 // Put returns a value to the pool. The caller must not touch v (or
-// anything reachable from it) afterwards. Puts beyond the pool's capacity,
-// or while pooling is disabled, drop the value.
+// anything reachable from it) afterwards. Puts beyond the pool's capacity
+// drop the value.
 func (p *Pool[T]) Put(v T) {
 	if p.resetFn != nil {
 		v = p.resetFn(v)
 	}
-	if enabled.Load() {
-		p.mu.Lock()
-		if len(p.free) < cap(p.free) {
-			p.free = append(p.free, v)
-			p.mu.Unlock()
-			p.puts.Add(1)
-			return
-		}
+	p.mu.Lock()
+	if len(p.free) < cap(p.free) {
+		p.free = append(p.free, v)
 		p.mu.Unlock()
+		p.puts.Add(1)
+		return
 	}
+	p.mu.Unlock()
 	p.drops.Add(1)
 }
 

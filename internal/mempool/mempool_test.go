@@ -43,25 +43,6 @@ func TestCapacityBound(t *testing.T) {
 	}
 }
 
-// TestDisabled verifies SetEnabled(false) turns every pool into a plain
-// allocator: Get constructs fresh, Put drops.
-func TestDisabled(t *testing.T) {
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-
-	p := New("test.disabled", 4, func() *int { return new(int) }, nil)
-	a := p.Get()
-	p.Put(a)
-	b := p.Get()
-	if a == b {
-		t.Fatalf("disabled pool recycled an object")
-	}
-	st := p.Stats()
-	if st.Hits != 0 || st.Misses != 2 || st.Puts != 0 || st.Drops != 1 {
-		t.Fatalf("counters: %+v", st)
-	}
-}
-
 // TestSlicePoolResets verifies recycled buffers come back empty but keep
 // their grown capacity.
 func TestSlicePoolResets(t *testing.T) {

@@ -25,7 +25,6 @@ func TestNilReceiversNoOp(t *testing.T) {
 	s.End()
 	s.AddPool(par.Stats{Workers: 3, Busy: time.Second})
 	s.AddItems(10)
-	s.SetWorkers(4)
 	if s.Name() != "" || s.Wall() != 0 || s.Busy() != 0 || s.NumSpans() != 0 {
 		t.Fatal("nil span leaked state")
 	}

@@ -149,19 +149,6 @@ func (s *Span) AddItems(n int) {
 	s.mu.Unlock()
 }
 
-// SetWorkers records the worker count of a stage that does not route its
-// concurrency through par (keeps the observed maximum).
-func (s *Span) SetWorkers(n int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if n > s.workers {
-		s.workers = n
-	}
-	s.mu.Unlock()
-}
-
 // Wall returns the span's wall-clock duration (through now if unfinished;
 // 0 on nil).
 func (s *Span) Wall() time.Duration {

@@ -19,21 +19,17 @@ type Model struct {
 	Mean, Std []float64
 }
 
-// TrainOptions tunes gradient descent.
-type TrainOptions struct {
-	Epochs       int
-	LearningRate float64
-	L2           float64
-}
-
-// DefaultTrainOptions returns well-behaved defaults for this feature set.
-func DefaultTrainOptions() TrainOptions {
-	return TrainOptions{Epochs: 400, LearningRate: 0.3, L2: 1e-3}
-}
+// Gradient-descent settings, well-behaved for this feature set: epochs
+// full-batch steps at learningRate, with an l2 weight penalty.
+const (
+	epochs               = 400
+	learningRate float64 = 0.3
+	l2           float64 = 1e-3
+)
 
 // TrainLogistic fits a logistic regression by full-batch gradient descent
 // on standardized features.
-func TrainLogistic(train []Example, opts TrainOptions) (*Model, error) {
+func TrainLogistic(train []Example) (*Model, error) {
 	if len(train) == 0 {
 		return nil, ErrNoData
 	}
@@ -43,10 +39,6 @@ func TrainLogistic(train []Example, opts TrainOptions) (*Model, error) {
 			return nil, fmt.Errorf("predict: inconsistent feature dimension %d != %d", len(ex.Features), dim)
 		}
 	}
-	if opts.Epochs <= 0 {
-		opts = DefaultTrainOptions()
-	}
-
 	m := &Model{
 		Weights: make([]float64, dim),
 		Mean:    make([]float64, dim),
@@ -84,7 +76,7 @@ func TrainLogistic(train []Example, opts TrainOptions) (*Model, error) {
 	}
 
 	grad := make([]float64, dim)
-	for epoch := 0; epoch < opts.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		for j := range grad {
 			grad[j] = 0
 		}
@@ -106,9 +98,9 @@ func TrainLogistic(train []Example, opts TrainOptions) (*Model, error) {
 			gradBias += err
 		}
 		for j := range m.Weights {
-			m.Weights[j] -= opts.LearningRate * (grad[j]/n + opts.L2*m.Weights[j])
+			m.Weights[j] -= learningRate * (grad[j]/n + l2*m.Weights[j])
 		}
-		m.Bias -= opts.LearningRate * gradBias / n
+		m.Bias -= learningRate * gradBias / n
 	}
 	return m, nil
 }

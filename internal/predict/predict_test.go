@@ -78,7 +78,7 @@ func TestTrainLogisticSeparable(t *testing.T) {
 			Label:    x > 0,
 		})
 	}
-	m, err := TrainLogistic(train, DefaultTrainOptions())
+	m, err := TrainLogistic(train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +92,14 @@ func TestTrainLogisticSeparable(t *testing.T) {
 }
 
 func TestTrainLogisticErrors(t *testing.T) {
-	if _, err := TrainLogistic(nil, DefaultTrainOptions()); err == nil {
+	if _, err := TrainLogistic(nil); err == nil {
 		t.Error("empty training set accepted")
 	}
 	bad := []Example{
 		{Features: []float64{1, 2}},
 		{Features: []float64{1}},
 	}
-	if _, err := TrainLogistic(bad, DefaultTrainOptions()); err == nil {
+	if _, err := TrainLogistic(bad); err == nil {
 		t.Error("inconsistent dimensions accepted")
 	}
 }
@@ -111,7 +111,7 @@ func TestModelScoreMonotoneInRiskFeature(t *testing.T) {
 		{Features: []float64{4}, Label: true},
 		{Features: []float64{5}, Label: true},
 	}
-	m, err := TrainLogistic(train, DefaultTrainOptions())
+	m, err := TrainLogistic(train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestPredictionBeatsRandomAndTracksHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := TrainLogistic(ds.Train, DefaultTrainOptions())
+	m, err := TrainLogistic(ds.Train)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"failscope/internal/mempool"
 	"failscope/internal/model"
 	"failscope/internal/monitordb"
 )
@@ -249,9 +248,6 @@ func TestDecodeJSONLIntoInvalidUTF8(t *testing.T) {
 // TestBatchReuse verifies a released batch comes back empty and is
 // actually recycled by the pool.
 func TestBatchReuse(t *testing.T) {
-	if !mempool.Enabled() {
-		t.Skip("pooling disabled")
-	}
 	b := GetBatch()
 	if _, err := b.DecodeJSONLInto(strings.NewReader(`{"type":"advance","time":"2012-09-01T00:00:00Z"}`)); err != nil {
 		t.Fatal(err)
@@ -274,9 +270,6 @@ func TestBatchReuse(t *testing.T) {
 // decode path at steady state: one retained string per event payload field
 // is the budget; maps, intermediate strings and boxed fields are not.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
-	if !mempool.Enabled() {
-		t.Skip("pooling disabled")
-	}
 	var lines bytes.Buffer
 	for i := 0; i < 64; i++ {
 		fmt.Fprintf(&lines, `{"type":"sample","serverID":"S1-VM-%04d","metric":1,"time":"2012-08-05T00:00:00Z","value":%d.25}`, i, i)

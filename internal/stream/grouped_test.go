@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"failscope/internal/detect"
-	"failscope/internal/mempool"
 	"failscope/internal/model"
 	"failscope/internal/monitordb"
 )
@@ -135,9 +134,6 @@ func TestApplyGroupedConcurrent(t *testing.T) {
 // engine even sees the batch; the pooled path must stay under 4 per event
 // end to end once pools are warm.
 func TestIngestSteadyStateAllocs(t *testing.T) {
-	if !mempool.Enabled() {
-		t.Skip("pooling disabled")
-	}
 	eng, err := NewEngine(groupedTestConfig(t))
 	if err != nil {
 		t.Fatal(err)

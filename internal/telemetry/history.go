@@ -24,7 +24,7 @@ type HistoryPoint struct {
 type History struct {
 	mu       sync.Mutex
 	snapshot func() map[string]float64
-	interval time.Duration
+	interval time.Duration  // sampling cadence, fixed by NewHistory
 	points   []HistoryPoint // ring storage, len == capacity
 	head     int            // next write slot
 	n        int            // live points, <= len(points)
@@ -69,27 +69,6 @@ func (h *History) Record(now time.Time) {
 	}
 }
 
-// SetInterval changes the sampling cadence; the running sampler picks the
-// new value up on its next tick. No-op for d <= 0.
-func (h *History) SetInterval(d time.Duration) {
-	if h == nil || d <= 0 {
-		return
-	}
-	h.mu.Lock()
-	h.interval = d
-	h.mu.Unlock()
-}
-
-// Interval returns the current sampling cadence (0 on nil).
-func (h *History) Interval() time.Duration {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.interval
-}
-
 // Start launches the background sampler. Safe to call on nil; calling
 // Start twice without Stop is a no-op.
 func (h *History) Start() {
@@ -108,7 +87,7 @@ func (h *History) Start() {
 	go func() {
 		defer close(done)
 		for {
-			t := time.NewTimer(h.Interval())
+			t := time.NewTimer(h.interval)
 			select {
 			case <-stop:
 				t.Stop()

@@ -8,8 +8,7 @@
 // no-ops, nothing draws randomness (trace IDs come from an atomic
 // counter), and nothing feeds back into the pipeline — so study output
 // stays byte-identical with telemetry attached or detached at any worker
-// count (enforced by TestObservedStudyByteIdentical and
-// TestPooledStudyByteIdentical at the repo root).
+// count (enforced by TestObservedStudyByteIdentical at the repo root).
 package telemetry
 
 import (

@@ -12,7 +12,7 @@ import (
 
 // Classifier assigns integer labels to documents by nearest k-means
 // centroid, with each cluster labeled by the majority ground-truth label of
-// a (possibly small) manually labeled subset — the "manual labeling and
+// its manually labeled training documents — the "manual labeling and
 // k-means clustering ... in a best-effort manner" procedure of §III.A.
 type Classifier struct {
 	vocab     *Vocabulary
@@ -30,16 +30,6 @@ type Classifier struct {
 type TrainOptions struct {
 	Clusters int // number of k-means clusters; ≥ number of distinct labels
 	MaxIter  int // Lloyd iteration cap
-	MinDocs  int // vocabulary document-frequency floor
-	// LabeledFraction is the fraction of training documents whose ground
-	// truth is consulted when labeling clusters, simulating the limited
-	// manual labeling effort. 1.0 uses every label.
-	LabeledFraction float64
-	// BalancedVotes weights cluster-labeling votes by inverse class
-	// frequency so that rare classes (hardware, network) can claim the
-	// clusters they dominate relatively, instead of being outvoted by the
-	// bulk classes everywhere.
-	BalancedVotes bool
 	// Parallelism is the worker count for tokenization, vectorization and
 	// the k-means sweeps: 0 means GOMAXPROCS, 1 the sequential reference.
 	// The trained classifier is identical at every setting.
@@ -53,10 +43,14 @@ type TrainOptions struct {
 }
 
 // DefaultTrainOptions mirrors the paper's setup: more clusters than
-// classes so heterogeneous phrasing can split, full manual check.
+// classes so heterogeneous phrasing can split.
 func DefaultTrainOptions() TrainOptions {
-	return TrainOptions{Clusters: 64, MaxIter: 60, MinDocs: 2, LabeledFraction: 1.0, BalancedVotes: true}
+	return TrainOptions{Clusters: 64, MaxIter: 60}
 }
+
+// minDocs is the vocabulary's document-frequency floor: a term seen in a
+// single training document is noise to the clustering.
+const minDocs = 2
 
 // Train builds a classifier from documents and their ground-truth labels.
 func Train(texts []string, labels []int, opts TrainOptions, r *xrand.RNG) (*Classifier, error) {
@@ -75,7 +69,7 @@ func Train(texts []string, labels []int, opts TrainOptions, r *xrand.RNG) (*Clas
 	tokSpan.End()
 
 	vecSpan := o.Start("vectorize")
-	vocab := BuildVocabulary(docs, opts.MinDocs)
+	vocab := BuildVocabulary(docs, minDocs)
 	vectors := make([]SparseVector, len(docs))
 	vecSpan.AddPool(par.ForEach(opts.Parallelism, len(docs), func(i int) {
 		vectors[i] = vocab.Vectorize(docs[i])
@@ -92,13 +86,12 @@ func Train(texts []string, labels []int, opts TrainOptions, r *xrand.RNG) (*Clas
 		return nil, err
 	}
 
-	// Majority-vote label per cluster over the manually labeled subset.
+	// Majority-vote label per cluster over every training label. Votes
+	// are weighted by inverse square-root class frequency so that rare
+	// classes (hardware, network) can claim the clusters they dominate
+	// relatively, instead of being outvoted by the bulk classes everywhere.
 	lblSpan := o.Start("label-clusters")
 	defer lblSpan.End()
-	frac := opts.LabeledFraction
-	if frac <= 0 || frac > 1 {
-		frac = 1
-	}
 	votes := make([]map[int]float64, k)
 	raw := make([]map[int]int, k) // unweighted counts, for the purity score
 	for c := range votes {
@@ -109,18 +102,10 @@ func Train(texts []string, labels []int, opts TrainOptions, r *xrand.RNG) (*Clas
 	for _, l := range labels {
 		classFreq[l]++
 	}
-	weight := func(lbl int) float64 {
-		if !opts.BalancedVotes || classFreq[lbl] == 0 {
-			return 1
-		}
-		return 1 / math.Sqrt(float64(classFreq[lbl]))
-	}
 	for i, c := range res.Assignments {
-		if frac < 1 && r.Float64() >= frac {
-			continue
-		}
-		votes[c][labels[i]] += weight(labels[i])
-		raw[c][labels[i]]++
+		lbl := labels[i]
+		votes[c][lbl] += 1 / math.Sqrt(float64(classFreq[lbl]))
+		raw[c][lbl]++
 	}
 	clusterLabels := make([]int, k)
 	globalMajority := majorityLabel(labels)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"failscope/internal/mempool"
 	"failscope/internal/model"
 	"failscope/internal/monitordb"
 )
@@ -107,37 +106,5 @@ func TestParallelStudyByteIdentical(t *testing.T) {
 		}
 		t.Fatalf("parallelism %d diverges from the sequential reference at byte %d:\nseq: …%q…\npar: …%q…",
 			p, i, ref[lo:end(ref)], got[lo:end(got)])
-	}
-}
-
-// TestPooledStudyByteIdentical proves buffer pooling is semantics-free: the
-// full pipeline must produce byte-identical output with the mempool free
-// lists disabled (every Get a miss, every Put a drop) at every worker
-// count. Combined with TestParallelStudyByteIdentical (pooling on, the
-// default), this pins the licensing invariant of the allocation-discipline
-// work: pools may only ever change where memory comes from, never a byte
-// of what the pipeline computes.
-func TestPooledStudyByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the small study four times")
-	}
-	ref := smallStudyFingerprint(t, 1)
-	obsRef := observedStudyFingerprint(t, 1, nil) // pools on, unobserved
-
-	prev := mempool.SetEnabled(false)
-	defer mempool.SetEnabled(prev)
-	for _, p := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		if got := smallStudyFingerprint(t, p); got != ref {
-			t.Fatalf("pooling disabled at parallelism %d diverges from the pooled sequential reference", p)
-		}
-	}
-
-	// Pools off AND the telemetry layer attached (observer + history
-	// sampler + exposition encode, via observedStudyFingerprint): still the
-	// same bytes. This crosses the two orthogonal invariants — allocation
-	// discipline and live telemetry are both semantics-free, together.
-	o := NewObserver("pooled-telemetry-study")
-	if got := observedStudyFingerprint(t, 2, o); got != obsRef {
-		t.Fatal("pooling disabled with telemetry attached diverges from the pooled unobserved reference")
 	}
 }
