@@ -181,7 +181,7 @@ func run() error {
 		if *inputPath != "" {
 			return fmt.Errorf("detection replay needs a generated study; drop -input")
 		}
-		detSnap, detBands, err = runDetection(study, *detHorizon, o)
+		detSnap, detBands, err = runDetection(study, res.Field, *detHorizon, o)
 		if err != nil {
 			return err
 		}
@@ -233,20 +233,13 @@ func run() error {
 	return detectionGate(*detectGate, detBands)
 }
 
-// runDetection replays the study's event stream (inventory first, then
-// every timed record in arrival order, closed by an advance to the
-// observation end so in-flight alerts censor exactly like the batch
-// recurrence analysis) through a stream engine with the online detector
-// attached, and grades the resulting alerts.
-func runDetection(study failscope.Study, horizon time.Duration, o *failscope.Observer) (*failscope.DetectionSnapshot, *failscope.FidelityScoreboard, error) {
-	genSpan := o.Start("detect-generate")
-	gen := study.Generator
-	gen.Observer = o.Under(genSpan)
-	field, err := failscope.Generate(gen)
-	genSpan.End()
-	if err != nil {
-		return nil, nil, err
-	}
+// runDetection replays the study's generated field as its event stream
+// (inventory first, then every timed record in arrival order, closed by an
+// advance to the observation end so in-flight alerts censor exactly like
+// the batch recurrence analysis) through a stream engine with the online
+// detector attached, and grades the resulting alerts. The collection only
+// reads the field, so the study's own run supplies it.
+func runDetection(study failscope.Study, field *failscope.FieldData, horizon time.Duration, o *failscope.Observer) (*failscope.DetectionSnapshot, *failscope.FidelityScoreboard, error) {
 	det := failscope.NewDetector(failscope.DetectorConfig{Horizon: horizon})
 	eng, err := failscope.NewStreamEngine(failscope.StreamConfig{
 		Observation: study.Generator.Observation,

@@ -84,9 +84,7 @@ func run() error {
 		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "with -data-dir: cadence of periodic checkpoints, on top of the ones sealed WAL segments trigger (0 disables the ticker; sealed segments and drain still checkpoint)")
 		detectOn    = flag.Bool("detect", true, "run the online failure detector (serves /v1/alerts and detect.* metrics)")
 		detHorizon  = flag.Duration("detect-horizon", 0, "alert confirmation horizon (0 = calibrated default)")
-		histSize    = flag.Int("history-size", 720, "snapshots retained in the metrics history ring")
 		traceSlow   = flag.Duration("trace-slow", 100*time.Millisecond, "requests at or above this duration are kept in /debug/requests (0 keeps every request)")
-		traceBuffer = flag.Int("trace-buffer", 128, "slow/errored requests retained for /debug/requests")
 	)
 	ofl := clikit.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -250,9 +248,7 @@ func run() error {
 	// API server's history ring here and the debug server's when set.
 	api := newServer(rt, o, serverOptions{
 		historyInterval: ofl.HistoryTick,
-		historySize:     *histSize,
 		traceSlow:       *traceSlow,
-		traceBuffer:     *traceBuffer,
 		store:           store,
 		recovery:        recovery,
 	})

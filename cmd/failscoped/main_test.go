@@ -314,7 +314,7 @@ func TestReplayEventsPacingAndStop(t *testing.T) {
 		}
 		return shard.Single(eng), eng
 	}
-	events, err := stream.DecodeJSONL(strings.NewReader(testBatch(t)))
+	events, err := failscope.ReadStreamEvents(strings.NewReader(testBatch(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,6 @@ func TestTelemetryEndpoints(t *testing.T) {
 	}
 	srv := newServer(shard.Single(eng), o, serverOptions{ // engine and server share one registry
 		historyInterval: 5 * time.Millisecond,
-		historySize:     16,
 		traceSlow:       0, // retain every request
 	})
 	t.Cleanup(srv.Close)

@@ -85,13 +85,11 @@ func newHTTPServer(h http.Handler) *http.Server {
 	}
 }
 
-// serverOptions sizes the telemetry attached to the HTTP surface. The zero
-// value is usable: NewTracer and NewHistory apply their own defaults.
+// serverOptions paces the telemetry attached to the HTTP surface. The
+// zero value is usable: NewHistory applies its own default cadence.
 type serverOptions struct {
 	historyInterval time.Duration // self-monitoring snapshot cadence
-	historySize     int           // history ring capacity (snapshots)
 	traceSlow       time.Duration // slow-request retention threshold (0 = keep all)
-	traceBuffer     int           // slow/errored request ring capacity
 
 	store    *durable.Store        // durable mode (nil = in-memory only)
 	recovery *durable.RecoveryInfo // what boot-time recovery reconstructed
@@ -117,13 +115,6 @@ type server struct {
 	requests, ingested *obs.Counter   // serve.requests, serve.events_ingested
 	batchEvents        *obs.Histogram // serve.batch_events
 
-	// Last stream.DecodeStats readings already folded into the registry;
-	// publishDecodeStats publishes the delta so wire.decode_* stay
-	// counters.
-	decMu       sync.Mutex
-	pubFast     int64
-	pubFallback int64
-
 	closeOnce sync.Once
 }
 
@@ -145,8 +136,8 @@ func newServer(rt *shard.Router, o *obs.Observer, opts serverOptions) *server {
 	// read: /metrics, the history ring and the run report all carry them.
 	reg.Collect("mempool", mempool.Publish)
 	reg.Collect("wire.decode", s.publishDecodeStats)
-	s.tracer = telemetry.NewTracer(reg, opts.traceBuffer, opts.traceSlow)
-	s.history = telemetry.NewHistory(reg.Snapshot, opts.historyInterval, opts.historySize)
+	s.tracer = telemetry.NewTracer(reg, opts.traceSlow)
+	s.history = telemetry.NewHistory(reg.Snapshot, opts.historyInterval)
 	s.history.Start()
 
 	handle := func(pattern string, h http.HandlerFunc) {
@@ -358,25 +349,13 @@ func exportedSeq(metrics []obs.Metric) (int64, bool) {
 
 // publishDecodeStats is the server's registry collector for the
 // process-wide JSONL decoder counters, published as wire.decode_fast /
-// wire.decode_fallback. The decoder counts cumulatively across every
-// caller (ingest, replay, tests), so it publishes deltas against what it
-// last saw, keeping the registry values monotone counters.
+// wire.decode_fallback: each advances to the decoder's running total
+// across every caller (ingest, replay, tests), and both families exist
+// on every scrape.
 func (s *server) publishDecodeStats(m *obs.Registry) {
 	fast, fallback := stream.DecodeStats()
-	s.decMu.Lock()
-	dFast, dFallback := fast-s.pubFast, fallback-s.pubFallback
-	s.pubFast, s.pubFallback = fast, fallback
-	s.decMu.Unlock()
-	if dFast > 0 {
-		m.Add("wire.decode_fast", dFast)
-	} else {
-		m.Counter("wire.decode_fast") // ensure the family exists on every scrape
-	}
-	if dFallback > 0 {
-		m.Add("wire.decode_fallback", dFallback)
-	} else {
-		m.Counter("wire.decode_fallback")
-	}
+	m.Counter("wire.decode_fast").AdvanceTo(fast)
+	m.Counter("wire.decode_fallback").AdvanceTo(fallback)
 }
 
 // buildVersion reads the module and VCS stamp out of the binary once.

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	ticketclass [-seed N] [-scale small|paper] [-train-frac F] [-clusters K] [-parallelism P] [-v]
+//	ticketclass [-seed N] [-scale small|paper] [-parallelism P] [-v]
 //	ticketclass -scale small -trace-out run.json -debug-addr localhost:6060
 //	ticketclass -scale small -input - < tickets.jsonl > predictions.jsonl
 package main
@@ -37,12 +37,10 @@ func main() {
 
 func run() error {
 	var (
-		seed      = flag.Uint64("seed", 0, "generator seed (0 keeps the calibrated default)")
-		scale     = flag.String("scale", "paper", "dataset scale: paper or small")
-		trainFrac = flag.Float64("train-frac", 0.30, "background labeling fraction")
-		clusters  = flag.Int("clusters", 0, "k-means clusters for crash identification (0 = default)")
-		parallel  = flag.Int("parallelism", 0, "worker count for generation and training (0 = all CPUs, 1 = sequential; results are identical)")
-		input     = flag.String("input", "", "classify this JSONL ticket stream with the trained model instead of scoring the test split ('-' = stdin); predictions leave on stdout as JSONL")
+		seed     = flag.Uint64("seed", 0, "generator seed (0 keeps the calibrated default)")
+		scale    = flag.String("scale", "paper", "dataset scale: paper or small")
+		parallel = flag.Int("parallelism", 0, "worker count for generation and training (0 = all CPUs, 1 = sequential; results are identical)")
+		input    = flag.String("input", "", "classify this JSONL ticket stream with the trained model instead of scoring the test split ('-' = stdin); predictions leave on stdout as JSONL")
 	)
 	ofl := clikit.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -60,16 +58,13 @@ func run() error {
 		study.Generator.Seed = *seed
 	}
 	study = study.WithParallelism(*parallel)
-	study.Collect.TrainFraction = *trainFrac
-	study.Collect.Clusters = *clusters
 
 	o, stopDebug, err := ofl.Observer("ticketclass")
 	if err != nil {
 		return err
 	}
 	defer stopDebug()
-	o.SetMeta(study.Generator.Seed, *parallel,
-		fmt.Sprintf("scale=%s train-frac=%g clusters=%d", *scale, *trainFrac, *clusters))
+	o.SetMeta(study.Generator.Seed, *parallel, "scale="+*scale)
 	genSpan := o.Start("generate")
 	study.Generator.Observer = o.Under(genSpan)
 	field, err := failscope.Generate(study.Generator)

@@ -2,7 +2,10 @@ package failscope_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,5 +178,47 @@ func TestPredictionFeatureNamesCopied(t *testing.T) {
 	a[0] = "mutated"
 	if failscope.PredictionFeatureNames()[0] == "mutated" {
 		t.Fatal("PredictionFeatureNames exposes internal state")
+	}
+}
+
+// TestStreamEventsRoundTripThroughFacade: the small study's event stream
+// survives WriteStreamEvents → ReadStreamEvents unchanged, a line the
+// zero-copy decoder hands to encoding/json decodes as json.Unmarshal
+// would, and a decode error names its line.
+func TestStreamEventsRoundTripThroughFacade(t *testing.T) {
+	field, err := failscope.Generate(failscope.SmallStudy().Generator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := failscope.StreamEventsFromField(field)
+	var buf bytes.Buffer
+	if err := failscope.WriteStreamEvents(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	back, err := failscope.ReadStreamEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, events) {
+		t.Fatalf("round trip of %d events diverged (got %d)", len(events), len(back))
+	}
+
+	// A non-UTC offset is outside the fast path's certainty.
+	line := `{"type":"advance","time":"2012-07-01T02:00:00+02:00"}`
+	var want failscope.StreamEvent
+	if err := json.Unmarshal([]byte(line), &want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := failscope.ReadStreamEvents(strings.NewReader(line + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("fallback line decoded to %+v, want %+v", got, want)
+	}
+
+	bad := line + "\n" + line + "\n{\"type\":\n"
+	if _, err := failscope.ReadStreamEvents(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("malformed third line: err = %v, want one naming line 3", err)
 	}
 }

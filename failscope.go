@@ -551,8 +551,15 @@ func StreamEventsFromField(field *FieldData) []StreamEvent {
 }
 
 // ReadStreamEvents decodes a JSONL event batch; errors name the 1-based
-// offending line.
-func ReadStreamEvents(r io.Reader) ([]StreamEvent, error) { return stream.DecodeJSONL(r) }
+// offending line. The batch is never released to the pool, so the
+// returned events own their backing arenas.
+func ReadStreamEvents(r io.Reader) ([]StreamEvent, error) {
+	var b stream.Batch
+	if _, err := b.DecodeJSONLInto(r); err != nil {
+		return nil, err
+	}
+	return b.Events, nil
+}
 
 // WriteStreamEvents writes events one JSON object per line.
 func WriteStreamEvents(w io.Writer, events []StreamEvent) error {

@@ -88,7 +88,7 @@ func (f *Flags) Observer(cmd string) (*obs.Observer, func(), error) {
 		// The debug server carries the live-telemetry surface too: the
 		// Prometheus exposition of the observer registry and the
 		// self-monitoring history ring, sampled on -history-interval.
-		hist := telemetry.NewHistory(o.Metrics().Snapshot, f.HistoryTick, 0)
+		hist := telemetry.NewHistory(o.Metrics().Snapshot, f.HistoryTick)
 		hist.Start()
 		bound, stop, err := obs.ServeDebug(f.DebugAddr,
 			obs.Route{Pattern: "/metrics", Handler: telemetry.Handler(o.Metrics(), nil)},

@@ -137,24 +137,6 @@ func TestWeeklyFailureRates(t *testing.T) {
 	}
 }
 
-func TestMonthlyFailureRate(t *testing.T) {
-	in := newBuilder().
-		machine("pm1", model.PM, model.SysI, model.Capacity{}).
-		crash("pm1", model.SysI, 5, model.ClassSoftware, 1).
-		crash("pm1", model.SysI, 6, model.ClassSoftware, 1).
-		input()
-	s := MonthlyFailureRate(in, model.PM, model.SysI)
-	if s.N != 12 {
-		t.Fatalf("months = %d", s.N)
-	}
-	if s.Max != 2 { // both failures in month 0, one server
-		t.Fatalf("max monthly rate = %v", s.Max)
-	}
-	if zero := MonthlyFailureRate(in, model.VM, 0); zero.N != 0 {
-		t.Fatalf("empty population: %+v", zero)
-	}
-}
-
 func TestInterFailureGaps(t *testing.T) {
 	in := newBuilder().
 		machine("pm1", model.PM, model.SysI, model.Capacity{}).

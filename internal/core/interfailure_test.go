@@ -58,8 +58,9 @@ func TestInterFailureCensoredSample(t *testing.T) {
 	if len(sample.Censored) != 2 {
 		t.Fatalf("censored = %v", sample.Censored)
 	}
-	wantA := obsWin.Days() - 30
-	wantB := obsWin.Days() - 100
+	days := obsWin.Duration().Hours() / 24
+	wantA := days - 30
+	wantB := days - 100
 	got := map[float64]bool{sample.Censored[0]: true, sample.Censored[1]: true}
 	if !got[wantA] || !got[wantB] {
 		t.Fatalf("censored = %v, want {%v, %v}", sample.Censored, wantA, wantB)

@@ -43,29 +43,3 @@ func rateSummary(in Input, kind model.MachineKind, sys model.System) RateSummary
 	rs.Summary = stats.Summarize(rates)
 	return rs
 }
-
-// MonthlyFailureRate returns the population's failure rate per 30-day
-// month, the coarser granularity mentioned in §III.B.
-func MonthlyFailureRate(in Input, kind model.MachineKind, sys model.System) stats.Summary {
-	servers := in.Data.CountMachines(kind, sys)
-	if servers == 0 {
-		return stats.Summary{}
-	}
-	w := in.Data.Observation
-	months := int(w.Months())
-	if months < 1 {
-		months = 1
-	}
-	counts := make([]int, months)
-	for _, t := range crashOf(in.Data, kind, sys) {
-		idx := int(t.Opened.Sub(w.Start).Hours() / (24 * 30))
-		if idx >= 0 && idx < months {
-			counts[idx]++
-		}
-	}
-	rates := make([]float64, months)
-	for i, c := range counts {
-		rates[i] = float64(c) / float64(servers)
-	}
-	return stats.Summarize(rates)
-}

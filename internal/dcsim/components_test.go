@@ -183,8 +183,10 @@ func TestConsolidationLevelMix(t *testing.T) {
 	// Count VMs per box; the share of VMs on big boxes (>=16) should
 	// dominate, per the §VI.A mix.
 	perBox := make(map[model.MachineID]int)
-	for _, m := range out.Data.MachinesOf(model.VM, model.SysI) {
-		perBox[m.HostID]++
+	for _, m := range out.Data.Machines {
+		if m.Kind == model.VM && m.System == model.SysI {
+			perBox[m.HostID]++
+		}
 	}
 	big := 0
 	total := 0

@@ -223,7 +223,10 @@ func TestVMsReferenceBoxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range out.Data.MachinesOf(model.VM, 0) {
+	for _, m := range out.Data.Machines {
+		if m.Kind != model.VM {
+			continue
+		}
 		if m.HostID == "" {
 			t.Fatalf("VM %s has no host", m.ID)
 		}
@@ -264,7 +267,10 @@ func TestVMCreationSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, after := 0, 0
-	for _, m := range out.Data.MachinesOf(model.VM, 0) {
+	for _, m := range out.Data.Machines {
+		if m.Kind != model.VM {
+			continue
+		}
 		if m.Created.Before(cfg.MonitorEpoch) {
 			before++
 		} else {

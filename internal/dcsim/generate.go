@@ -41,7 +41,7 @@ func Generate(cfg Config) (*Output, error) {
 	monitor.Instrument(o.Metrics())
 	monitor.SetLogger(o.Log())
 	store := ticketdb.NewStore()
-	renderer := ticketdb.NewRenderer(xrand.Derive(cfg.Seed, streamTicket), cfg.VagueTextProb)
+	renderer := ticketdb.NewRenderer(cfg.VagueTextProb)
 
 	// Calibrate failure rates, then generate the event log.
 	calSpan := o.Start("calibration")

@@ -210,7 +210,6 @@ type Detector struct {
 
 	leadDays sketch.Moments
 	leadQ    *sketch.Quantile
-	pub      Totals // the totals last pushed to the registry (Publish)
 
 	recent  []Alert // cleared ring, oldest first
 	scratch textmine.PredictScratch
@@ -660,19 +659,12 @@ func (t *Totals) Add(u Totals) {
 
 // Publish pushes t into the registry as the detect.* families: gauges are
 // set outright, and the detect.alerts_raised and detect.alerts_cleared
-// counters advance by their growth since *pub, the totals this publisher
-// last pushed, which Publish then moves up to t.
-func (t Totals) Publish(r *obs.Registry, pub *Totals) {
+// counters advance to t's running totals.
+func (t Totals) Publish(r *obs.Registry) {
 	r.Set("detect.alerts_active", float64(t.Active))
 	r.Set("detect.machines", float64(t.Machines))
-	if delta := t.Raised - pub.Raised; delta > 0 {
-		r.Add("detect.alerts_raised", delta)
-		pub.Raised = t.Raised
-	}
-	if delta := t.Confirmed + t.Expired - (pub.Confirmed + pub.Expired); delta > 0 {
-		r.Add("detect.alerts_cleared", delta)
-		pub.Confirmed, pub.Expired = t.Confirmed, t.Expired
-	}
+	r.Counter("detect.alerts_raised").AdvanceTo(t.Raised)
+	r.Counter("detect.alerts_cleared").AdvanceTo(t.Confirmed + t.Expired)
 	r.Set("detect.alerts_confirmed", float64(t.Confirmed))
 	r.Set("detect.alerts_expired", float64(t.Expired))
 	r.Set("detect.alerts_raised_anomaly", float64(t.RaisedAnomaly))
@@ -695,7 +687,7 @@ var MetricHelp = map[string]string{
 func (d *Detector) Publish(r *obs.Registry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.totalsLocked().Publish(r, &d.pub)
+	d.totalsLocked().Publish(r)
 }
 
 // Snapshot is the queryable detection state: the active alerts, the

@@ -33,10 +33,9 @@ package detect
 // The expiry bound (nextDeadline) is not in the image: a restore resets
 // it to zero, which makes Due true and the next expiry scan recompute it.
 //
-// The publish watermark (pub) is deliberately reset to zero on restore:
-// the restarted process has a fresh metrics registry, and a zero
-// watermark makes the next Publish re-add the full historical counts so
-// the detect_* counters converge to an uninterrupted run's values.
+// No publish state is in the image either: Publish advances the detect_*
+// counters to the restored running totals, so a restarted process's fresh
+// registry converges to an uninterrupted run's values.
 
 import (
 	"fmt"
@@ -254,7 +253,6 @@ func (d *Detector) RestoreState(r *binimg.Reader) error {
 	d.raisedBySource = n.raisedBySource
 	d.confirmed, d.expired = n.confirmed, n.expired
 	d.leadDays, d.leadQ = n.leadDays, n.leadQ
-	d.pub = Totals{}
 	d.recent = n.recent
 	return nil
 }

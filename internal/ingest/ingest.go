@@ -21,20 +21,10 @@ import (
 
 // Options configures the pipeline.
 type Options struct {
-	Seed uint64
-
 	// Observation restricts analysis to this window; FineWindow is where
 	// 15-minute data exists for on/off screening.
 	Observation model.Window
 	FineWindow  model.Window
-
-	// TrainFraction of tickets (capped at maxTrainDocs) provides the
-	// manually labeled examples the cluster labeling consults.
-	TrainFraction float64
-
-	// Classifier tuning; zero values take textmine defaults.
-	Clusters int
-	MaxIter  int
 
 	// SkipClassification skips the k-means step (for fast analyses that
 	// only need the joined dataset).
@@ -59,17 +49,26 @@ type Options struct {
 	Observer *obs.Observer
 }
 
-// maxTrainDocs caps the manually labeled training set, half of it for
-// crash tickets and half for background ones.
-const maxTrainDocs = 12000
+const (
+	// classifySeed seeds the classification RNG: the labeling draws and
+	// both k-means seedings.
+	classifySeed = 1
+
+	// trainFraction of background tickets (capped at maxTrainDocs)
+	// provides the manually labeled examples the cluster labeling
+	// consults.
+	trainFraction float64 = 0.30
+
+	// maxTrainDocs caps the manually labeled training set, half of it for
+	// crash tickets and half for background ones.
+	maxTrainDocs = 12000
+)
 
 // DefaultOptions returns the pipeline defaults.
 func DefaultOptions(win, fine model.Window) Options {
 	return Options{
-		Seed:          1,
-		Observation:   win,
-		FineWindow:    fine,
-		TrainFraction: 0.30,
+		Observation: win,
+		FineWindow:  fine,
 	}
 }
 
@@ -183,18 +182,14 @@ func trainStages(tickets []model.Ticket, opts Options, o *obs.Observer) (stage1,
 	if len(tickets) == 0 {
 		return nil, nil, nil, fmt.Errorf("no tickets to classify")
 	}
-	rng := xrand.New(opts.Seed)
+	rng := xrand.New(classifySeed)
 
-	frac := opts.TrainFraction
-	if frac <= 0 || frac >= 1 {
-		frac = 0.3
-	}
 	// Stratified labeling: crash tickets are ~2% of the stream, so a
 	// uniform manual-labeling sample would teach the clusters nothing
 	// about failures. The support staff labeling incident tickets
 	// naturally over-samples them, so the training set takes crash
-	// tickets at full rate and background tickets at frac, capped so
-	// background cannot crowd out the crash examples.
+	// tickets at full rate and background tickets at trainFraction,
+	// capped so background cannot crowd out the crash examples.
 	var trainTexts, testTexts []string
 	var trainLabels, testLabels []int
 	var testIdx []int
@@ -210,7 +205,7 @@ func trainStages(tickets []model.Ticket, opts Options, o *obs.Observer) (stage1,
 				take = true
 				crashTaken++
 			}
-		} else if rng.Bool(frac) && bgTaken < bgBudget {
+		} else if rng.Bool(trainFraction) && bgTaken < bgBudget {
 			take = true
 			bgTaken++
 		}
@@ -233,12 +228,6 @@ func trainStages(tickets []model.Ticket, opts Options, o *obs.Observer) (stage1,
 	// six finer-grained classes based on their resolutions.
 	topts := textmine.DefaultTrainOptions()
 	topts.Parallelism = opts.Parallelism
-	if opts.Clusters > 0 {
-		topts.Clusters = opts.Clusters
-	}
-	if opts.MaxIter > 0 {
-		topts.MaxIter = opts.MaxIter
-	}
 	binLabels := make([]int, len(trainLabels))
 	var crashTexts []string
 	var crashLabels []int

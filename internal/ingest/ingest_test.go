@@ -170,7 +170,12 @@ func TestUsePredictedLabels(t *testing.T) {
 	}
 	// Tickets must now carry predicted labels; the crash-ticket count
 	// should be close to (but not necessarily equal to) the truth.
-	truth := len(out.Tickets.Crashes())
+	truth := 0
+	for _, tk := range out.Tickets.All() {
+		if tk.IsCrash {
+			truth++
+		}
+	}
 	got := len(col.Data.CrashTickets())
 	if got == 0 {
 		t.Fatal("predicted labels produced no crash tickets")
@@ -195,8 +200,6 @@ func TestOnlineClassifierMatchesBatch(t *testing.T) {
 	}
 	out, cfg := genField(t)
 	opts := DefaultOptions(cfg.Observation, cfg.FineWindow)
-	opts.Clusters = 32
-	opts.MaxIter = 20
 	tickets := out.Tickets.InWindow(cfg.Observation)
 
 	oc, err := TrainOnlineClassifier(tickets, opts)

@@ -149,27 +149,3 @@ func (p *Pool[T]) Stats() Stats {
 		Drops:  p.drops.Load(),
 	}
 }
-
-// SlicePool pools []T buffers. Get returns a zero-length slice (retaining
-// whatever capacity its last user grew it to); Put truncates. Elements are
-// NOT zeroed — callers must treat a recycled buffer as uninitialized
-// beyond its length.
-type SlicePool[T any] struct{ p *Pool[[]T] }
-
-// NewSlice returns a slice pool holding at most capacity free buffers,
-// each born with the given initial capacity.
-func NewSlice[T any](name string, capacity, bufCap int) *SlicePool[T] {
-	return &SlicePool[T]{p: New(name, capacity,
-		func() []T { return make([]T, 0, bufCap) },
-		func(buf []T) []T { return buf[:0] },
-	)}
-}
-
-// Get returns an empty buffer ready to append into.
-func (p *SlicePool[T]) Get() []T { return p.p.Get() }
-
-// Put recycles a buffer. The caller must not use buf afterwards.
-func (p *SlicePool[T]) Put(buf []T) { p.p.Put(buf) }
-
-// Stats snapshots the pool's counters.
-func (p *SlicePool[T]) Stats() Stats { return p.p.Stats() }

@@ -43,10 +43,17 @@ func TestCapacityBound(t *testing.T) {
 	}
 }
 
-// TestSlicePoolResets verifies recycled buffers come back empty but keep
-// their grown capacity.
+// intSlices is a pool of slice buffers whose reset truncates on Put.
+func intSlices(name string, capacity int) *Pool[[]int] {
+	return New(name, capacity,
+		func() []int { return make([]int, 0, 4) },
+		func(buf []int) []int { return buf[:0] })
+}
+
+// TestSlicePoolResets verifies recycled slice buffers come back empty but
+// keep their grown capacity.
 func TestSlicePoolResets(t *testing.T) {
-	p := NewSlice[int]("test.slice", 2, 4)
+	p := intSlices("test.slice", 2)
 	buf := p.Get()
 	for i := 0; i < 100; i++ {
 		buf = append(buf, i)
@@ -64,7 +71,7 @@ func TestSlicePoolResets(t *testing.T) {
 // TestConcurrentGetPut exercises the pool from many goroutines; run under
 // -race this is the pool's data-race regression test.
 func TestConcurrentGetPut(t *testing.T) {
-	p := NewSlice[byte]("test.race", 8, 64)
+	p := intSlices("test.race", 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -72,7 +79,7 @@ func TestConcurrentGetPut(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				buf := p.Get()
-				buf = append(buf, byte(g), byte(i))
+				buf = append(buf, g, i)
 				if len(buf) != 2 {
 					t.Errorf("buffer not reset: len %d", len(buf))
 					return

@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // Dataset is the assembled field data: the machine inventory, the full
@@ -42,18 +41,6 @@ func (d *Dataset) Machine(id MachineID) *Machine {
 	return d.byID[id]
 }
 
-// MachinesOf returns the machines of the given kind; system <= 0 means all
-// systems.
-func (d *Dataset) MachinesOf(kind MachineKind, system System) []*Machine {
-	var out []*Machine
-	for _, m := range d.Machines {
-		if m.Kind == kind && (system <= 0 || m.System == system) {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // CountMachines returns the number of machines of the given kind; system
 // <= 0 means all systems.
 func (d *Dataset) CountMachines(kind MachineKind, system System) int {
@@ -71,18 +58,6 @@ func (d *Dataset) CrashTickets() []Ticket {
 	var out []Ticket
 	for _, t := range d.Tickets {
 		if t.IsCrash {
-			out = append(out, t)
-		}
-	}
-	sortTickets(out)
-	return out
-}
-
-// TicketsFor returns all tickets of one server, in time order.
-func (d *Dataset) TicketsFor(id MachineID) []Ticket {
-	var out []Ticket
-	for _, t := range d.Tickets {
-		if t.ServerID == id {
 			out = append(out, t)
 		}
 	}
@@ -148,7 +123,3 @@ func (d *Dataset) Validate() error {
 	}
 	return nil
 }
-
-// AgeAt returns the machine's age at time t; negative if t precedes
-// creation.
-func (m *Machine) AgeAt(t time.Time) time.Duration { return t.Sub(m.Created) }

@@ -183,12 +183,6 @@ func (w Window) Duration() time.Duration { return w.End.Sub(w.Start) }
 // Weeks returns the window length in (fractional) weeks.
 func (w Window) Weeks() float64 { return w.Duration().Hours() / (24 * 7) }
 
-// Months returns the window length in 30-day months.
-func (w Window) Months() float64 { return w.Duration().Hours() / (24 * 30) }
-
-// Days returns the window length in days.
-func (w Window) Days() float64 { return w.Duration().Hours() / 24 }
-
 // WeekIndex returns the zero-based week bucket of t within the window, or
 // -1 if t is outside.
 func (w Window) WeekIndex(t time.Time) int {

@@ -14,8 +14,7 @@ import (
 // spans and metrics, logging never touches a random stream or feeds back
 // into the pipeline, so output is byte-identical with logging on or off.
 type Logger struct {
-	s   *slog.Logger
-	lvl slog.Level
+	s *slog.Logger
 }
 
 // Log levels accepted by NewLogger, in increasing severity.
@@ -67,22 +66,7 @@ func NewLogger(w io.Writer, level, format string) (*Logger, error) {
 	default:
 		return nil, fmt.Errorf("obs: unknown log format %q (want %s|%s)", format, FormatText, FormatJSON)
 	}
-	return &Logger{s: slog.New(h), lvl: lvl}, nil
-}
-
-// Enabled reports whether records at the given level would be emitted
-// (false on nil).
-func (l *Logger) Enabled(level slog.Level) bool {
-	return l != nil && level >= l.lvl
-}
-
-// With returns a derived logger carrying the attributes on every record
-// (nil on nil).
-func (l *Logger) With(args ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	return &Logger{s: l.s.With(args...), lvl: l.lvl}
+	return &Logger{s: slog.New(h)}, nil
 }
 
 // Debug emits a debug-level record.

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"math"
 	"net/http"
@@ -35,6 +34,7 @@ func TestNilReceiversNoOp(t *testing.T) {
 	var c *Counter
 	c.Add(5)
 	c.Inc()
+	c.AdvanceTo(7)
 	if c.Value() != 0 {
 		t.Fatal("nil counter holds a value")
 	}
@@ -208,30 +208,40 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 }
 
-// TestContextSpans covers the context plumbing: ambient span present,
-// absent, and nil context values.
-func TestContextSpans(t *testing.T) {
-	if FromContext(context.Background()) != nil {
-		t.Fatal("empty context produced a span")
+// TestCounterAdvanceTo: a counter advanced to running totals follows their
+// maximum — raised by a larger total, never lowered by a smaller one, and
+// still summing Adds made in between.
+func TestCounterAdvanceTo(t *testing.T) {
+	var c Counter
+	for _, step := range []struct{ to, want int64 }{
+		{5, 5}, {3, 5}, {5, 5}, {9, 9}, {0, 9},
+	} {
+		c.AdvanceTo(step.to)
+		if got := c.Value(); got != step.want {
+			t.Fatalf("AdvanceTo(%d) = %d, want %d", step.to, got, step.want)
+		}
 	}
-	ctx, sp := StartSpan(context.Background(), "orphan")
-	if sp != nil || ctx != context.Background() {
-		t.Fatal("StartSpan without ambient span was not a no-op")
+	c.Add(2)
+	c.AdvanceTo(10)
+	if got := c.Value(); got != 11 {
+		t.Fatalf("AdvanceTo below an Add = %d, want 11", got)
 	}
 
-	root := Root("ctx")
-	ctx = NewContext(context.Background(), root)
-	if FromContext(ctx) != root {
-		t.Fatal("FromContext lost the span")
+	// Concurrent collectors publishing 1..n leave the counter at n.
+	var shared Counter
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := int64(1); v <= 1000; v++ {
+				shared.AdvanceTo(v)
+			}
+		}()
 	}
-	ctx2, child := StartSpan(ctx, "stage")
-	if child == nil || FromContext(ctx2) != child {
-		t.Fatal("StartSpan did not nest")
-	}
-	child.End()
-	root.End()
-	if root.Find("stage") != child {
-		t.Fatal("context child missing from tree")
+	wg.Wait()
+	if got := shared.Value(); got != 1000 {
+		t.Fatalf("concurrent AdvanceTo = %d, want 1000", got)
 	}
 }
 

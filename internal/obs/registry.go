@@ -27,6 +27,21 @@ func (c *Counter) Add(d int64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
+// AdvanceTo raises the counter to v and never lowers it: a collector that
+// reads a running total publishes it this way, so the counter stays
+// monotone without the collector remembering what it last published.
+func (c *Counter) AdvanceTo(v int64) {
+	if c == nil {
+		return
+	}
+	for {
+		cur := c.v.Load()
+		if v <= cur || c.v.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
 // Value returns the current count (0 on nil).
 func (c *Counter) Value() int64 {
 	if c == nil {

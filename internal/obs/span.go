@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -322,34 +321,3 @@ func (s *Span) Report() *SpanReport {
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// spanKey is the context key for the ambient span.
-type spanKey struct{}
-
-// NewContext returns a context carrying the span; stages that receive a
-// context rather than an explicit parent start children via StartSpan.
-func NewContext(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
-// FromContext returns the ambient span, or nil when the context carries
-// none — the returned span is safe to use either way.
-func FromContext(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
-}
-
-// StartSpan starts a child of the context's ambient span and returns the
-// derived context plus the child. Without an ambient span both returns are
-// no-ops (the original context and a nil span).
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := FromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	c := parent.Child(name)
-	return NewContext(ctx, c), c
-}

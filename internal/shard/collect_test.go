@@ -124,7 +124,7 @@ func TestGaugesPublishedOnRead(t *testing.T) {
 			for _, m := range reg.Export() {
 				exported[m.Name] = m.Value
 			}
-			hist := telemetry.NewHistory(reg.Snapshot, time.Hour, 1)
+			hist := telemetry.NewHistory(reg.Snapshot, time.Hour)
 			hist.Record(time.Now())
 			views := map[string]map[string]float64{
 				"Snapshot": reg.Snapshot(),

@@ -78,14 +78,8 @@ type Router struct {
 	// scratch pools the per-call routing buffers.
 	scratch sync.Pool
 
-	// pub guards the publish state: the fleet gauge names, and the
-	// watermarks of the counter families (monotone deltas into the shared
-	// registry).
-	pub         sync.Mutex
-	gauges      stream.GaugeNames
-	shardEvents []string // labeled shard.events counter names
-	pubEvents   []int64
-	pubDetect   detect.Totals
+	gauges      stream.GaugeNames // fleet stream.* gauge names
+	shardEvents []string          // labeled shard.events counter names
 }
 
 // errClosed fails every apply issued after Close.
@@ -112,7 +106,6 @@ func New(opts Options) (*Router, error) {
 		reg:         opts.Registry,
 		gauges:      stream.NewGaugeNames(""),
 		shardEvents: make([]string, n),
-		pubEvents:   make([]int64, n),
 	}
 	for i := range r.shardEvents {
 		r.shardEvents[i] = telemetry.Labeled("shard.events", "shard", strconv.Itoa(i))
@@ -339,18 +332,12 @@ func (r *Router) Publish(reg *obs.Registry) {
 	if len(r.engines) == 1 || reg == nil {
 		return
 	}
-	r.pub.Lock()
-	defer r.pub.Unlock()
-
 	var tot stream.Totals
 	var fp monitordb.Footprint
 	monitored := false
 	for i, e := range r.engines {
 		t := e.Totals()
-		if t.Events > r.pubEvents[i] {
-			reg.Add(r.shardEvents[i], t.Events-r.pubEvents[i])
-			r.pubEvents[i] = t.Events
-		}
+		reg.Counter(r.shardEvents[i]).AdvanceTo(t.Events)
 		tot.Add(t)
 		if db := e.Monitor(); db != nil {
 			monitored = true
@@ -371,7 +358,7 @@ func (r *Router) Publish(reg *obs.Registry) {
 		}
 		dt.Add(d.Totals())
 	}
-	dt.Publish(reg, &r.pubDetect)
+	dt.Publish(reg)
 }
 
 // Close makes every later apply fail, at any shard count; an apply already

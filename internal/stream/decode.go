@@ -110,12 +110,14 @@ func clearSlice[T any](s []T) {
 }
 
 // maxLineBytes is the line length DecodeJSONLInto refuses with
-// bufio.ErrTooLong: the bufio.Scanner limit DecodeJSONL applies.
+// bufio.ErrTooLong: the bufio.Scanner limit a json.Unmarshal-per-line
+// reader with a 16 MiB buffer applies.
 const maxLineBytes = 1 << 24
 
 // DecodeJSONLInto appends a JSONL event batch to b. Errors name the
-// 1-based line number of the offending record, exactly as DecodeJSONL
-// does. Returns the number of events appended.
+// 1-based line number of the offending record — the daemon surfaces them
+// verbatim in its 400 responses. Blank lines are skipped. Returns the
+// number of events appended.
 //
 // The body is read whole into the batch's read buffer, then split into
 // lines as bufio.ScanLines splits them; on an empty batch a successful

@@ -2,7 +2,7 @@ package stream
 
 // BenchmarkWireDecode{Legacy,Pooled} pit the two JSONL decode paths against
 // each other on a real small-study event mix (tickets, machines, samples,
-// placements): the legacy per-line json.Unmarshal path (DecodeJSONL) and
+// placements): the legacy per-line json.Unmarshal path (decodeJSONLOnly) and
 // the pooled zero-copy fast parser behind Batch.DecodeJSONLInto. Outputs
 // are proven identical by the parity tests in decode_test.go; these
 // benchmarks track the cost gap.
@@ -35,7 +35,7 @@ func BenchmarkWireDecodeLegacy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rd.Reset(raw)
-		if _, err := DecodeJSONL(&rd); err != nil {
+		if _, err := decodeJSONLOnly(&rd); err != nil {
 			b.Fatal(err)
 		}
 	}

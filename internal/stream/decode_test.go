@@ -71,7 +71,7 @@ func TestDecodeJSONLIntoMatchesLegacy(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
-	legacy, err := DecodeJSONL(bytes.NewReader(raw))
+	legacy, err := decodeJSONLOnly(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ var trickyEventLines = []string{
 // agree.
 func TestDecodeJSONLIntoTrickyLines(t *testing.T) {
 	for i, line := range trickyEventLines {
-		legacy, lerr := DecodeJSONL(strings.NewReader(line))
+		legacy, lerr := decodeJSONLOnly(strings.NewReader(line))
 		b := GetBatch()
 		n, ferr := b.DecodeJSONLInto(strings.NewReader(line))
 		if (lerr == nil) != (ferr == nil) || (lerr != nil && lerr.Error() != ferr.Error()) {
@@ -189,7 +189,7 @@ var malformedEventInputs = []string{
 // decoders must fail with the same message and line number.
 func TestDecodeJSONLIntoErrors(t *testing.T) {
 	for i, in := range malformedEventInputs {
-		_, lerr := DecodeJSONL(strings.NewReader(in))
+		_, lerr := decodeJSONLOnly(strings.NewReader(in))
 		b := GetBatch()
 		_, ferr := b.DecodeJSONLInto(strings.NewReader(in))
 		b.Release()
@@ -214,7 +214,7 @@ func TestDecodeJSONLIntoLineLimit(t *testing.T) {
 	for _, n := range []int{limit - 1, limit} {
 		line := head + strings.Repeat("x", n-len(head)-len(tail)) + tail
 		for _, in := range []string{line, line + "\n"} {
-			_, lerr := DecodeJSONL(strings.NewReader(in))
+			_, lerr := decodeJSONLOnly(strings.NewReader(in))
 			b := GetBatch()
 			_, ferr := b.DecodeJSONLInto(strings.NewReader(in))
 			b.Release()
@@ -233,7 +233,7 @@ func TestDecodeJSONLIntoLineLimit(t *testing.T) {
 // lines must fall back and come out identical.
 func TestDecodeJSONLIntoInvalidUTF8(t *testing.T) {
 	line := "{\"type\":\"ticket\",\"ticket\":{\"id\":\"T1\",\"serverID\":\"s\",\"system\":1,\"opened\":\"2012-08-01T10:00:00Z\",\"closed\":\"2012-08-01T11:00:00Z\",\"description\":\"bad \xff byte\",\"resolution\":\"r\",\"isCrash\":false}}"
-	legacy, lerr := DecodeJSONL(strings.NewReader(line))
+	legacy, lerr := decodeJSONLOnly(strings.NewReader(line))
 	b := GetBatch()
 	defer b.Release()
 	_, ferr := b.DecodeJSONLInto(strings.NewReader(line))
@@ -318,7 +318,7 @@ func FuzzDecodeJSONL(f *testing.F) {
 		f.Add([]byte(in))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		legacy, lerr := DecodeJSONL(bytes.NewReader(in))
+		legacy, lerr := decodeJSONLOnly(bytes.NewReader(in))
 		b := GetBatch()
 		defer b.Release()
 		n, ferr := b.DecodeJSONLInto(bytes.NewReader(in))

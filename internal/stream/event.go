@@ -12,7 +12,6 @@ package stream
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -75,34 +74,6 @@ func (e Event) When() time.Time {
 		return *e.Time
 	}
 	return time.Time{}
-}
-
-// DecodeJSONL parses a JSONL event batch. Errors name the 1-based line
-// number of the offending record — the daemon surfaces them verbatim in
-// its 400 responses. Blank lines are skipped.
-func DecodeJSONL(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	var events []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("stream: line %d: %w", line, err)
-		}
-		if ev.Type == "" {
-			return nil, fmt.Errorf("stream: line %d: event without type", line)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("stream: read: %w", err)
-	}
-	return events, nil
 }
 
 // EncodeJSONL writes events one JSON object per line, byte-identical to a

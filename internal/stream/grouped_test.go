@@ -130,7 +130,7 @@ func TestApplyGroupedConcurrent(t *testing.T) {
 
 // TestIngestSteadyStateAllocs pins the server ingestion path — pooled wire
 // decode plus ApplyBatchTimed — at its steady-state allocation cost. The
-// legacy decoder (DecodeJSONL) pays ~14 allocations per event before the
+// json.Unmarshal reference (decodeJSONLOnly) pays ~14 allocations per event before the
 // engine even sees the batch; the pooled path must stay under 4 per event
 // end to end once pools are warm.
 func TestIngestSteadyStateAllocs(t *testing.T) {

@@ -223,8 +223,6 @@ func TestEngineOnlineClassification(t *testing.T) {
 	cfg := dcsim.SmallConfig()
 
 	opts := ingest.DefaultOptions(cfg.Observation, cfg.FineWindow)
-	opts.Clusters = 32
-	opts.MaxIter = 20
 	clf, err := ingest.TrainOnlineClassifier(col.Data.Tickets, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -264,12 +262,12 @@ func TestDecodeJSONLErrorsNameTheLine(t *testing.T) {
 	in := `{"type":"advance","time":"2012-07-01T00:00:00Z"}
 {not json}
 `
-	_, err := DecodeJSONL(strings.NewReader(in))
+	_, err := new(Batch).DecodeJSONLInto(strings.NewReader(in))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line-2 decode error", err)
 	}
 
-	_, err = DecodeJSONL(strings.NewReader(`{"value":3}`))
+	_, err = new(Batch).DecodeJSONLInto(strings.NewReader(`{"value":3}`))
 	if err == nil || !strings.Contains(err.Error(), "line 1") || !strings.Contains(err.Error(), "without type") {
 		t.Fatalf("err = %v, want line-1 missing-type error", err)
 	}
@@ -287,12 +285,12 @@ func TestEncodeDecodeJSONLRoundTrip(t *testing.T) {
 	if err := EncodeJSONL(&buf, events); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeJSONL(strings.NewReader(buf.String()))
-	if err != nil {
+	var back Batch
+	if _, err := back.DecodeJSONLInto(strings.NewReader(buf.String())); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(events, back) {
-		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", back, events)
+	if !reflect.DeepEqual(events, back.Events) {
+		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", back.Events, events)
 	}
 }
 

@@ -25,7 +25,7 @@ type History struct {
 	mu       sync.Mutex
 	snapshot func() map[string]float64
 	interval time.Duration  // sampling cadence, fixed by NewHistory
-	points   []HistoryPoint // ring storage, len == capacity
+	points   []HistoryPoint // ring storage, len == historyCapacity
 	head     int            // next write slot
 	n        int            // live points, <= len(points)
 	evicted  int64
@@ -33,21 +33,20 @@ type History struct {
 	done     chan struct{}
 }
 
+// historyCapacity bounds the ring: one hour of 5s samples.
+const historyCapacity = 720
+
 // NewHistory builds a ring over the given snapshot function (typically
 // (*obs.Registry).Snapshot). interval is the sampling cadence for Start
-// (<= 0 takes 5s); capacity bounds the ring (<= 0 takes 720 — one hour of
-// 5s samples).
-func NewHistory(snapshot func() map[string]float64, interval time.Duration, capacity int) *History {
+// (<= 0 takes 5s).
+func NewHistory(snapshot func() map[string]float64, interval time.Duration) *History {
 	if interval <= 0 {
 		interval = 5 * time.Second
-	}
-	if capacity <= 0 {
-		capacity = 720
 	}
 	return &History{
 		snapshot: snapshot,
 		interval: interval,
-		points:   make([]HistoryPoint, capacity),
+		points:   make([]HistoryPoint, historyCapacity),
 	}
 }
 
@@ -124,16 +123,6 @@ func (h *History) Len() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.n
-}
-
-// Evicted returns how many points the ring has dropped to stay bounded.
-func (h *History) Evicted() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.evicted
 }
 
 // Points returns up to last points in oldest-to-newest order (last <= 0

@@ -9,31 +9,40 @@ import (
 	"failscope/internal/obs"
 )
 
-// TestHistoryRingEviction: the ring stays bounded — recording far more
-// points than capacity keeps exactly the newest `capacity` points and
-// counts every eviction.
+// TestHistoryRingEviction: the ring stays bounded — recording more
+// points than its capacity keeps exactly the newest historyCapacity points
+// and counts every eviction.
 func TestHistoryRingEviction(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := NewHistory(reg.Snapshot, time.Second, 4)
+	h := NewHistory(reg.Snapshot, time.Second)
 	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 
-	for i := 0; i < 10; i++ {
+	const recorded = historyCapacity + 6
+	for i := 0; i < recorded; i++ {
 		reg.Set("tick", float64(i))
 		h.Record(base.Add(time.Duration(i) * time.Second))
 	}
 
-	if h.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", h.Len())
+	if h.Len() != historyCapacity {
+		t.Fatalf("Len = %d, want %d", h.Len(), historyCapacity)
 	}
-	if h.Evicted() != 6 {
-		t.Errorf("Evicted = %d, want 6", h.Evicted())
+	rec := httptest.NewRecorder()
+	h.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/metrics/history?last=1", nil))
+	var env struct {
+		Evicted int64 `json:"evicted"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("history JSON: %v", err)
+	}
+	if env.Evicted != 6 {
+		t.Errorf("evicted = %d, want 6", env.Evicted)
 	}
 	pts := h.Points(0, "")
-	if len(pts) != 4 {
-		t.Fatalf("Points = %d, want 4", len(pts))
+	if len(pts) != historyCapacity {
+		t.Fatalf("Points = %d, want %d", len(pts), historyCapacity)
 	}
 	for i, p := range pts {
-		wantTick := float64(6 + i) // newest 4 of 10 are ticks 6..9
+		wantTick := float64(6 + i) // the newest historyCapacity ticks
 		if p.Metrics["tick"] != wantTick {
 			t.Errorf("point %d tick = %v, want %v", i, p.Metrics["tick"], wantTick)
 		}
@@ -44,7 +53,7 @@ func TestHistoryRingEviction(t *testing.T) {
 
 	// last=N returns the newest N, oldest first.
 	lastTwo := h.Points(2, "")
-	if len(lastTwo) != 2 || lastTwo[0].Metrics["tick"] != 8 || lastTwo[1].Metrics["tick"] != 9 {
+	if len(lastTwo) != 2 || lastTwo[0].Metrics["tick"] != recorded-2 || lastTwo[1].Metrics["tick"] != recorded-1 {
 		t.Errorf("Points(2) = %+v", lastTwo)
 	}
 }
@@ -54,7 +63,7 @@ func TestHistoryRingEviction(t *testing.T) {
 func TestHistorySamplerStartStop(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Add("alive", 1)
-	h := NewHistory(reg.Snapshot, 5*time.Millisecond, 64)
+	h := NewHistory(reg.Snapshot, 5*time.Millisecond)
 	h.Start()
 	h.Start() // double Start is a no-op, not a second goroutine
 	deadline := time.Now().Add(5 * time.Second)
@@ -79,7 +88,7 @@ func TestHistoryHandler(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Set("stream.events", 10)
 	reg.Set("serve.requests", 3)
-	h := NewHistory(reg.Snapshot, time.Second, 8)
+	h := NewHistory(reg.Snapshot, time.Second)
 	now := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 3; i++ {
 		h.Record(now.Add(time.Duration(i) * time.Second))
@@ -96,7 +105,7 @@ func TestHistoryHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("history JSON: %v\n%s", err, rec.Body.String())
 	}
-	if resp.Points != 2 || len(resp.Snapshots) != 2 || resp.Capacity != 8 || resp.IntervalSeconds != 1 {
+	if resp.Points != 2 || len(resp.Snapshots) != 2 || resp.Capacity != historyCapacity || resp.IntervalSeconds != 1 {
 		t.Fatalf("envelope = %+v", resp)
 	}
 	for _, p := range resp.Snapshots {

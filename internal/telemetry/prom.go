@@ -304,12 +304,6 @@ func kindName(k obs.MetricKind) string {
 	return "untyped"
 }
 
-// WriteMetrics encodes a registry's full export (see WriteExport). A nil
-// registry writes nothing.
-func WriteMetrics(w io.Writer, reg *obs.Registry, help map[string]string) error {
-	return WriteExport(w, reg.Export(), help)
-}
-
 // processStart anchors process_uptime_seconds. Observation-only.
 var processStart = time.Now()
 

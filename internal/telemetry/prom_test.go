@@ -15,7 +15,7 @@ import (
 func encode(t *testing.T, reg *obs.Registry, help map[string]string) string {
 	t.Helper()
 	var b bytes.Buffer
-	if err := WriteMetrics(&b, reg, help); err != nil {
+	if err := WriteExport(&b, reg.Export(), help); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()

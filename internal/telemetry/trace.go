@@ -81,14 +81,6 @@ func (a *Active) SetItems(n int) {
 	a.mu.Unlock()
 }
 
-// ID returns the request's trace ID ("" on nil).
-func (a *Active) ID() string {
-	if a == nil {
-		return ""
-	}
-	return a.rec.ID
-}
-
 type activeKey struct{}
 
 // ActiveFrom returns the in-flight trace attached to the context (nil when
@@ -122,15 +114,14 @@ type Tracer struct {
 	slowN   int64
 }
 
-// NewTracer builds a tracer over the registry. capacity bounds the
-// request ring (<= 0 takes 64); slow is the duration at or above which a
-// successful request is retained (0 retains every request; errored
-// requests are always retained).
-func NewTracer(reg *obs.Registry, capacity int, slow time.Duration) *Tracer {
-	if capacity <= 0 {
-		capacity = 64
-	}
-	return &Tracer{reg: reg, slow: slow, ring: make([]RequestRecord, capacity)}
+// traceCapacity bounds the slow/errored request ring.
+const traceCapacity = 128
+
+// NewTracer builds a tracer over the registry. slow is the duration at or
+// above which a successful request is retained (0 retains every request;
+// errored requests are always retained).
+func NewTracer(reg *obs.Registry, slow time.Duration) *Tracer {
+	return &Tracer{reg: reg, slow: slow, ring: make([]RequestRecord, traceCapacity)}
 }
 
 // statusWriter captures the status code a handler writes.

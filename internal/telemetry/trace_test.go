@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,7 +17,7 @@ import (
 // ring admission policy.
 func TestTracerREDMetricsAndRing(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := NewTracer(reg, 8, 20*time.Millisecond)
+	tr := NewTracer(reg, 20*time.Millisecond)
 
 	handler := tr.Wrap("/v1/events", func(w http.ResponseWriter, r *http.Request) {
 		a := ActiveFrom(r.Context())
@@ -74,25 +75,27 @@ func TestTracerREDMetricsAndRing(t *testing.T) {
 // TestTracerRingBounded: capacity is a hard bound under overflow.
 func TestTracerRingBounded(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := NewTracer(reg, 4, 0) // slow=0: every request is retained
+	tr := NewTracer(reg, 0) // slow=0: every request is retained
 	handler := tr.Wrap("/x", func(w http.ResponseWriter, r *http.Request) {})
-	for i := 0; i < 10; i++ {
+	const sent = traceCapacity + 6
+	for i := 0; i < sent; i++ {
 		handler(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
 	}
 	recs := tr.Records()
-	if len(recs) != 4 {
-		t.Fatalf("ring length = %d, want 4", len(recs))
+	if len(recs) != traceCapacity {
+		t.Fatalf("ring length = %d, want %d", len(recs), traceCapacity)
 	}
 	// Newest first and IDs monotonic.
-	if recs[0].ID != "req-0000000a" || recs[3].ID != "req-00000007" {
-		t.Errorf("ring kept %v .. %v, want req-0000000a .. req-00000007", recs[0].ID, recs[3].ID)
+	newest, oldest := fmt.Sprintf("req-%08x", sent), fmt.Sprintf("req-%08x", sent-traceCapacity+1)
+	if recs[0].ID != newest || recs[traceCapacity-1].ID != oldest {
+		t.Errorf("ring kept %v .. %v, want %v .. %v", recs[0].ID, recs[traceCapacity-1].ID, newest, oldest)
 	}
 }
 
 // TestRequestsHandler: /debug/requests serves the envelope with counters.
 func TestRequestsHandler(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := NewTracer(reg, 4, 0)
+	tr := NewTracer(reg, 0)
 	handler := tr.Wrap("/x", func(w http.ResponseWriter, r *http.Request) {
 		ActiveFrom(r.Context()).SetItems(7)
 		ActiveFrom(r.Context()).AddSpan("engine-apply", 3*time.Millisecond)
@@ -105,7 +108,7 @@ func TestRequestsHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, rec.Body.String())
 	}
-	if resp.Total != 1 || resp.Capacity != 4 || len(resp.Requests) != 1 {
+	if resp.Total != 1 || resp.Capacity != traceCapacity || len(resp.Requests) != 1 {
 		t.Fatalf("envelope = %+v", resp)
 	}
 	r0 := resp.Requests[0]
@@ -132,13 +135,14 @@ func TestNilTracerAndActive(t *testing.T) {
 		a.AddSpan("x", time.Millisecond)
 		a.SetError("e")
 		a.SetItems(1)
-		if a.ID() != "" {
-			t.Error("nil Active has an ID")
-		}
 	})
-	h(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest("GET", "/x", nil))
 	if !called {
 		t.Fatal("nil tracer swallowed the handler")
+	}
+	if id := rec.Header().Get("X-Trace-Id"); id != "" {
+		t.Errorf("nil tracer assigned trace ID %q", id)
 	}
 	if tr.Records() != nil {
 		t.Error("nil tracer has records")

@@ -29,7 +29,6 @@ type Classifier struct {
 // TrainOptions controls classifier training.
 type TrainOptions struct {
 	Clusters int // number of k-means clusters; ≥ number of distinct labels
-	MaxIter  int // Lloyd iteration cap
 	// Parallelism is the worker count for tokenization, vectorization and
 	// the k-means sweeps: 0 means GOMAXPROCS, 1 the sequential reference.
 	// The trained classifier is identical at every setting.
@@ -45,8 +44,12 @@ type TrainOptions struct {
 // DefaultTrainOptions mirrors the paper's setup: more clusters than
 // classes so heterogeneous phrasing can split.
 func DefaultTrainOptions() TrainOptions {
-	return TrainOptions{Clusters: 64, MaxIter: 60}
+	return TrainOptions{Clusters: 64}
 }
+
+// maxIter caps Lloyd's iterations; training stops earlier once the
+// assignments settle.
+const maxIter = 60
 
 // minDocs is the vocabulary's document-frequency floor: a term seen in a
 // single training document is noise to the clustering.
@@ -81,7 +84,7 @@ func Train(texts []string, labels []int, opts TrainOptions, r *xrand.RNG) (*Clas
 	if k > len(vectors) {
 		k = len(vectors)
 	}
-	res, err := KMeans(vectors, vocab.Size(), k, opts.MaxIter, r, opts.Parallelism, o)
+	res, err := KMeans(vectors, vocab.Size(), k, maxIter, r, opts.Parallelism, o)
 	if err != nil {
 		return nil, err
 	}

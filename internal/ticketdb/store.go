@@ -4,13 +4,12 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"failscope/internal/model"
 )
 
 // Store is an in-memory ticket database with the query surface the
-// collection pipeline needs: by server, by time range, by crash flag.
+// collection pipeline needs: everything, or one time window.
 // It is safe for concurrent use.
 type Store struct {
 	mu      sync.RWMutex
@@ -91,34 +90,6 @@ func (s *Store) InWindow(w model.Window) []model.Ticket {
 	return out
 }
 
-// ForServer returns the tickets of one server, time-sorted.
-func (s *Store) ForServer(id model.MachineID) []model.Ticket {
-	s.mu.RLock()
-	var out []model.Ticket
-	for _, t := range s.tickets {
-		if t.ServerID == id {
-			out = append(out, t)
-		}
-	}
-	s.mu.RUnlock()
-	sortByOpen(out)
-	return out
-}
-
-// Crashes returns the crash tickets (ground truth flag), time-sorted.
-func (s *Store) Crashes() []model.Ticket {
-	s.mu.RLock()
-	var out []model.Ticket
-	for _, t := range s.tickets {
-		if t.IsCrash {
-			out = append(out, t)
-		}
-	}
-	s.mu.RUnlock()
-	sortByOpen(out)
-	return out
-}
-
 func sortByOpen(ts []model.Ticket) {
 	sort.Slice(ts, func(i, j int) bool {
 		if !ts[i].Opened.Equal(ts[j].Opened) {
@@ -126,17 +97,4 @@ func sortByOpen(ts []model.Ticket) {
 		}
 		return ts[i].ID < ts[j].ID
 	})
-}
-
-// CountOpenedBetween returns how many tickets opened in [from, to).
-func (s *Store) CountOpenedBetween(from, to time.Time) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, t := range s.tickets {
-		if !t.Opened.Before(from) && t.Opened.Before(to) {
-			n++
-		}
-	}
-	return n
 }

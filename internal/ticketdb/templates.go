@@ -204,9 +204,10 @@ var nonCrashTemplates = []template{
 	},
 }
 
-// Renderer produces ticket text deterministically from its own RNG stream.
+// Renderer produces ticket text deterministically from the stream each
+// call is handed. It keeps no RNG state of its own, so callers holding
+// independent per-ticket streams may render concurrently.
 type Renderer struct {
-	rng *xrand.RNG
 	// vagueProb is the chance a *classified* crash ticket is nevertheless
 	// written vaguely, which is what caps classifier accuracy below 100%.
 	vagueProb float64
@@ -214,8 +215,8 @@ type Renderer struct {
 
 // NewRenderer returns a text renderer. vagueProb in [0,1] controls how
 // often classified crash tickets get uninformative text.
-func NewRenderer(rng *xrand.RNG, vagueProb float64) *Renderer {
-	return &Renderer{rng: rng, vagueProb: vagueProb}
+func NewRenderer(vagueProb float64) *Renderer {
+	return &Renderer{vagueProb: vagueProb}
 }
 
 func pick(r *xrand.RNG, opts []string) string { return opts[r.Intn(len(opts))] }
@@ -224,15 +225,8 @@ func fill(s string, host model.MachineID) string {
 	return strings.ReplaceAll(s, "{host}", string(host))
 }
 
-// Crash renders description and resolution text for a crash ticket of the
-// given class on the given server, drawing from the renderer's own stream.
-func (rd *Renderer) Crash(class model.FailureClass, host model.MachineID) (desc, res string) {
-	return rd.CrashWith(rd.rng, class, host)
-}
-
-// CrashWith is Crash drawing from a caller-supplied stream instead of the
-// renderer's own. It keeps no renderer state, so callers holding
-// independent per-ticket streams may render concurrently.
+// CrashWith renders description and resolution text for a crash ticket of
+// the given class on the given server, drawing from r.
 func (rd *Renderer) CrashWith(r *xrand.RNG, class model.FailureClass, host model.MachineID) (desc, res string) {
 	t, ok := crashTemplates[class]
 	if !ok {
@@ -246,12 +240,8 @@ func (rd *Renderer) CrashWith(r *xrand.RNG, class model.FailureClass, host model
 	return fill(pick(r, t.desc), host), fill(pick(r, t.res), host)
 }
 
-// NonCrash renders text for a background (non-failure) ticket.
-func (rd *Renderer) NonCrash(host model.MachineID) (desc, res string) {
-	return rd.NonCrashWith(rd.rng, host)
-}
-
-// NonCrashWith is NonCrash drawing from a caller-supplied stream.
+// NonCrashWith renders text for a background (non-failure) ticket,
+// drawing from r.
 func (rd *Renderer) NonCrashWith(r *xrand.RNG, host model.MachineID) (desc, res string) {
 	t := nonCrashTemplates[r.Intn(len(nonCrashTemplates))]
 	return fill(pick(r, t.desc), host), fill(pick(r, t.res), host)

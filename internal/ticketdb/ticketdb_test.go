@@ -15,9 +15,9 @@ var (
 )
 
 func TestRendererCrashMentionsHost(t *testing.T) {
-	rd := NewRenderer(xrand.New(1), 0)
+	rd, r := NewRenderer(0), xrand.New(1)
 	for _, class := range model.Classes() {
-		desc, res := rd.Crash(class, "srv-042")
+		desc, res := rd.CrashWith(r, class, "srv-042")
 		if !strings.Contains(desc, "srv-042") {
 			t.Errorf("%v description lacks host: %q", class, desc)
 		}
@@ -28,8 +28,8 @@ func TestRendererCrashMentionsHost(t *testing.T) {
 }
 
 func TestRendererVagueProbability(t *testing.T) {
-	rd := NewRenderer(xrand.New(2), 1.0) // always vague
-	desc, res := rd.Crash(model.ClassHardware, "h1")
+	rd := NewRenderer(1.0) // always vague
+	desc, res := rd.CrashWith(xrand.New(2), model.ClassHardware, "h1")
 	// With vagueProb=1 a hardware ticket must use the vague templates,
 	// which never mention hardware-specific vocabulary.
 	for _, word := range []string{"disk", "psu", "raid", "dimm"} {
@@ -40,18 +40,18 @@ func TestRendererVagueProbability(t *testing.T) {
 }
 
 func TestRendererUnknownClassFallsBack(t *testing.T) {
-	rd := NewRenderer(xrand.New(3), 0)
-	desc, res := rd.Crash(model.FailureClass(99), "h1")
+	rd := NewRenderer(0)
+	desc, res := rd.CrashWith(xrand.New(3), model.FailureClass(99), "h1")
 	if desc == "" || res == "" {
 		t.Fatal("unknown class produced empty text")
 	}
 }
 
 func TestRendererNonCrash(t *testing.T) {
-	rd := NewRenderer(xrand.New(4), 0)
+	rd, r := NewRenderer(0), xrand.New(4)
 	seen := make(map[string]bool)
 	for i := 0; i < 50; i++ {
-		desc, res := rd.NonCrash("m9")
+		desc, res := rd.NonCrashWith(r, "m9")
 		if !strings.Contains(desc, "m9") {
 			t.Errorf("non-crash description lacks host: %q", desc)
 		}
@@ -66,11 +66,11 @@ func TestRendererNonCrash(t *testing.T) {
 }
 
 func TestRendererDeterminism(t *testing.T) {
-	a := NewRenderer(xrand.New(7), 0.2)
-	b := NewRenderer(xrand.New(7), 0.2)
+	a, ra0 := NewRenderer(0.2), xrand.New(7)
+	b, rb0 := NewRenderer(0.2), xrand.New(7)
 	for i := 0; i < 100; i++ {
-		da, ra := a.Crash(model.ClassSoftware, "x")
-		db, rb := b.Crash(model.ClassSoftware, "x")
+		da, ra := a.CrashWith(ra0, model.ClassSoftware, "x")
+		db, rb := b.CrashWith(rb0, model.ClassSoftware, "x")
 		if da != db || ra != rb {
 			t.Fatal("renderer not deterministic")
 		}
@@ -117,15 +117,6 @@ func TestStoreQueries(t *testing.T) {
 	if got := s.InWindow(obs); len(got) != 3 {
 		t.Fatalf("InWindow = %d", len(got))
 	}
-	if got := s.ForServer("m1"); len(got) != 2 || got[0].ID != "a" {
-		t.Fatalf("ForServer = %v", got)
-	}
-	if got := s.Crashes(); len(got) != 3 {
-		t.Fatalf("Crashes = %d", len(got))
-	}
-	if got := s.CountOpenedBetween(t0, t0.Add(50*time.Hour)); got != 2 {
-		t.Fatalf("CountOpenedBetween = %d", got)
-	}
 }
 
 func TestStoreAllReturnsCopy(t *testing.T) {
@@ -150,7 +141,7 @@ func TestStoreConcurrentUse(t *testing.T) {
 			id := model.MachineID(string(rune('a' + w)))
 			for i := 0; i < 200; i++ {
 				s.Append(mkTicket("", id, t0.Add(time.Duration(i)*time.Hour), i%7 == 0))
-				s.ForServer(id)
+				s.InWindow(obs)
 				s.Len()
 			}
 		}()

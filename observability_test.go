@@ -22,11 +22,9 @@ import (
 func observedStudyFingerprint(t *testing.T, parallelism int, o *Observer) string {
 	t.Helper()
 	study := SmallStudy().WithParallelism(parallelism).WithObserver(o)
-	study.Collect.Clusters = 32
-	study.Collect.MaxIter = 20
 	var hist *telemetry.History
 	if o != nil {
-		hist = telemetry.NewHistory(o.Metrics().Snapshot, time.Millisecond, 256)
+		hist = telemetry.NewHistory(o.Metrics().Snapshot, time.Millisecond)
 		hist.Start()
 	}
 	res, err := study.Run()
@@ -47,7 +45,7 @@ func observedStudyFingerprint(t *testing.T, parallelism int, o *Observer) string
 			t.Fatal("history sampler recorded nothing during the observed run")
 		}
 		var page bytes.Buffer
-		if err := telemetry.WriteMetrics(&page, o.Metrics(), nil); err != nil {
+		if err := telemetry.WriteExport(&page, o.Metrics().Export(), nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := telemetry.ParseMetrics(bytes.NewReader(page.Bytes())); err != nil {

@@ -21,10 +21,6 @@ import (
 func smallStudyFingerprint(t *testing.T, parallelism int) string {
 	t.Helper()
 	study := SmallStudy().WithParallelism(parallelism)
-	// Trimmed clustering keeps the three runs of the determinism test fast
-	// while still exercising seeding, Lloyd sweeps and both predict stages.
-	study.Collect.Clusters = 32
-	study.Collect.MaxIter = 20
 	res, err := study.Run()
 	if err != nil {
 		t.Fatal(err)
