@@ -135,11 +135,9 @@ func run() error {
 	// frozen model attached.
 	var events []stream.Event
 	cfg := stream.Config{
-		Observation:      study.Generator.Observation,
-		FineWindow:       study.Generator.FineWindow,
-		MonitorEpoch:     study.Generator.MonitorEpoch,
-		MonitorRetention: study.Generator.MonitorRetention,
-		Observer:         o,
+		Observation: study.Generator.Observation,
+		FineWindow:  study.Generator.FineWindow,
+		Observer:    o,
 	}
 	if *replay {
 		genSpan := o.Start("generate")

@@ -59,9 +59,9 @@ func scrapeMetrics(url string) (telemetry.Families, int64, error) {
 // TestMetricsScrapeDuringIngest scrapes /metrics while posters ingest.
 // Gauges are published by the scrape itself, so every scrape's
 // stream_events must equal its X-Failscope-Seq and never run backwards;
-// once ingest stops, the footprint, detector and pool families must match
-// the engine. Run under -race it also checks the collectors against the
-// group-commit path.
+// once ingest stops, the sample count, detector and pool families must
+// match the engine. Run under -race it also checks the collectors against
+// the group-commit path.
 func TestMetricsScrapeDuringIngest(t *testing.T) {
 	o := obs.NewObserver("failscoped-scrape-test")
 	det := detect.New(detect.Config{})
@@ -154,8 +154,8 @@ func TestMetricsScrapeDuringIngest(t *testing.T) {
 	if seq != want || fams.Value("stream_events") != want {
 		t.Errorf("quiesced scrape: X-Failscope-Seq %d, stream_events %v, want %d", seq, fams.Value("stream_events"), want)
 	}
-	if got, w := fams.Value("monitordb_series_bytes"), float64(eng.Monitor().Footprint().Bytes); got != w || w <= 0 {
-		t.Errorf("monitordb_series_bytes = %v, want %v (> 0)", got, w)
+	if got := fams.Value("stream_monitor_samples"); got != posters*batches {
+		t.Errorf("stream_monitor_samples = %v, want %d (one sample per batch)", got, posters*batches)
 	}
 	dt := det.Totals()
 	if got := fams.Value("detect_machines"); got != float64(dt.Machines) {

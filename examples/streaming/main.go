@@ -33,10 +33,8 @@ func run() error {
 	fmt.Printf("replaying %d events through the streaming engine\n\n", len(events))
 
 	eng, err := failscope.NewStreamEngine(failscope.StreamConfig{
-		Observation:      study.Generator.Observation,
-		FineWindow:       study.Generator.FineWindow,
-		MonitorEpoch:     study.Generator.MonitorEpoch,
-		MonitorRetention: study.Generator.MonitorRetention,
+		Observation: study.Generator.Observation,
+		FineWindow:  study.Generator.FineWindow,
 	})
 	if err != nil {
 		return err

@@ -487,7 +487,7 @@ type (
 	// StreamEngine is the incremental analysis engine.
 	StreamEngine = stream.Engine
 	// StreamConfig configures the engine (observation window, optional
-	// online classifier, optional monitoring retention).
+	// online classifier and detector).
 	StreamConfig = stream.Config
 	// StreamEvent is one element of the input stream (JSONL on the wire).
 	StreamEvent = stream.Event

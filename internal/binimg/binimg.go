@@ -1,8 +1,8 @@
 // Package binimg is the binary codec of failscope's checkpoint images: the
-// engine image (FSENG002), the detector image inside it and the monitordb
-// segment (FSSEG001). Every integer and float is 8 bytes little-endian,
-// strings and columns are prefixed with their length, and a time is one
-// length byte followed by time.Time's binary form (zone offset included).
+// engine image (FSENG003) and the detector image inside it. Every integer
+// and float is 8 bytes little-endian, strings and columns are prefixed
+// with their length, and a time is one length byte followed by
+// time.Time's binary form (zone offset included).
 //
 // A Writer appends into one buffer and hands it to the underlying writer
 // in 64 KiB pieces, so a column of a million floats costs a million
@@ -135,8 +135,8 @@ func (w *Writer) grow(n int) []byte {
 	return w.buf[at:]
 }
 
-// ints appends len(vals) and the column, a chunk at a time.
-func ints[T ~int64 | ~uint64 | ~int](w *Writer, vals []T) {
+// Ints appends len(vals) and the column, a chunk at a time.
+func (w *Writer) Ints(vals []int) {
 	w.u64(uint64(len(vals)))
 	for len(vals) > 0 {
 		n := min(len(vals), chunk)
@@ -162,15 +162,6 @@ func (w *Writer) F64s(vals []float64) {
 		w.spill()
 	}
 }
-
-// U64s appends len(vals) and the column.
-func (w *Writer) U64s(vals []uint64) { ints(w, vals) }
-
-// I64s appends len(vals) and the column.
-func (w *Writer) I64s(vals []int64) { ints(w, vals) }
-
-// Ints appends len(vals) and the column as I64s.
-func (w *Writer) Ints(vals []int) { ints(w, vals) }
 
 // Reader decodes the codec's values from a bufio.Reader.
 type Reader struct {
@@ -276,21 +267,13 @@ func (r *Reader) Count(what string) int {
 func Hint(n int) int { return min(n, chunk) }
 
 // Str reads a length-prefixed string of at most maxString bytes.
-func (r *Reader) Str() string { return r.StrLike("") }
-
-// StrLike is Str that returns like itself, without allocating, when the
-// string read equals it: decoders pass the previous key of a run of keys
-// that repeat.
-func (r *Reader) StrLike(like string) string {
+func (r *Reader) Str() string {
 	n := r.u64()
 	if n > maxString {
 		r.Failf("binimg: string length %d implausible", n)
 		return ""
 	}
-	if b := r.next(int(n)); string(b) != like {
-		return string(b)
-	}
-	return like
+	return string(r.next(int(n)))
 }
 
 // Time reads a value Writer.Time wrote and refuses any other encoding of
@@ -342,9 +325,9 @@ func readColumn[T any](r *Reader, what string, put func(out []T, b []byte) []T) 
 	return out
 }
 
-func putInts[T ~int64 | ~uint64 | ~int](out []T, b []byte) []T {
+func putInts(out []int, b []byte) []int {
 	for i := 0; i < len(b); i += 8 {
-		out = append(out, T(binary.LittleEndian.Uint64(b[i:])))
+		out = append(out, int(binary.LittleEndian.Uint64(b[i:])))
 	}
 	return out
 }
@@ -359,14 +342,8 @@ func putF64s(out []float64, b []byte) []float64 {
 // F64s reads a column F64s wrote.
 func (r *Reader) F64s(what string) []float64 { return readColumn(r, what, putF64s) }
 
-// U64s reads a column U64s wrote.
-func (r *Reader) U64s(what string) []uint64 { return readColumn(r, what, putInts[uint64]) }
-
-// I64s reads a column I64s wrote.
-func (r *Reader) I64s(what string) []int64 { return readColumn(r, what, putInts[int64]) }
-
 // Ints reads a column Ints wrote.
-func (r *Reader) Ints(what string) []int { return readColumn(r, what, putInts[int]) }
+func (r *Reader) Ints(what string) []int { return readColumn(r, what, putInts) }
 
 // SortedKeys returns m's keys in ascending order, reusing into's storage:
 // images write every map in key order, so one state has one image.

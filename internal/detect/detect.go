@@ -144,8 +144,7 @@ type Alert struct {
 
 // seriesState is the O(1) anomaly-detector state for one monitoring
 // series: an EWMA level, an EWMA absolute-residual scale and a two-sided
-// CUSUM. It needs no history, so the columnar store's window eviction and
-// sample gaps cannot invalidate it.
+// CUSUM. It needs no history, so sample gaps cannot invalidate it.
 type seriesState struct {
 	n         int
 	mean, dev float64

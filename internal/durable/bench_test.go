@@ -175,11 +175,9 @@ func BenchmarkRecovery(b *testing.B) {
 func studyConfig() stream.Config {
 	c := dcsim.SmallConfig()
 	return stream.Config{
-		Observation:      c.Observation,
-		FineWindow:       c.FineWindow,
-		MonitorEpoch:     c.MonitorEpoch,
-		MonitorRetention: c.MonitorRetention,
-		Detector:         detect.New(detect.Config{}),
+		Observation: c.Observation,
+		FineWindow:  c.FineWindow,
+		Detector:    detect.New(detect.Config{}),
 	}
 }
 

@@ -15,14 +15,10 @@ package monitordb
 // small sorted row section (parallel time/value columns, 16 bytes each).
 // The representation is transparent: every read path merges grid and rows
 // into the same time-sorted sample sequence the previous slice-of-structs
-// layout produced, so rollups, joins and the eviction behaviour are
-// unchanged bit for bit while resident bytes drop ~4x on grid-shaped data.
+// layout produced, so rollups and joins are unchanged bit for bit while
+// resident bytes drop ~4x on grid-shaped data.
 
-import (
-	"sort"
-
-	"failscope/internal/obs"
-)
+import "sort"
 
 const (
 	// detectAfterRows is how many rows a series accumulates before the
@@ -394,50 +390,6 @@ func (s *colSeries) each(fn func(t int64, v float64)) {
 	}
 }
 
-// evictBefore drops every sample with t < start (unix nanos) and returns
-// how many were removed. The grid re-anchors on the first surviving slot;
-// surviving storage is reallocated tightly so eviction actually releases
-// memory on a long-running store.
-func (s *colSeries) evictBefore(start int64) int {
-	evicted := 0
-	if s.stride > 0 && len(s.vals) > 0 && s.base < start {
-		drop := (start - s.base + s.stride - 1) / s.stride // slots with t < start
-		if drop >= int64(len(s.vals)) {
-			evicted += s.nGrid
-			s.base += int64(len(s.vals)) * s.stride
-			s.vals, s.valid, s.nGrid = nil, nil, 0
-		} else {
-			d := int(drop)
-			for i := 0; i < d; i++ {
-				if s.bit(i) {
-					evicted++
-				}
-			}
-			kept := make([]float64, len(s.vals)-d)
-			copy(kept, s.vals[d:])
-			bitmap := make([]uint64, (len(kept)+63)/64)
-			n := 0
-			for i := range kept {
-				if s.bit(d + i) {
-					bitmap[i>>6] |= 1 << uint(i&63)
-					n++
-				}
-			}
-			s.base += int64(d) * s.stride
-			s.vals, s.valid, s.nGrid = kept, bitmap, n
-		}
-	}
-	if i := sort.Search(len(s.rowT), func(i int) bool { return s.rowT[i] >= start }); i > 0 {
-		evicted += i
-		keptT := make([]int64, len(s.rowT)-i)
-		keptV := make([]float64, len(s.rowV)-i)
-		copy(keptT, s.rowT[i:])
-		copy(keptV, s.rowV[i:])
-		s.rowT, s.rowV = keptT, keptV
-	}
-	return evicted
-}
-
 // Footprint reports the store's resident sample memory: columnar bytes as
 // allocated, split grid vs. row.
 type Footprint struct {
@@ -465,28 +417,14 @@ func (db *DB) Footprint() Footprint {
 	return fp
 }
 
-// Add sums o into fp.
-func (fp *Footprint) Add(o Footprint) {
-	fp.Series += o.Series
-	fp.GridSamples += o.GridSamples
-	fp.RowSamples += o.RowSamples
-	fp.GridBytes += o.GridBytes
-	fp.RowBytes += o.RowBytes
-	fp.Bytes += o.Bytes
-}
-
-// Publish sets the footprint gauges monitordb.series_bytes,
-// .grid_samples and .row_samples (no-ops on a nil registry).
-func (fp Footprint) Publish(r *obs.Registry) {
+// RecordFootprint publishes the footprint on the attached metrics registry
+// as the gauges monitordb.series_bytes, .grid_samples and .row_samples
+// (no-ops without one) and returns it.
+func (db *DB) RecordFootprint() Footprint {
+	fp := db.Footprint()
+	r := db.registry()
 	r.Set("monitordb.series_bytes", float64(fp.Bytes))
 	r.Set("monitordb.grid_samples", float64(fp.GridSamples))
 	r.Set("monitordb.row_samples", float64(fp.RowSamples))
-}
-
-// RecordFootprint publishes the footprint on the attached metrics registry
-// and returns it.
-func (db *DB) RecordFootprint() Footprint {
-	fp := db.Footprint()
-	fp.Publish(db.registry())
 	return fp
 }

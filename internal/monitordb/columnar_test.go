@@ -196,50 +196,6 @@ func TestColumnarIrregularEquivalence(t *testing.T) {
 	checkAgainstRef(t, db, ref, id)
 }
 
-// TestColumnarEvictionEquivalence advances the retention window through a
-// detected grid in uneven steps and checks every read against a reference
-// evicted the same way, then keeps appending on the re-anchored base.
-func TestColumnarEvictionEquivalence(t *testing.T) {
-	retention := 30 * 24 * time.Hour
-	db := New(epoch, retention)
-	ref := &refStore{}
-	id := model.MachineID("m1")
-	rng := xrand.New(13)
-
-	add := func(at time.Time, v float64) {
-		db.Add(id, MetricCPUUtil, Sample{Time: at, Value: v})
-		start, end := db.Window()
-		if !at.Before(start) && !at.After(end) {
-			ref.add(at, v)
-		}
-	}
-
-	at := epoch
-	for day := 0; day < 90; day++ {
-		for i := 0; i < 24; i++ {
-			if rng.Float64() < 0.1 {
-				continue
-			}
-			add(at.Add(time.Duration(i)*time.Hour), float64(day*100+i))
-		}
-		at = at.Add(24 * time.Hour)
-		if day%7 == 3 {
-			evictStart := at.Add(-retention)
-			db.Advance(at)
-			keptT, keptV := ref.times[:0], ref.vals[:0]
-			for i := range ref.times {
-				if !ref.times[i].Before(evictStart) {
-					keptT = append(keptT, ref.times[i])
-					keptV = append(keptV, ref.vals[i])
-				}
-			}
-			ref.times, ref.vals = keptT, keptV
-			checkAgainstRef(t, db, ref, id)
-		}
-	}
-	checkAgainstRef(t, db, ref, id)
-}
-
 // TestColumnarEncodeRoundTrip checks that encode → decode of a mixed
 // grid/row store reproduces identical samples: the decode side re-detects
 // its own grid, so this exercises the transparency of the representation.

@@ -86,20 +86,15 @@ type DB struct {
 	// so consolidation queries are O(1).
 	hostLoad  map[hostMonthKey]int
 	firstSeen map[model.MachineID]time.Time
-	epoch     time.Time // birth of the database (never moves)
-	// The acceptance window. Batch runs never call Advance, so it stays
-	// fixed at [epoch, epoch+retention] — the historical truncation the
-	// paper's databases exhibit. A live consumer calls Advance(now) as its
-	// clock moves, which slides the window to [now-retention, now] and
-	// evicts records that fell off the trailing edge.
-	windowStart time.Time
-	windowEnd   time.Time
+	// The acceptance window [epoch, end] with end = epoch+retention: the
+	// historical truncation the paper's databases exhibit. It never moves.
+	epoch, end time.Time
 
 	// metrics, when instrumented, counts writes under "monitordb.*". A nil
 	// registry (the default) makes every count a no-op. The write
 	// counters are resolved from it once, by Instrument.
-	metrics                                                     *obs.Registry
-	samples, samplesDropped, powerEvents, placements, evictions *obs.Counter
+	metrics                                          *obs.Registry
+	samples, samplesDropped, powerEvents, placements *obs.Counter
 	// log, when instrumented, records drop decisions (samples and events
 	// truncated outside the retention window). Nil is a full no-op.
 	log *obs.Logger
@@ -113,7 +108,7 @@ const (
 )
 
 // Instrument attaches a metrics registry: subsequent writes count samples
-// (accepted and dropped), power events, placement steps and evictions.
+// (accepted and dropped), power events and placement steps.
 // Passing nil detaches.
 func (db *DB) Instrument(reg *obs.Registry) {
 	db.mu.Lock()
@@ -122,7 +117,6 @@ func (db *DB) Instrument(reg *obs.Registry) {
 	db.samplesDropped = reg.Counter(MetricSamplesDropped)
 	db.powerEvents = reg.Counter("monitordb.power_events")
 	db.placements = reg.Counter("monitordb.placements")
-	db.evictions = reg.Counter("monitordb.evicted")
 	db.mu.Unlock()
 }
 
@@ -156,15 +150,14 @@ type placementRecord struct {
 // the given duration (the paper's monitoring DBs keep two years).
 func New(epoch time.Time, retention time.Duration) *DB {
 	return &DB{
-		retention:   retention,
-		series:      make(map[seriesKey]*colSeries),
-		power:       make(map[model.MachineID][]PowerEvent),
-		placement:   make(map[model.MachineID][]placementRecord),
-		hostLoad:    make(map[hostMonthKey]int),
-		firstSeen:   make(map[model.MachineID]time.Time),
-		epoch:       epoch,
-		windowStart: epoch,
-		windowEnd:   epoch.Add(retention),
+		retention: retention,
+		series:    make(map[seriesKey]*colSeries),
+		power:     make(map[model.MachineID][]PowerEvent),
+		placement: make(map[model.MachineID][]placementRecord),
+		hostLoad:  make(map[hostMonthKey]int),
+		firstSeen: make(map[model.MachineID]time.Time),
+		epoch:     epoch,
+		end:       epoch.Add(retention),
 	}
 }
 
@@ -173,9 +166,9 @@ func New(epoch time.Time, retention time.Duration) *DB {
 func (db *DB) Epoch() time.Time { return db.epoch }
 
 // outsideWindowLocked reports whether a record at t falls outside the
-// current acceptance window.
+// acceptance window.
 func (db *DB) outsideWindowLocked(t time.Time) bool {
-	return t.Before(db.windowStart) || t.After(db.windowEnd)
+	return t.Before(db.epoch) || t.After(db.end)
 }
 
 // seriesLocked returns the series for k, creating it on first write.
@@ -195,19 +188,6 @@ func sampleTime(nanos int64) time.Time {
 	return time.Unix(0, nanos).UTC()
 }
 
-// Add appends a usage sample. Samples outside the acceptance window are
-// silently dropped, mirroring the real databases' truncation.
-func (db *DB) Add(id model.MachineID, metric Metric, s Sample) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.outsideWindowLocked(s.Time) {
-		return
-	}
-	db.seriesLocked(seriesKey{id, metric}).add(s.Time.UnixNano(), s.Value)
-	db.noteSeenLocked(id, s.Time)
-	db.samples.Add(1)
-}
-
 func (db *DB) noteSeenLocked(id model.MachineID, t time.Time) {
 	if first, ok := db.firstSeen[id]; !ok || t.Before(first) {
 		db.firstSeen[id] = t
@@ -216,8 +196,8 @@ func (db *DB) noteSeenLocked(id model.MachineID, t time.Time) {
 
 // AddSeries appends a run of usage samples to one series under a single
 // lock acquisition — the bulk-write path of the generator and the dump
-// decoder. Samples outside the retention window are dropped exactly as Add
-// drops them.
+// decoder. Samples outside the acceptance window are dropped, mirroring
+// the real databases' truncation.
 func (db *DB) AddSeries(id model.MachineID, metric Metric, samples []Sample) {
 	if len(samples) == 0 {
 		return
@@ -271,7 +251,7 @@ func (db *DB) AddSeries(id model.MachineID, metric Metric, samples []Sample) {
 }
 
 // AddPowerEvent records a power-state transition. Events outside the
-// acceptance window are dropped, as Add drops samples.
+// acceptance window are dropped, as AddSeries drops samples.
 func (db *DB) AddPowerEvent(id model.MachineID, ev PowerEvent) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -494,86 +474,6 @@ func (db *DB) AvgConsolidation(vm model.MachineID, w model.Window) (float64, boo
 		return 0, false
 	}
 	return sum / float64(n), true
-}
-
-// Window returns the current acceptance window: [start, end] inclusive.
-// Fixed at [epoch, epoch+retention] until the first Advance call.
-func (db *DB) Window() (start, end time.Time) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.windowStart, db.windowEnd
-}
-
-// Advance moves the live edge of the acceptance window to now and evicts
-// every record that fell off the trailing edge (now - retention), so a
-// long-running database holds at most one retention period of data instead
-// of growing without bound. Returns the number of records evicted. Calls
-// with now at or before the current window end are no-ops — the window
-// only moves forward. First-seen times survive eviction: the paper reads
-// them as machine creation dates, which outlive the samples they came from.
-func (db *DB) Advance(now time.Time) int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if !now.After(db.windowEnd) {
-		return 0
-	}
-	db.windowEnd = now
-	start := now.Add(-db.retention)
-	if start.Before(db.windowStart) {
-		return 0 // window grew but nothing can have expired yet
-	}
-	db.windowStart = start
-	startN := start.UnixNano()
-
-	evicted := 0
-	for k, s := range db.series {
-		evicted += s.evictBefore(startN)
-		if s.len() == 0 {
-			delete(db.series, k)
-		}
-	}
-	for id, events := range db.power {
-		kept := events[:0]
-		for _, ev := range events {
-			if ev.Time.Before(start) {
-				evicted++
-			} else {
-				kept = append(kept, ev)
-			}
-		}
-		if len(kept) == 0 {
-			delete(db.power, id)
-		} else {
-			db.power[id] = kept
-		}
-	}
-	for vm, recs := range db.placement {
-		kept := recs[:0]
-		for _, rec := range recs {
-			// A placement record covers its whole month; it expires only
-			// once the month's last instant predates the window start.
-			if rec.month.AddDate(0, 1, 0).Before(start) || rec.month.AddDate(0, 1, 0).Equal(start) {
-				db.hostLoad[hostMonthKey{rec.host, rec.month}]--
-				if db.hostLoad[hostMonthKey{rec.host, rec.month}] <= 0 {
-					delete(db.hostLoad, hostMonthKey{rec.host, rec.month})
-				}
-				evicted++
-			} else {
-				kept = append(kept, rec)
-			}
-		}
-		if len(kept) == 0 {
-			delete(db.placement, vm)
-		} else {
-			db.placement[vm] = kept
-		}
-	}
-	if evicted > 0 {
-		db.evictions.Add(int64(evicted))
-		db.log.Debug("monitoring records evicted past retention",
-			"window_start", start.Format(time.RFC3339), "evicted", evicted)
-	}
-	return evicted
 }
 
 // ForEachSeries calls fn for every (machine, metric) series in the same

@@ -265,3 +265,40 @@ func TestAddSeriesFirstSeenMatchesAdd(t *testing.T) {
 		}
 	}
 }
+
+// TestForEachIterationOrder checks the public iterators visit records in
+// the same deterministic order the codec writes them.
+func TestForEachIterationOrder(t *testing.T) {
+	db := newDB()
+	day := 24 * time.Hour
+	db.Add("m2", MetricMemUtil, Sample{Time: epoch.Add(2 * day), Value: 2})
+	db.Add("m1", MetricCPUUtil, Sample{Time: epoch.Add(day), Value: 1})
+	db.Add("m1", MetricCPUUtil, Sample{Time: epoch, Value: 0})
+	db.AddPowerEvent("m2", PowerEvent{Time: epoch.Add(day), On: false})
+	db.SetPlacement("m1", "h1", epoch)
+
+	var seen []string
+	db.ForEachSeries(func(id model.MachineID, m Metric, samples []Sample) {
+		seen = append(seen, string(id)+"/"+m.String())
+		for i := 1; i < len(samples); i++ {
+			if samples[i].Time.Before(samples[i-1].Time) {
+				t.Fatalf("series %s/%s not time-sorted", id, m)
+			}
+		}
+	})
+	if len(seen) != 2 || seen[0] != "m1/cpu_util" || seen[1] != "m2/mem_util" {
+		t.Fatalf("series order = %v", seen)
+	}
+	powerSeen := 0
+	db.ForEachPower(func(id model.MachineID, evs []PowerEvent) {
+		powerSeen += len(evs)
+	})
+	if powerSeen != 1 {
+		t.Fatalf("power events seen = %d, want 1", powerSeen)
+	}
+	db.ForEachPlacement(func(vm model.MachineID, steps []PlacementStep) {
+		if vm != "m1" || len(steps) != 1 || steps[0].Host != "h1" {
+			t.Fatalf("placement iteration = %s %v", vm, steps)
+		}
+	})
+}

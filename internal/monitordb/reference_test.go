@@ -6,7 +6,23 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"failscope/internal/model"
 )
+
+// Add appends one usage sample. Samples outside the acceptance window are
+// silently dropped, mirroring the real databases' truncation. It is the
+// per-sample reference the parity tests hold AddSeries to.
+func (db *DB) Add(id model.MachineID, metric Metric, s Sample) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.outsideWindowLocked(s.Time) {
+		return
+	}
+	db.seriesLocked(seriesKey{id, metric}).add(s.Time.UnixNano(), s.Value)
+	db.noteSeenLocked(id, s.Time)
+	db.samples.Add(1)
+}
 
 // decodeJSONOnly is Decode without the fast path, on one goroutine: every
 // line through json.Unmarshal, every sample through Add. It is the

@@ -14,7 +14,7 @@
 // model (verified with go test -race); ForEach's workers communicate only
 // through an atomic work counter and a WaitGroup, and each index is
 // visited exactly once by exactly one worker; Ordered's hand units over
-// channels, one owner at a time. No sync.Pool is used anywhere — scratch
+// channels, one owner at a time. Package par uses no sync.Pool — scratch
 // buffers are owned by their worker for the duration of a call (callers
 // that recycle scratch across calls use internal/mempool, whose free lists
 // are deterministic and explicitly bounded, unlike sync.Pool's GC-coupled

@@ -17,7 +17,7 @@ import (
 
 // collectStream is synthStream with usage samples: every machine reports
 // CPU daily, and each machine's tickets come in bursts the detector below
-// alerts on, so the stream.*, monitordb.* and detect.* families all move.
+// alerts on, so the stream.* and detect.* families all move.
 func collectStream(nMachines, days int) []stream.Event {
 	events := make([]stream.Event, 0, nMachines*(days+2))
 	for i := 0; i < nMachines; i++ {
@@ -39,8 +39,8 @@ func collectStream(nMachines, days int) []stream.Event {
 	return append(events, mkAdvance(testWindow().End.Add(-time.Hour)))
 }
 
-// collectRouter builds an n-shard router the way failscoped does, with
-// monitoring, a detector per shard and one shared registry.
+// collectRouter builds an n-shard router the way failscoped does, with a
+// detector per shard and one shared registry.
 func collectRouter(t *testing.T, n int, o *obs.Observer) *Router {
 	t.Helper()
 	engines := make([]*stream.Engine, n)
@@ -48,11 +48,9 @@ func collectRouter(t *testing.T, n int, o *obs.Observer) *Router {
 	for i := range engines {
 		detectors[i] = detect.New(detect.Config{MinCrashes: 2, BurstWindow: 10 * 24 * time.Hour, Horizon: 6 * 24 * time.Hour})
 		cfg := stream.Config{
-			Observation:      testWindow(),
-			MonitorEpoch:     testEpoch,
-			MonitorRetention: 14 * 24 * time.Hour,
-			Observer:         o,
-			Detector:         detectors[i],
+			Observation: testWindow(),
+			Observer:    o,
+			Detector:    detectors[i],
 		}
 		if n > 1 {
 			cfg.GaugeLabel = fmt.Sprint(i)
@@ -73,7 +71,7 @@ func collectRouter(t *testing.T, n int, o *obs.Observer) *Router {
 // TestGaugesPublishedOnRead pins that point-in-time gauges are published
 // when the registry is read, not by the apply path: after group-committed
 // ingest with no scrape in between, Snapshot, Export and a history point
-// all carry the engine state — sequence, monitoring footprint and the
+// all carry the engine state — sequence, monitoring sample count and the
 // detector's totals — at one and at two shards. A router built earlier on
 // the same registry must leave none of its values behind.
 func TestGaugesPublishedOnRead(t *testing.T) {
@@ -94,11 +92,9 @@ func TestGaugesPublishedOnRead(t *testing.T) {
 				}
 			}
 
-			var bytes int64
 			var dt detect.Totals
-			for i, e := range r.Engines() {
-				bytes += e.Monitor().Footprint().Bytes
-				dt.Add(r.detectors[i].Totals())
+			for _, d := range r.detectors {
+				dt.Add(d.Totals())
 			}
 			if dt.Raised == 0 || dt.Expired == 0 || dt.Confirmed == 0 {
 				t.Fatalf("detector totals %+v: want raised, expired and confirmed alerts", dt)
@@ -106,7 +102,7 @@ func TestGaugesPublishedOnRead(t *testing.T) {
 			want := map[string]float64{
 				"stream.events":           float64(r.Seq()),
 				"stream.machines":         12,
-				"monitordb.series_bytes":  float64(bytes),
+				"stream.monitor_samples":  12 * 40,
 				"detect.alerts_raised":    float64(dt.Raised),
 				"detect.alerts_cleared":   float64(dt.Confirmed + dt.Expired),
 				"detect.alerts_confirmed": float64(dt.Confirmed),

@@ -40,7 +40,6 @@ import (
 
 	"failscope/internal/detect"
 	"failscope/internal/model"
-	"failscope/internal/monitordb"
 	"failscope/internal/obs"
 	"failscope/internal/par"
 	"failscope/internal/stream"
@@ -60,9 +59,8 @@ type Options struct {
 	Detectors []*detect.Detector
 
 	// Registry, when non-nil, receives the shard.* families and — for
-	// multi-shard routers — the fleet-aggregate stream.*, detect.* and
-	// monitordb.* gauges, published when it is read (Publish is its
-	// collector).
+	// multi-shard routers — the fleet-aggregate stream.* and detect.*
+	// gauges, published when it is read (Publish is its collector).
 	Registry *obs.Registry
 }
 
@@ -324,7 +322,7 @@ func (r *Router) Totals() stream.Totals {
 // Publish pushes, for multi-shard routers, the labeled shard.events
 // counters and the fleet sums of the families the shard engines leave to
 // the coordinator, each through its package's own publisher
-// (stream.Totals, monitordb.Footprint, detect.Totals). A multi-shard
+// (stream.Totals, detect.Totals). A multi-shard
 // router registers it as Options.Registry's collector, so it runs
 // whenever that registry is read; a passthrough router publishes nothing
 // (its engine owns the whole surface, exactly as before sharding).
@@ -333,21 +331,12 @@ func (r *Router) Publish(reg *obs.Registry) {
 		return
 	}
 	var tot stream.Totals
-	var fp monitordb.Footprint
-	monitored := false
 	for i, e := range r.engines {
 		t := e.Totals()
 		reg.Counter(r.shardEvents[i]).AdvanceTo(t.Events)
 		tot.Add(t)
-		if db := e.Monitor(); db != nil {
-			monitored = true
-			fp.Add(db.Footprint())
-		}
 	}
 	tot.Publish(reg, &r.gauges)
-	if monitored {
-		fp.Publish(reg)
-	}
 	if len(r.detectors) != len(r.engines) {
 		return
 	}

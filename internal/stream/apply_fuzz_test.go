@@ -25,9 +25,8 @@ const applyHorizon = 3 * 24 * time.Hour
 // applySegmentBytes rotates the fuzz store's WAL every few groups.
 const applySegmentBytes = 16 << 10
 
-// newApplyEngine is an engine with monitoring and detection whose
-// monitoring retention is shorter than the fuzz stream, so the window
-// evicts as the stream plays.
+// newApplyEngine is an engine with detection. It also sets the unread
+// monitor fields, with a retention shorter than the fuzz stream.
 func newApplyEngine(t testing.TB) *stream.Engine {
 	t.Helper()
 	win := model.Window{Start: applyStart, End: applyStart.AddDate(0, 3, 0)}

@@ -46,10 +46,10 @@ func detectorReplay(t *testing.T, retention time.Duration) string {
 }
 
 // TestDetectorUnaffectedByMonitorEviction proves the detector keeps its own
-// per-machine state rather than leaning on the columnar monitoring store: a
-// detector attached to an engine whose monitor evicts aggressively (short
-// retention) must produce a byte-identical snapshot to one attached to an
-// engine with monitoring disabled entirely.
+// per-machine state: the engine holds no monitoring store, and a detector
+// attached to an engine configured with a short monitor retention (the
+// setting that once made a store evict aggressively) must produce a
+// byte-identical snapshot to one attached to an engine without it.
 func TestDetectorUnaffectedByMonitorEviction(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the small study twice")
@@ -57,7 +57,7 @@ func TestDetectorUnaffectedByMonitorEviction(t *testing.T) {
 	noMonitor := detectorReplay(t, 0)
 	shortRetention := detectorReplay(t, 14*24*time.Hour)
 	if noMonitor != shortRetention {
-		t.Error("detector snapshot changed when the monitoring store evicted aggressively")
+		t.Error("detector snapshot changed with a short monitor retention configured")
 	}
 	// Sanity: the replay actually exercised the detector.
 	var snap detect.Snapshot

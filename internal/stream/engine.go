@@ -8,7 +8,6 @@ import (
 	"failscope/internal/detect"
 	"failscope/internal/mempool"
 	"failscope/internal/model"
-	"failscope/internal/monitordb"
 	"failscope/internal/obs"
 	"failscope/internal/sketch"
 	"failscope/internal/telemetry"
@@ -26,8 +25,9 @@ type Config struct {
 	// batch options; the streaming statistics do not consume it yet).
 	FineWindow model.Window
 
-	// MonitorEpoch/MonitorRetention configure the live monitoring store.
-	// Zero values disable monitoring ingestion.
+	// MonitorEpoch/MonitorRetention are unread: the engine keeps no
+	// monitoring store. Monitoring samples reach the detector as they
+	// arrive and count in MonitorSamples whatever these hold.
 	MonitorEpoch     time.Time
 	MonitorRetention time.Duration
 
@@ -50,12 +50,12 @@ type Config struct {
 
 	// GaugeLabel, when non-empty, makes the engine publish its stream.*
 	// gauges under a {shard="<label>"} Prometheus label and leave the
-	// unlabeled families, the monitordb footprint gauges and the detect.*
-	// families to the coordinator — N shard engines can then share one
-	// registry without stomping each other's point-in-time values, while
-	// counters and histograms (which aggregate by addition) stay shared and
-	// unlabeled. Empty (the default, every single-engine deployment) keeps
-	// the metric surface exactly as before. The engine's gauges are
+	// unlabeled families and the detect.* families to the coordinator — N
+	// shard engines can then share one registry without stomping each
+	// other's point-in-time values, while counters and histograms (which
+	// aggregate by addition) stay shared and unlabeled. Empty (the default,
+	// every single-engine deployment) keeps the metric surface exactly as
+	// before. The engine's gauges are
 	// published when the registry is read (obs.Registry.Collect), under a
 	// key per label: a later engine with the same label on the same
 	// registry replaces an earlier one's.
@@ -233,8 +233,6 @@ type engineState struct {
 	vmBuckets       [3]int
 	classSpatial    map[model.FailureClass]*classSpatialAcc
 
-	monitor        *monitordb.DB
-	monitorEnd     time.Time // cached acceptance-window end
 	monitorSamples int64
 
 	// Online classification scoring (when cfg.Classifier is set).
@@ -305,12 +303,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		win:         cfg.Observation,
 		engineState: newEngineState(cfg.Observation.NumWeeks()),
 		gauges:      NewGaugeNames(cfg.GaugeLabel),
-	}
-	if cfg.MonitorRetention > 0 {
-		e.monitor = monitordb.New(cfg.MonitorEpoch, cfg.MonitorRetention)
-		e.monitor.Instrument(cfg.Observer.Metrics())
-		e.monitor.SetLogger(cfg.Observer.Log())
-		_, e.monitorEnd = e.monitor.Window()
 	}
 	if cfg.Detector != nil {
 		cfg.Detector.Instrument(cfg.Observer.Metrics())
@@ -412,13 +404,13 @@ func (e *Engine) applyBatchLocked(events []Event) error {
 // Apply folds one ordered event batch into the engine's state through
 // leader-based group commit: the first caller to arrive takes e.mu once,
 // applies its own batch plus every batch that concurrent callers enqueue
-// while it holds the lock, then runs one monitoring-window advance (and,
-// with a journal, one sync) for the whole group. Under concurrent ingest
-// this amortizes the per-batch fixed costs (lock handoff, eviction checks)
-// across the group; a lone caller is a group of one. Statistics and
-// detector state are identical either way — applyLocked runs per event in
-// arrival order regardless of grouping, alert expiry included. On error
-// the batch's events before the failing one stay applied.
+// while it holds the lock, then, with a journal, runs one sync for the
+// whole group. Under concurrent ingest this amortizes the per-batch fixed
+// costs (lock handoff, sync) across the group; a lone caller is a group
+// of one. Statistics and detector state are identical either way —
+// applyLocked runs per event in arrival order regardless of grouping,
+// alert expiry included. On error the batch's events before the failing
+// one stay applied.
 func (e *Engine) Apply(events []Event) error {
 	_, err := e.applyGrouped(events, nil)
 	return err
@@ -500,7 +492,6 @@ func (e *Engine) applyGrouped(events []Event, wire []byte) (time.Duration, error
 			batches++
 		}
 	}
-	e.advanceLocked()
 	am.groups.Add(1)
 	am.batches.Add(int64(batches))
 	if serr := e.syncJournalLocked(); serr != nil {
@@ -536,20 +527,14 @@ func (e *Engine) applyMetricsLocked() *applyMetrics {
 
 // publish is the engine's registry collector: it publishes the headline
 // stream.* gauges from one Totals read and, for an unlabeled engine, the
-// monitordb footprint and detect.* families. Only the Totals copy holds
-// e.mu; the footprint walk and the detector take their own locks, so a
-// registry read holds up ingest for microseconds. Pure observation.
+// detect.* families. Only the Totals copy holds e.mu; the detector takes
+// its own lock, so a registry read holds up ingest for microseconds. Pure
+// observation.
 func (e *Engine) publish(m *obs.Registry) {
-	e.mu.Lock()
-	t := e.totalsLocked()
-	db := e.monitor // RestoreState swaps it under mu
-	e.mu.Unlock()
+	t := e.Totals()
 	t.Publish(m, &e.gauges)
 	if e.cfg.GaugeLabel != "" {
 		return // a shard coordinator publishes the fleet-wide families
-	}
-	if db != nil {
-		db.RecordFootprint()
 	}
 	if e.cfg.Detector != nil {
 		e.cfg.Detector.Publish(m)
@@ -559,40 +544,6 @@ func (e *Engine) publish(m *obs.Registry) {
 // ownedLocked is the count of machines this engine owns: inventory entries
 // minus replicas of other shards' machines.
 func (e *Engine) ownedLocked() int { return len(e.machines) - len(e.refMachines) }
-
-// monitorAdvanceStep is how far ahead of a record's timestamp the engine
-// moves the monitor acceptance window. Advancing in week-granular steps
-// amortizes the eviction scan (O(records) per advance) over many writes
-// instead of paying it once per time-ordered sample.
-const monitorAdvanceStep = 7 * 24 * time.Hour
-
-// ensureMonitorWindowLocked opens the monitor acceptance window up to t
-// before a write that would otherwise fall past its live edge and be
-// dropped. The trailing edge follows retention behind, so eviction runs at
-// most step-early relative to the record clock.
-func (e *Engine) ensureMonitorWindowLocked(t time.Time) {
-	if !t.After(e.monitorEnd) {
-		return
-	}
-	if n := e.monitor.Advance(t.Add(monitorAdvanceStep)); n > 0 {
-		e.cfg.Observer.Metrics().Add("stream.monitor_evicted", int64(n))
-	}
-	_, e.monitorEnd = e.monitor.Window()
-}
-
-// advanceLocked slides the monitoring store's retention window up to the
-// stream watermark, evicting expired records. The store call is skipped
-// while the watermark is inside the window: monitorEnd is kept equal to
-// the store's window end, and Advance is a no-op there.
-func (e *Engine) advanceLocked() {
-	if e.monitor == nil || !e.watermark.After(e.monitorEnd) {
-		return
-	}
-	if n := e.monitor.Advance(e.watermark); n > 0 {
-		e.cfg.Observer.Metrics().Add("stream.monitor_evicted", int64(n))
-	}
-	_, e.monitorEnd = e.monitor.Window()
-}
 
 func (e *Engine) applyLocked(ev *Event) error {
 	if ev.Ref && ev.Type != "machine" && ev.Type != "advance" && ev.Type != "placement" {
@@ -633,37 +584,22 @@ func (e *Engine) applyLocked(ev *Event) error {
 		return nil
 	case "sample":
 		if ev.Time != nil {
-			if e.monitor != nil {
-				e.ensureMonitorWindowLocked(*ev.Time)
-				e.monitor.Add(ev.ServerID, ev.Metric, monitordb.Sample{Time: *ev.Time, Value: ev.Value})
-				e.monitorSamples++
-			}
+			e.monitorSamples++
 			if e.cfg.Detector != nil {
 				e.cfg.Detector.ObserveSample(ev.ServerID, ev.Metric, *ev.Time, ev.Value)
 			}
 		}
 		return nil
 	case "power":
-		if e.monitor != nil && ev.Time != nil && ev.On != nil {
-			e.ensureMonitorWindowLocked(*ev.Time)
-			e.monitor.AddPowerEvent(ev.ServerID, monitordb.PowerEvent{Time: *ev.Time, On: *ev.On})
-		}
+		// Counted and clocked above; no statistic or detector reads it.
 		return nil
 	case "placement":
-		if ev.Time != nil && ev.Host != "" {
+		if ev.Time != nil && ev.Host != "" && e.cfg.Detector != nil {
 			if ev.Ref {
-				// A replica placement only feeds the detector's fleet-wide
-				// consolidation count; the owning shard stores it.
-				if e.cfg.Detector != nil {
-					e.cfg.Detector.ObservePlacementRef(ev.ServerID, ev.Host, *ev.Time)
-				}
-				return nil
-			}
-			if e.monitor != nil {
-				e.ensureMonitorWindowLocked(*ev.Time)
-				e.monitor.SetPlacement(ev.ServerID, ev.Host, *ev.Time)
-			}
-			if e.cfg.Detector != nil {
+				// A replica moves its host's consolidation count; the
+				// owning shard's detector tracks the VM itself.
+				e.cfg.Detector.ObservePlacementRef(ev.ServerID, ev.Host, *ev.Time)
+			} else {
 				e.cfg.Detector.ObservePlacement(ev.ServerID, ev.Host, *ev.Time)
 			}
 		}
@@ -941,10 +877,6 @@ var (
 	week  = 7 * day
 	month = 30 * day
 )
-
-// Monitor returns the engine's live monitoring store (nil when monitoring
-// ingestion is disabled).
-func (e *Engine) Monitor() *monitordb.DB { return e.monitor }
 
 // Detector returns the engine's online detection layer (nil when
 // detection is disabled).

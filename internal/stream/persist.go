@@ -8,10 +8,10 @@ package stream
 // form), every map in key order, so one engine state has exactly one
 // image. It is self-delimiting, so it can be embedded in larger streams:
 //
-//	magic "FSENG002"
+//	magic "FSENG003"
 //	header, checked before any state is read:
 //	  window start, window end
-//	  monitor flag, detector flag
+//	  detector flag
 //	  minCrashes, burstWindow, horizon          (iff detector)
 //	events, watermark
 //	machine count, then per machine in arrival order:
@@ -36,15 +36,14 @@ package stream
 //	monitorSamples
 //	confusion: count, then (truth, predicted, n) sorted
 //	scored, scoredHit
-//	monitordb segment FSSEG001                  (iff monitor)
 //	detector image FSDET002                      (iff detector)
 //
 // Every statistic-bearing field is captured exactly: the headline
 // invariant is that an engine restored at sequence k and fed events[k:]
-// produces snapshots, reports, alerts and monitor exports DeepEqual to an
-// engine that applied the whole stream uninterrupted. Fields that are
-// pure observation (Observer registry, classifier scratch counters) are
-// not part of the image; they repopulate as the restored engine runs.
+// produces snapshots, reports and alerts DeepEqual to an engine that
+// applied the whole stream uninterrupted. Fields that are pure
+// observation (Observer registry, classifier scratch counters) are not
+// part of the image; they repopulate as the restored engine runs.
 
 import (
 	"bytes"
@@ -52,18 +51,18 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"time"
 
 	"failscope/internal/binimg"
 	"failscope/internal/model"
-	"failscope/internal/monitordb"
 	"failscope/internal/sketch"
 )
 
-const engineStateMagic = "FSENG002"
-
-// legacyStateMagic is the gob image earlier versions wrote.
-const legacyStateMagic = "FSENG001"
+// engineStateMagic names the image format. Earlier versions wrote FSENG001
+// (gob) and FSENG002 (this layout plus a monitoring-store segment); both
+// are refused by name.
+const engineStateMagic = "FSENG003"
 
 // WriteState serializes the engine's complete statistical state, returning
 // the sequence number (event count) the image captures. Safe to call
@@ -78,9 +77,6 @@ func (e *Engine) WriteState(w io.Writer) (int64, error) {
 
 	bw := binimg.NewWriter(w)
 	e.encodeStateLocked(bw)
-	if e.monitor != nil {
-		e.monitor.WriteSegment(bw)
-	}
 	if d := e.cfg.Detector; d != nil {
 		d.WriteState(bw)
 	}
@@ -122,7 +118,6 @@ func (e *Engine) encodeHeader(w *binimg.Writer) {
 	w.Raw(engineStateMagic)
 	w.Time(e.win.Start)
 	w.Time(e.win.End)
-	w.Bool(e.monitor != nil)
 	w.Bool(e.cfg.Detector != nil)
 	if d := e.cfg.Detector; d != nil {
 		d.Config().WriteParams(w)
@@ -253,7 +248,7 @@ func (e *Engine) encodeStateLocked(w *binimg.Writer) {
 
 // RestoreState overwrites the engine's statistical state with a previously
 // written image. The engine must be freshly configured with the same
-// observation window, monitoring and detection settings as the writer;
+// observation window and detection settings as the writer;
 // mismatches are refused rather than silently diverging. The whole image
 // is decoded before the engine (or its detector) changes, so a refused
 // image leaves both as they were. The journal, if any, must be attached
@@ -270,16 +265,6 @@ func (e *Engine) RestoreState(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if e.monitor != nil {
-		db, err := monitordb.ReadSegment(br)
-		if err != nil {
-			return err
-		}
-		db.Instrument(e.cfg.Observer.Metrics())
-		db.SetLogger(e.cfg.Observer.Log())
-		st.monitor = db
-		_, st.monitorEnd = db.Window()
-	}
 	if d := e.cfg.Detector; d != nil {
 		if err := d.RestoreState(br); err != nil {
 			return err
@@ -295,23 +280,20 @@ func (e *Engine) checkHeader(r *binimg.Reader) error {
 	switch magic := r.Raw(len(engineStateMagic)); {
 	case r.Err() != nil:
 		return fmt.Errorf("stream: read state magic: %w", r.Err())
-	case magic == legacyStateMagic:
-		return fmt.Errorf("stream: state image is %s, the gob format of earlier versions; this version reads %s only",
-			legacyStateMagic, engineStateMagic)
+	case magic != engineStateMagic && strings.HasPrefix(magic, "FSENG"):
+		return fmt.Errorf("stream: state image is %q, written by an earlier version; this version reads %s only",
+			magic, engineStateMagic)
 	case magic != engineStateMagic:
 		return fmt.Errorf("stream: bad state magic %q", magic)
 	}
 	start, end := r.Time(), r.Time()
-	hasMonitor, hasDetector := r.Bool(), r.Bool()
+	hasDetector := r.Bool()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("stream: read state: %w", err)
 	}
 	if !sameTime(start, e.win.Start) || !sameTime(end, e.win.End) {
 		return fmt.Errorf("stream: state window %v–%v, engine configured with %v–%v",
 			start, end, e.win.Start, e.win.End)
-	}
-	if hasMonitor != (e.monitor != nil) {
-		return fmt.Errorf("stream: state monitor=%v, engine monitor=%v", hasMonitor, e.monitor != nil)
 	}
 	if hasDetector != (e.cfg.Detector != nil) {
 		return fmt.Errorf("stream: state detector=%v, engine detector=%v", hasDetector, e.cfg.Detector != nil)

@@ -2,15 +2,14 @@ package stream
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"failscope/internal/binimg"
 	"failscope/internal/dcsim"
 	"failscope/internal/detect"
 	"failscope/internal/ingest"
@@ -19,8 +18,9 @@ import (
 
 // fullEvents generates the small study's complete event stream (machines,
 // tickets, incidents, monitoring, placements, trailing advance) plus a
-// factory for identically-configured engines with monitoring and
-// detection enabled — the richest configuration persistence must cover.
+// factory for identically-configured engines with detection enabled — the
+// richest configuration persistence must cover. The factory also sets the
+// unread monitor fields, as failbench's engines do.
 func fullEvents(t *testing.T) ([]Event, func(t *testing.T) *Engine) {
 	t.Helper()
 	cfg := dcsim.SmallConfig()
@@ -57,8 +57,8 @@ func fullEvents(t *testing.T) ([]Event, func(t *testing.T) *Engine) {
 
 // engineFingerprint reduces an engine to the state the crash-recovery
 // invariant protects: the snapshot (report included), the detector
-// snapshot, the monitor store's canonical export and the checkpoint image,
-// which carries every statistic-bearing field down to time zone offsets.
+// snapshot and the checkpoint image, which carries every statistic-bearing
+// field down to time zone offsets.
 func engineFingerprint(t *testing.T, e *Engine) string {
 	t.Helper()
 	snap, err := json.Marshal(e.Snapshot())
@@ -69,14 +69,11 @@ func engineFingerprint(t *testing.T, e *Engine) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mon, img bytes.Buffer
-	if err := e.Monitor().Encode(&mon); err != nil {
-		t.Fatal(err)
-	}
+	var img bytes.Buffer
 	if _, err := e.WriteState(&img); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%s\n%s\n%s\n%x", snap, det, mon.Bytes(), img.Bytes())
+	return fmt.Sprintf("%s\n%s\n%x", snap, det, img.Bytes())
 }
 
 // withOffsetEvents inserts, right after the first event, a machine and a
@@ -107,7 +104,7 @@ func withOffsetEvents(events []Event) []Event {
 // at the engine layer: for any split point k, applying events[:k], writing
 // state, restoring it into a fresh engine and applying events[k:] must be
 // observationally identical to one uninterrupted run — snapshot, report,
-// detector, monitor store and checkpoint image alike, with a machine and a
+// detector and checkpoint image alike, with a machine and a
 // ticket posted at a +02:00 offset among the events.
 func TestEngineStateRoundTripEquivalence(t *testing.T) {
 	if testing.Short() {
@@ -154,7 +151,7 @@ func TestEngineStateRoundTripEquivalence(t *testing.T) {
 }
 
 // TestEngineRestoreRefusesMismatch: images must only load into engines
-// configured identically — window, monitoring and detection.
+// configured identically — window and detection.
 func TestEngineRestoreRefusesMismatch(t *testing.T) {
 	events, mk := fullEvents(t)
 	a := mk(t)
@@ -173,8 +170,6 @@ func TestEngineRestoreRefusesMismatch(t *testing.T) {
 		"window": {Observation: shifted, FineWindow: cfg.FineWindow,
 			MonitorEpoch: cfg.MonitorEpoch, MonitorRetention: cfg.MonitorRetention,
 			Detector: detect.New(detect.Config{})},
-		"no monitor": {Observation: cfg.Observation, FineWindow: cfg.FineWindow,
-			Detector: detect.New(detect.Config{})},
 		"no detector": {Observation: cfg.Observation, FineWindow: cfg.FineWindow,
 			MonitorEpoch: cfg.MonitorEpoch, MonitorRetention: cfg.MonitorRetention},
 	}
@@ -186,6 +181,50 @@ func TestEngineRestoreRefusesMismatch(t *testing.T) {
 		if err := eng.RestoreState(bytes.NewReader(blob.Bytes())); err == nil {
 			t.Errorf("%s mismatch accepted", name)
 		}
+	}
+}
+
+// TestMonitorFieldsInert: the monitor fields change nothing. An image
+// written by an engine configured with MonitorEpoch/MonitorRetention
+// restores into one configured without them, and after the rest of the
+// stream both give DeepEqual snapshots and identical images.
+func TestMonitorFieldsInert(t *testing.T) {
+	events, mk := fullEvents(t)
+	k := len(events) / 2
+	a := mk(t)
+	if err := a.Apply(events[:k]); err != nil {
+		t.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if _, err := a.WriteState(&blob); err != nil {
+		t.Fatal(err)
+	}
+	cfg := dcsim.SmallConfig()
+	b, err := NewEngine(Config{Observation: cfg.Observation, FineWindow: cfg.FineWindow,
+		Detector: detect.New(detect.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.RestoreState(bytes.NewReader(blob.Bytes())); err != nil {
+		t.Fatalf("an image of a monitor-configured engine was refused: %v", err)
+	}
+	for _, e := range []*Engine{a, b} {
+		if err := e.Apply(events[k:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
+		t.Error("snapshots differ with and without the monitor fields")
+	}
+	var imgA, imgB bytes.Buffer
+	if _, err := a.WriteState(&imgA); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.WriteState(&imgB); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(imgA.Bytes(), imgB.Bytes()) {
+		t.Error("images differ with and without the monitor fields")
 	}
 }
 
@@ -290,8 +329,7 @@ func TestJournalCapturesApplyOrder(t *testing.T) {
 
 // TestWriteStateDeterministic: the study engine gives the same image on
 // every call, and an engine restored from it writes the image back byte
-// for byte. Its monitordb segment, whose columns span many write chunks,
-// keeps the FSSEG001 bytes earlier versions wrote.
+// for byte.
 func TestWriteStateDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the small study")
@@ -300,16 +338,6 @@ func TestWriteStateDeterministic(t *testing.T) {
 	eng := mk(t)
 	if err := eng.Apply(events); err != nil {
 		t.Fatal(err)
-	}
-	var seg bytes.Buffer
-	w := binimg.NewWriter(&seg)
-	eng.Monitor().WriteSegment(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	const want = "8786835690c122ff44ed1396e9091d672a8411cdb62cca22bc18c7e1c6499475"
-	if got := fmt.Sprintf("%x", sha256.Sum256(seg.Bytes())); got != want || seg.Len() != 2699685 {
-		t.Errorf("study segment is %d bytes with SHA-256 %s, want 2699685 bytes with %s", seg.Len(), got, want)
 	}
 	var first, second, rewritten bytes.Buffer
 	if _, err := eng.WriteState(&first); err != nil {
@@ -333,9 +361,10 @@ func TestWriteStateDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineRestoreRefusesLegacyImage: an FSENG001 (gob) image from an
-// earlier version is refused with an error that names its format, and the
-// engine is left as it was.
+// TestEngineRestoreRefusesLegacyImage: an FSENG001 (gob) or FSENG002
+// (with a monitoring-store segment) image from an earlier version is
+// refused with an error that names its format and the one this version
+// reads, and the engine is left as it was.
 func TestEngineRestoreRefusesLegacyImage(t *testing.T) {
 	events, mk := fullEvents(t)
 	eng := mk(t)
@@ -346,9 +375,15 @@ func TestEngineRestoreRefusesLegacyImage(t *testing.T) {
 	if _, err := eng.WriteState(&before); err != nil {
 		t.Fatal(err)
 	}
-	err := eng.RestoreState(strings.NewReader("FSENG001\x00\x01gob bytes"))
-	if err == nil || !strings.Contains(err.Error(), "FSENG001") {
-		t.Fatalf("legacy image: err = %v, want a refusal naming FSENG001", err)
+	fseng002 := "FSENG002" + before.String()[len("FSENG003"):]
+	for _, c := range []struct{ magic, image string }{
+		{"FSENG001", "FSENG001\x00\x01gob bytes"},
+		{"FSENG002", fseng002},
+	} {
+		err := eng.RestoreState(strings.NewReader(c.image))
+		if err == nil || !strings.Contains(err.Error(), c.magic) || !strings.Contains(err.Error(), "FSENG003") {
+			t.Fatalf("%s image: err = %v, want a refusal naming %s and FSENG003", c.magic, err, c.magic)
+		}
 	}
 	var after bytes.Buffer
 	if _, err := eng.WriteState(&after); err != nil {

@@ -10,12 +10,11 @@ import (
 )
 
 // BenchmarkGroupCommitTail replays the small study in 1,000-event batches
-// into an engine configured as failscoped -scale small runs it (monitoring,
-// online detector, an observed registry) from one caller, so every
-// ApplyTimed call is a group of one. It reports the engine's own
-// apply time per group and the tail: the rest of the call, which is the
-// work done under the engine lock after the batches apply (watermark
-// advance, expiry and eviction checks) plus the lock and queue handoff.
+// into an engine configured as failscoped -scale small runs it (online
+// detector, an observed registry) from one caller, so every ApplyTimed
+// call is a group of one. It reports the engine's own apply time per group
+// and the tail: the rest of the call, which is the work done under the
+// engine lock after the batches apply plus the lock and queue handoff.
 func BenchmarkGroupCommitTail(b *testing.B) {
 	cfg := dcsim.SmallConfig()
 	field, err := dcsim.Generate(cfg)
@@ -30,12 +29,10 @@ func BenchmarkGroupCommitTail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		eng, err := NewEngine(Config{
-			Observation:      cfg.Observation,
-			FineWindow:       cfg.FineWindow,
-			MonitorEpoch:     cfg.MonitorEpoch,
-			MonitorRetention: cfg.MonitorRetention,
-			Observer:         obs.NewObserver("tail-bench"),
-			Detector:         detect.New(detect.Config{}),
+			Observation: cfg.Observation,
+			FineWindow:  cfg.FineWindow,
+			Observer:    obs.NewObserver("tail-bench"),
+			Detector:    detect.New(detect.Config{}),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -38,7 +38,8 @@ func smallStudyFingerprint(t *testing.T, parallelism int) string {
 	// grid's bucket index arithmetic and float accumulation order, which the
 	// raw encode above cannot see.
 	mon := res.Field.Monitor
-	wStart, wEnd := mon.Window()
+	wStart := mon.Epoch()
+	wEnd := wStart.Add(study.Generator.MonitorRetention)
 	rollWin := model.Window{Start: wStart, End: wEnd.Add(time.Nanosecond)}
 	for _, id := range mon.Machines() {
 		rollup := mon.Rollup(id, monitordb.MetricCPUUtil, rollWin, 7*24*time.Hour)
