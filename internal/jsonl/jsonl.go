@@ -82,8 +82,9 @@ func (p *Parser) peek() (byte, bool) {
 	return 0, false
 }
 
-// literal consumes the exact bytes of s or fails.
-func (p *Parser) literal(s string) bool {
+// Literal consumes the exact bytes of s or fails. Decoders match the fixed
+// key text of a line their own encoder wrote with it.
+func (p *Parser) Literal(s string) bool {
 	if len(p.in)-p.pos < len(s) || bytesString(p.in[p.pos:p.pos+len(s)]) != s {
 		return false
 	}
@@ -370,9 +371,9 @@ func (p *Parser) Float() (float64, bool) {
 // Bool parses a bool field; null fails (json no-ops it).
 func (p *Parser) Bool() (bool, bool) {
 	if c, have := p.peek(); have && c == 't' {
-		return true, p.literal("true")
+		return true, p.Literal("true")
 	}
-	return false, p.literal("false")
+	return false, p.Literal("false")
 }
 
 // Time parses a quoted RFC3339 UTC timestamp ("...Z", optionally with a
@@ -456,6 +457,34 @@ func (p *Parser) TimeField(dst *time.Time) bool {
 	return ok
 }
 
+// TimeMemo remembers the last timestamp Time parsed: its quoted text and
+// its value. Consecutive records of a time-ordered stream mostly repeat
+// the previous timestamp, and a repeat then costs one byte comparison
+// instead of a parse. The zero TimeMemo is empty.
+type TimeMemo struct {
+	raw []byte // the quoted text, quotes included
+	t   time.Time
+}
+
+// Time is p.Time, answered from m when the cursor's bytes repeat the
+// remembered text. Equal text parses to an equal value, so the answer is
+// the one p.Time would give.
+func (m *TimeMemo) Time(p *Parser) (time.Time, bool) {
+	if len(m.raw) > 0 && p.Literal(bytesString(m.raw)) {
+		return m.t, true
+	}
+	start := p.pos
+	t, ok := p.Time()
+	if ok {
+		m.raw = append(m.raw[:0], p.in[start:p.pos]...)
+		m.t = t
+	}
+	return t, ok
+}
+
+// Reset forgets the remembered timestamp, keeping the text's capacity.
+func (m *TimeMemo) Reset() { m.raw, m.t = m.raw[:0], time.Time{} }
+
 // Skip consumes any JSON value (an unknown field's payload), validating
 // just enough syntax that acceptance matches encoding/json.
 func (p *Parser) Skip() bool {
@@ -474,11 +503,11 @@ func (p *Parser) Skip() bool {
 	case '[':
 		return p.Array(p.Skip)
 	case 't':
-		return p.literal("true")
+		return p.Literal("true")
 	case 'f':
-		return p.literal("false")
+		return p.Literal("false")
 	case 'n':
-		return p.literal("null")
+		return p.Literal("null")
 	default:
 		_, _, ok := p.scanNumber()
 		return ok

@@ -89,3 +89,23 @@ func TestSkipAgreesWithEncodingJSON(t *testing.T) {
 		t.Errorf("Skip refused nesting of exactly %d", maxDepth)
 	}
 }
+
+// TestTimeMemoAgreesWithTime runs every scalar token through one memo
+// twice in a row, after every other token: the memo must give exactly
+// what Time gives, cursor included, whatever it remembers.
+func TestTimeMemoAgreesWithTime(t *testing.T) {
+	var m TimeMemo
+	var p, q Parser
+	for _, prev := range scalarTokens {
+		for _, tok := range []string{prev, prev, `"2012-08-05T00:00:00.000Z"`, `"2012-08-05T00:00:00Z"`} {
+			p.Reset([]byte(tok + ","))
+			q.Reset([]byte(tok + ","))
+			got, gotOK := m.Time(&p)
+			want, wantOK := q.Time()
+			if gotOK != wantOK || (wantOK && (got != want || p.pos != q.pos)) {
+				t.Errorf("after %s, %s: memo (%v, %v) at %d, Time (%v, %v) at %d",
+					prev, tok, got, gotOK, p.pos, want, wantOK, q.pos)
+			}
+		}
+	}
+}

@@ -18,17 +18,21 @@ import (
 // This file is the zero-copy JSONL event decoder: it scans the known Event
 // schema with the shared jsonl.Parser (machines, tickets and incidents
 // through model's typed scanners) and lands the decoded payloads in a
-// pooled Batch whose arenas are recycled across requests. The fast path
-// only accepts input it can decode bit-for-bit the way encoding/json
-// would; anything it is not certain about (non-UTC timezones, surrogate
-// escapes, invalid UTF-8, malformed syntax) falls back to json.Unmarshal
-// for that line, so observable behavior — values and error text alike —
-// is unchanged. TestDecodeJSONLIntoMatchesLegacy and FuzzDecodeJSONL hold
-// the two decoders equal.
+// pooled Batch whose arenas are recycled across requests. A sample line
+// laid out exactly as AppendEvent writes it (nine in ten wire events) is
+// matched against its fixed key text in one pass, and repeated timestamps
+// and machine IDs reuse the previous line's value. The fast path only
+// accepts input it can decode bit-for-bit the way encoding/json would;
+// anything it is not certain about (non-UTC timezones, surrogate escapes,
+// invalid UTF-8, malformed syntax) falls back to json.Unmarshal for that
+// line, so observable behavior — values and error text alike — is
+// unchanged. TestDecodeJSONLIntoMatchesLegacy and FuzzDecodeJSONL hold the
+// two decoders equal.
 
 // decodeFastLines / decodeFallbackLines count, process-wide, how many
-// lines the scanner decoded itself versus delegated. The equivalence tests
-// use them to prove canonical encoder output never falls back.
+// lines the scanner decoded itself versus delegated; each DecodeJSONLInto
+// call adds its counts once. The equivalence tests use them to prove
+// canonical encoder output never falls back.
 var decodeFastLines, decodeFallbackLines atomic.Int64
 
 // DecodeStats reports how many JSONL lines were decoded by the fast
@@ -54,6 +58,12 @@ type Batch struct {
 
 	parser jsonl.Parser // keeps its unescape scratch across batches
 	body   bytes.Buffer // the whole body DecodeJSONLInto read
+
+	// Decode memos: the last timestamp and the last serverID and host
+	// strings, reused while consecutive lines repeat their bytes.
+	lastTime   jsonl.TimeMemo
+	lastServer model.MachineID
+	lastHost   model.MachineID
 
 	// wire is the JSONL body the events were decoded from: what one
 	// successful DecodeJSONLInto call read into an empty batch, nil for any
@@ -82,8 +92,8 @@ func GetBatch() *Batch { return batchPool.Get() }
 func (b *Batch) Release() { batchPool.Put(b) }
 
 // reset empties the batch for reuse, keeping arena capacity. The
-// string-bearing arenas are cleared so recycled batches do not pin the
-// previous request's ticket text.
+// string-bearing arenas and memos are cleared so recycled batches do not
+// pin the previous request's ticket text or IDs.
 func (b *Batch) reset() {
 	clearSlice(b.Events)
 	clearSlice(b.machines)
@@ -96,6 +106,8 @@ func (b *Batch) reset() {
 	b.tickets = b.tickets[:0]
 	b.incidents = b.incidents[:0]
 	b.wire = nil
+	b.lastTime.Reset()
+	b.lastServer, b.lastHost = "", ""
 	if b.body.Cap() > batchReadBufSize {
 		b.body = newBody() // pool no oversized body's buffer
 	}
@@ -129,6 +141,11 @@ func (b *Batch) DecodeJSONLInto(r io.Reader) (int, error) {
 	b.wire = nil
 	start := len(b.Events)
 	line := 0
+	var fast, fallback int64
+	defer func() {
+		decodeFastLines.Add(fast)
+		decodeFallbackLines.Add(fallback)
+	}()
 	for rest := body; len(rest) > 0; {
 		raw := rest
 		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
@@ -147,9 +164,9 @@ func (b *Batch) DecodeJSONLInto(r io.Reader) (int, error) {
 		b.Events = append(b.Events, Event{})
 		ev := &b.Events[len(b.Events)-1]
 		if b.fastParseEvent(raw, ev) {
-			decodeFastLines.Add(1)
+			fast++
 		} else {
-			decodeFallbackLines.Add(1)
+			fallback++
 			*ev = Event{}
 			if err := json.Unmarshal(raw, ev); err != nil {
 				b.Events = b.Events[:len(b.Events)-1]
@@ -173,17 +190,83 @@ func (b *Batch) DecodeJSONLInto(r io.Reader) (int, error) {
 // eventKeys lists Event's JSON keys for the case-fold check.
 var eventKeys = []string{"type", "machine", "ticket", "incident", "serverID", "metric", "time", "value", "on", "host", "ref"}
 
+// eventTypes lists the seven event types, the most frequent first, so a
+// decoded type shares these strings instead of allocating its own.
+var eventTypes = []string{"sample", "placement", "power", "ticket", "machine", "incident", "advance"}
+
 // fastParseEvent parses one line into ev, using the batch arenas for the
 // pointer payloads. Returns false (leaving ev in an undefined state the
 // caller must reset) when the line needs the encoding/json fallback.
 func (b *Batch) fastParseEvent(line []byte, ev *Event) bool {
+	return b.parseSample(line, ev) || b.parseEvent(line, ev)
+}
+
+// sampleHead is the fixed text AppendEvent opens a sample line with.
+const sampleHead = `{"type":"sample","serverID":`
+
+// parseSample decodes a sample line laid out exactly as AppendEvent
+// writes it — type, serverID, metric, time, value, with metric and value
+// omitted when zero — matching the key text as fixed bytes. It writes ev
+// only on success; any other line, including one with whitespace, escaped
+// or extra keys, or a value the parser refuses, is left to parseEvent.
+func (b *Batch) parseSample(line []byte, ev *Event) bool {
+	p := &b.parser
+	p.Reset(line)
+	if !p.Literal(sampleHead) {
+		return false
+	}
+	id, ok := b.id(&b.lastServer)
+	if !ok {
+		return false
+	}
+	var metric int
+	if p.Literal(`,"metric":`) {
+		if metric, ok = p.Int(); !ok {
+			return false
+		}
+	}
+	if !p.Literal(`,"time":`) {
+		return false
+	}
+	t, ok := b.lastTime.Time(p)
+	if !ok {
+		return false
+	}
+	var value float64
+	if p.Literal(`,"value":`) {
+		if value, ok = p.Float(); !ok {
+			return false
+		}
+	}
+	if !p.Literal("}") || !p.End() {
+		return false
+	}
+	b.times = append(b.times, t)
+	*ev = Event{Type: "sample", ServerID: id, Metric: monitordb.Metric(metric),
+		Time: &b.times[len(b.times)-1], Value: value}
+	return true
+}
+
+// id decodes a machine-ID string, returning *last instead of a new string
+// when the bytes repeat it.
+func (b *Batch) id(last *model.MachineID) (model.MachineID, bool) {
+	raw, ok := b.parser.StringBytes()
+	if ok && string(raw) != string(*last) {
+		*last = model.MachineID(raw)
+	}
+	return *last, ok
+}
+
+// parseEvent is the generic scan: any key order, whitespace and duplicate
+// keys, each value decoded the way encoding/json would.
+func (b *Batch) parseEvent(line []byte, ev *Event) bool {
 	p := &b.parser
 	p.Reset(line)
 	ok := p.Object(func(key []byte) bool {
 		var ok bool
 		switch string(key) {
 		case "type":
-			ev.Type, ok = p.String()
+			ev.Type, ok = p.Enum(eventTypes)
 		case "machine":
 			if p.Null() {
 				ev.Machine = nil
@@ -215,9 +298,7 @@ func (b *Batch) fastParseEvent(line []byte, ev *Event) bool {
 			}
 			ok = model.ParseIncident(p, ev.Incident)
 		case "serverID":
-			var s string
-			s, ok = p.String()
-			ev.ServerID = model.MachineID(s)
+			ev.ServerID, ok = b.id(&b.lastServer)
 		case "metric":
 			var v int
 			v, ok = p.Int()
@@ -228,7 +309,7 @@ func (b *Batch) fastParseEvent(line []byte, ev *Event) bool {
 				return true
 			}
 			var t time.Time
-			if t, ok = p.Time(); ok {
+			if t, ok = b.lastTime.Time(p); ok {
 				if ev.Time == nil {
 					b.times = append(b.times, t)
 					ev.Time = &b.times[len(b.times)-1]
@@ -239,9 +320,7 @@ func (b *Batch) fastParseEvent(line []byte, ev *Event) bool {
 		case "value":
 			ev.Value, ok = p.Float()
 		case "host":
-			var s string
-			s, ok = p.String()
-			ev.Host = model.MachineID(s)
+			ev.Host, ok = b.id(&b.lastHost)
 		case "on":
 			if p.Null() {
 				ev.On = nil

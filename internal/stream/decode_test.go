@@ -134,6 +134,29 @@ var trickyEventLines = []string{
 	`{"type":"machine","machine":{"id":"m","capacity":{}}}`,
 	// Nesting past the scanner's depth bound falls back.
 	`{"type":"advance","x":` + strings.Repeat("[", 100) + strings.Repeat("]", 100) + `}`,
+	// Near-canonical sample lines: each differs from AppendEvent's layout
+	// in one place, so it leaves the fixed-key sample path for the generic
+	// scan or the encoding/json fallback.
+	`{"type":"sample","serverID":"S1-VM-\u0030001","metric":1,"time":"2012-08-05T00:00:00Z","value":1.5}`,
+	`{"type":"sample","serverID":"S1-VM-ü01","metric":1,"time":"2012-08-05T00:00:00Z","value":1.5}`,
+	`{"type":"sample","serverID":"a","metric":01,"time":"2012-08-05T00:00:00Z","value":1.5}`,
+	`{"type":"sample","serverID":"a","metric":-3,"time":"2012-08-05T00:00:00Z","value":1.5}`,
+	`{"type":"sample","serverID":"a","metric":1.0,"time":"2012-08-05T00:00:00Z","value":1.5}`,
+	`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00Z","value":-0}`,
+	`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00Z","value":1e400}`,
+	`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00Z","value":null}`,
+	`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00+00:00","value":1.5}`,
+	// The same instant as the line before, in different bytes: the
+	// timestamp memo must not answer for it.
+	`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00Z","value":1.5}` + "\n" +
+		`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00.000Z","value":1.5}`,
+	`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00Z","value":1.5} ` + "\t",
+	`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00Z","value":1.5,"ref":true}`,
+	`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00Z","value":1.5,"value":2}`,
+	`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00Z","Value":1.5}`,
+	// Canonical lines whose zero metric and value AppendEvent omits.
+	`{"type":"sample","serverID":"a","time":"2012-08-05T00:00:00Z"}`,
+	`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00Z"}`,
 }
 
 // TestDecodeJSONLIntoTrickyLines feeds both decoders hand-written lines a
@@ -183,6 +206,9 @@ var malformedEventInputs = []string{
 	`{"type":"machine","machine":{"capacity":{"cpus":01}}}`,
 	`{"type":"advance","x":"\q"}`,
 	`{"type":"advance","x":` + strings.Repeat("[", 100) + strings.Repeat("]", 100) + `}}`,
+	// Canonical sample lines with bytes after the closing brace.
+	`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00Z","value":1.5}}`,
+	`{"type":"sample","serverID":"a","metric":1,"time":"2012-08-05T00:00:00Z","value":1.5} x`,
 }
 
 // TestDecodeJSONLIntoErrors pins error parity on malformed input: both
@@ -245,14 +271,20 @@ func TestDecodeJSONLIntoInvalidUTF8(t *testing.T) {
 	}
 }
 
-// TestBatchReuse verifies a released batch comes back empty and is
-// actually recycled by the pool.
+// TestBatchReuse verifies a released batch comes back empty, memos
+// included, is actually recycled by the pool, and decodes other IDs and
+// timestamps exactly as a fresh batch would.
 func TestBatchReuse(t *testing.T) {
+	first := `{"type":"sample","serverID":"S1-VM-0001","metric":1,"time":"2012-09-01T00:00:00Z","value":2.5}
+{"type":"placement","serverID":"S1-VM-0001","time":"2012-09-01T00:00:00Z","host":"S1-PM-0001"}`
+	second := `{"type":"sample","serverID":"S1-VM-0002","metric":1,"time":"2012-09-01T00:15:00Z","value":2.5}
+{"type":"sample","serverID":"S1-VM-0001","metric":1,"time":"2012-09-01T00:00:00Z","value":2.5}
+{"type":"placement","serverID":"S1-VM-0002","time":"2012-09-01T00:15:00Z","host":"S1-PM-0002"}`
 	b := GetBatch()
-	if _, err := b.DecodeJSONLInto(strings.NewReader(`{"type":"advance","time":"2012-09-01T00:00:00Z"}`)); err != nil {
+	if _, err := b.DecodeJSONLInto(strings.NewReader(first)); err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Events) != 1 {
+	if len(b.Events) != 2 {
 		t.Fatalf("decoded %d events", len(b.Events))
 	}
 	b.Release()
@@ -263,6 +295,20 @@ func TestBatchReuse(t *testing.T) {
 	}
 	if len(b2.Events) != 0 || len(b2.times) != 0 {
 		t.Fatalf("recycled batch not reset: %d events, %d times", len(b2.Events), len(b2.times))
+	}
+	if memo := reflect.ValueOf(b2.lastTime); b2.lastServer != "" || b2.lastHost != "" ||
+		memo.FieldByName("raw").Len() != 0 || !memo.FieldByName("t").IsZero() {
+		t.Fatalf("recycled batch keeps its memos: server %q, host %q, time %+v", b2.lastServer, b2.lastHost, b2.lastTime)
+	}
+	if _, err := b2.DecodeJSONLInto(strings.NewReader(second)); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := decodeJSONLOnly(strings.NewReader(second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(b2.Events, legacy) {
+		t.Fatalf("recycled batch decoded\n%#v\nwant\n%#v", b2.Events, legacy)
 	}
 }
 
@@ -293,12 +339,14 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 		}
 		b.Release()
 	})
-	// Budget: 64 serverID strings + bufio.Scanner + small constant slack.
+	// Budget: the 64 distinct serverID strings and nothing else. The type
+	// is one of eventTypes' strings, repeated timestamps and IDs reuse the
+	// previous line's, and the batch and its arenas come from the pool.
 	// The legacy decoder spends ~14 allocs per event on the same input;
-	// regressing past 2/event means boxing crept back in.
+	// regressing past 1/event means a per-line string or box crept back in.
 	perEvent := avg / 64
-	if perEvent > 2 {
-		t.Fatalf("pooled decode allocates %.2f allocs/event (%.0f total), budget 2/event", perEvent, avg)
+	if perEvent > 1 {
+		t.Fatalf("pooled decode allocates %.2f allocs/event (%.0f total), budget 1/event", perEvent, avg)
 	}
 }
 

@@ -12,9 +12,10 @@ package stream
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -187,53 +188,98 @@ func appendEventFast(dst []byte, ev *Event) ([]byte, bool) {
 // placements — sorted by timestamp with arrival order as the deterministic
 // tie-break. This is what -replay feeds the daemon and what the
 // convergence tests replay through the engine.
+//
+// The timed events are ordered through a key array of (seconds,
+// nanoseconds, arrival index) rather than by swapping the 112-byte events,
+// and their payloads live in one arena per kind rather than one
+// allocation per event.
 func EventsFromField(data *model.Dataset, tickets *ticketdb.Store, monitor *monitordb.DB) []Event {
-	var timed []Event
+	var tks []model.Ticket
 	if tickets != nil {
-		for _, t := range tickets.All() {
-			tk := t
-			timed = append(timed, Event{Type: "ticket", Ticket: &tk})
-		}
+		tks = tickets.All() // a fresh copy
 	} else if data != nil {
-		for _, t := range data.Tickets {
-			tk := t
-			timed = append(timed, Event{Type: "ticket", Ticket: &tk})
-		}
+		tks = append([]model.Ticket(nil), data.Tickets...)
 	}
+	var incs []model.Incident
+	var machines []*model.Machine
 	if data != nil {
-		for _, inc := range data.Incidents {
-			ic := inc
-			timed = append(timed, Event{Type: "incident", Incident: &ic})
-		}
+		incs = append([]model.Incident(nil), data.Incidents...)
+		machines = data.Machines
+	}
+	var nTimes, nPower int
+	if monitor != nil {
+		fp := monitor.Footprint() // grid slots bound the samples from above
+		nTimes = fp.GridSamples + fp.RowSamples
+		monitor.ForEachPower(func(_ model.MachineID, events []monitordb.PowerEvent) { nPower += len(events) })
+		monitor.ForEachPlacement(func(_ model.MachineID, steps []monitordb.PlacementStep) { nTimes += len(steps) })
+		nTimes += nPower
+	}
+
+	timed := make([]Event, 0, len(tks)+len(incs)+nTimes)
+	for i := range tks {
+		timed = append(timed, Event{Type: "ticket", Ticket: &tks[i]})
+	}
+	for i := range incs {
+		timed = append(timed, Event{Type: "incident", Incident: &incs[i]})
 	}
 	if monitor != nil {
+		times := make([]time.Time, 0, nTimes)
+		at := func(t time.Time) *time.Time {
+			times = append(times, t)
+			return &times[len(times)-1]
+		}
+		bools := make([]bool, 0, nPower)
 		monitor.ForEachSeries(func(id model.MachineID, metric monitordb.Metric, samples []monitordb.Sample) {
 			for _, s := range samples {
-				at := s.Time
-				timed = append(timed, Event{Type: "sample", ServerID: id, Metric: metric, Time: &at, Value: s.Value})
+				timed = append(timed, Event{Type: "sample", ServerID: id, Metric: metric, Time: at(s.Time), Value: s.Value})
 			}
 		})
 		monitor.ForEachPower(func(id model.MachineID, events []monitordb.PowerEvent) {
 			for _, ev := range events {
-				at := ev.Time
-				on := ev.On
-				timed = append(timed, Event{Type: "power", ServerID: id, Time: &at, On: &on})
+				bools = append(bools, ev.On)
+				timed = append(timed, Event{Type: "power", ServerID: id, Time: at(ev.Time), On: &bools[len(bools)-1]})
 			}
 		})
 		monitor.ForEachPlacement(func(vm model.MachineID, steps []monitordb.PlacementStep) {
 			for _, st := range steps {
-				at := st.Time
-				timed = append(timed, Event{Type: "placement", ServerID: vm, Host: st.Host, Time: &at})
+				timed = append(timed, Event{Type: "placement", ServerID: vm, Host: st.Host, Time: at(st.Time)})
 			}
 		})
 	}
-	sort.SliceStable(timed, func(i, j int) bool { return timed[i].When().Before(timed[j].When()) })
 
-	var out []Event
-	if data != nil {
-		for _, m := range data.Machines {
-			out = append(out, Event{Type: "machine", Machine: m})
-		}
+	keys := make([]eventKey, len(timed))
+	for i := range timed {
+		t := timed[i].When()
+		keys[i] = eventKey{sec: t.Unix(), nsec: int32(t.Nanosecond()), i: int32(i)}
 	}
-	return append(out, timed...)
+	slices.SortFunc(keys, compareEventKeys)
+
+	out := make([]Event, 0, len(machines)+len(timed))
+	for _, m := range machines {
+		out = append(out, Event{Type: "machine", Machine: m})
+	}
+	for _, k := range keys {
+		out = append(out, timed[k.i])
+	}
+	return out
+}
+
+// eventKey is one timed event's place in the stream: its instant, then
+// its arrival index, which makes every key distinct and so any sort of
+// the keys stable with respect to arrival. 16 bytes: a stream of more
+// than 2^31 events would not fit in memory as Events anyway.
+type eventKey struct {
+	sec  int64
+	nsec int32
+	i    int32
+}
+
+func compareEventKeys(a, b eventKey) int {
+	if c := cmp.Compare(a.sec, b.sec); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.nsec, b.nsec); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.i, b.i)
 }
