@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -574,6 +575,17 @@ func TestTelemetryEndpoints(t *testing.T) {
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad ingest status = %d, want 400", res.StatusCode)
 	}
+	snapshotReads := []string{"/v1/report", "/v1/rates", "/v1/fidelity"}
+	for _, ep := range snapshotReads {
+		res, err = http.Get(ts.URL + ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s status = %d", ep, res.StatusCode)
+		}
+	}
 
 	// /metrics must pass the conformance parser and carry the counters.
 	res, err = http.Get(ts.URL + "/metrics")
@@ -697,6 +709,19 @@ func TestTelemetryEndpoints(t *testing.T) {
 	}
 	if full.Items != 5 {
 		t.Errorf("ingest trace items = %d, want 5", full.Items)
+	}
+
+	// Each read that builds a snapshot carries a snapshot span.
+	for _, ep := range snapshotReads {
+		var spans []telemetry.SpanRecord
+		for _, rec := range reqs.Requests {
+			if rec.Endpoint == ep {
+				spans = rec.Spans
+			}
+		}
+		if !slices.ContainsFunc(spans, func(sp telemetry.SpanRecord) bool { return sp.Name == "snapshot" }) {
+			t.Errorf("%s trace missing snapshot span: %+v", ep, spans)
+		}
 	}
 }
 

@@ -60,8 +60,9 @@ func scrapeMetrics(url string) (telemetry.Families, int64, error) {
 // Gauges are published by the scrape itself, so every scrape's
 // stream_events must equal its X-Failscope-Seq and never run backwards;
 // once ingest stops, the sample count, detector and pool families must
-// match the engine. Run under -race it also checks the collectors against
-// the group-commit path.
+// match the engine, and the one-shard router must have timed every report
+// read in stream.snapshot_ms. Run under -race it also checks the
+// collectors and the snapshot path against the group-commit path.
 func TestMetricsScrapeDuringIngest(t *testing.T) {
 	o := obs.NewObserver("failscoped-scrape-test")
 	det := detect.New(detect.Config{})
@@ -75,7 +76,12 @@ func TestMetricsScrapeDuringIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(shard.Single(eng), o, serverOptions{historyInterval: time.Millisecond})
+	rt, err := shard.New(shard.Options{Engines: []*stream.Engine{eng}, Detectors: []*detect.Detector{det}, Registry: o.Metrics()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	srv := newServer(rt, o, serverOptions{historyInterval: time.Millisecond})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -87,7 +93,7 @@ func TestMetricsScrapeDuringIngest(t *testing.T) {
 			bodies[p] = append(bodies[p], postBatch(t, p, b))
 		}
 	}
-	errs := make(chan error, posters+2)
+	errs := make(chan error, posters+3)
 	var ingest sync.WaitGroup
 	for p := 0; p < posters; p++ {
 		ingest.Add(1)
@@ -138,6 +144,29 @@ func TestMetricsScrapeDuringIngest(t *testing.T) {
 			}
 		}()
 	}
+	var reads int
+	scrapers.Add(1)
+	go func() {
+		defer scrapers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			res, err := http.Get(ts.URL + "/v1/report")
+			if err != nil {
+				errs <- err
+				return
+			}
+			res.Body.Close()
+			if res.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("GET /v1/report status %d", res.StatusCode)
+				return
+			}
+			reads++
+		}
+	}()
 	ingest.Wait()
 	close(done)
 	scrapers.Wait()
@@ -166,5 +195,19 @@ func TestMetricsScrapeDuringIngest(t *testing.T) {
 	}
 	if got := fams.Value("mempool_stream_applyreq_hits"); !(got >= 0) {
 		t.Errorf("mempool_stream_applyreq_hits missing from /metrics")
+	}
+	snapshots := -1.0
+	if f := fams.Get("stream_snapshot_ms"); f != nil {
+		for _, sr := range f.Series {
+			if sr.Name == "stream_snapshot_ms_count" {
+				snapshots = sr.Value
+			}
+		}
+	}
+	if snapshots != float64(reads) || reads == 0 {
+		t.Errorf("stream_snapshot_ms_count = %v, want %d report reads (> 0)", snapshots, reads)
+	}
+	if got := fams.Value("stream_snapshot_ms_p50"); !(got >= 0) {
+		t.Errorf("stream_snapshot_ms_p50 = %v, want a quantile", got)
 	}
 }

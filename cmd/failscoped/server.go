@@ -47,7 +47,7 @@ var metricHelp = map[string]string{
 	"durable.recovery_replayed_events":  "events replayed into the engine by the last recovery",
 	"durable.recovery_replay_ms":        "wall time of the last recovery in milliseconds",
 	"shard.events":                      "events applied, by shard",
-	"shard.merge_ms":                    "cross-shard snapshot merge latency in milliseconds",
+	shard.SnapshotMetric:                "read snapshot latency in milliseconds (/v1/report, /v1/rates, /v1/fidelity), cross-shard merge included",
 }
 
 func init() {
@@ -266,12 +266,20 @@ func setSeq(w http.ResponseWriter, seq int64) {
 	w.Header().Set("X-Failscope-Seq", fmt.Sprint(seq))
 }
 
+// snapshot reads the engine state for one request, timed as the request
+// trace's "snapshot" span.
+func (s *server) snapshot(r *http.Request) *stream.Snapshot {
+	end := telemetry.ActiveFrom(r.Context()).StartSpan("snapshot")
+	defer end()
+	return s.rt.Snapshot()
+}
+
 func (s *server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
 		return
 	}
-	snap := s.rt.Snapshot()
+	snap := s.snapshot(r)
 	setSeq(w, snap.Seq)
 	s.writeJSON(w, snap)
 }
@@ -303,7 +311,7 @@ func (s *server) handleRates(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
 		return
 	}
-	snap := s.rt.Snapshot()
+	snap := s.snapshot(r)
 	s.writeJSON(w, map[string]any{
 		"watermark": snap.Watermark,
 		"tickets":   snap.Tickets,
@@ -316,7 +324,7 @@ func (s *server) handleFidelity(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
 		return
 	}
-	s.writeJSON(w, s.rt.Snapshot().Fidelity())
+	s.writeJSON(w, s.snapshot(r).Fidelity())
 }
 
 // handleMetrics serves the observer registry (plus Go runtime gauges) in

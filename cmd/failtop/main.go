@@ -1,7 +1,8 @@
 // Command failtop is a polling terminal dashboard over a failscoped
 // daemon's live telemetry: it scrapes /metrics on a cadence, validates the
 // page with the exposition conformance parser, and renders ingest rate,
-// engine batch-apply latency quantiles, per-endpoint request RED metrics,
+// engine batch-apply and read-snapshot latency quantiles (the snapshot
+// line once the daemon has served a read), per-endpoint request RED metrics,
 // watermark lag, buffer-pool hit rates and the process memory footprint.
 //
 // Usage:
@@ -13,8 +14,7 @@
 // clearing the terminal and exits — non-zero when the scrape fails, the
 // page fails conformance, or the exposition is empty, which makes it the
 // CI scrape-smoke checker. When the daemon runs sharded (-shards N) a
-// shards pane appears: per-shard event totals and rates and the
-// snapshot-merge latency quantiles. When the daemon runs
+// shards pane appears: per-shard event totals and rates. When the daemon runs
 // with online detection the dashboard adds an alerts pane: active/raised/
 // cleared alert counts, confirm/expire resolution tallies and the
 // lead-time quantiles. When it runs durably (-data-dir) a durability pane
@@ -299,11 +299,19 @@ func render(w io.Writer, prev, cur *sample, base string) {
 		fmt.Fprintf(w, "   watermark lag %s", fmtDur(lag))
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "engine     %12s applies  p50 %sms  p95 %sms  p99 %sms\n\n",
+	fmt.Fprintf(w, "engine     %12s applies  p50 %sms  p95 %sms  p99 %sms\n",
 		fmtNum(histCount(cur, "stream_apply_ms")),
 		fmtNum(cur.value("stream_apply_ms_p50")),
 		fmtNum(cur.value("stream_apply_ms_p95")),
 		fmtNum(cur.value("stream_apply_ms_p99")))
+	if cur.fams.Get("stream_snapshot_ms") != nil {
+		fmt.Fprintf(w, "snapshot   %12s reads    p50 %sms  p95 %sms  p99 %sms\n",
+			fmtNum(histCount(cur, "stream_snapshot_ms")),
+			fmtNum(cur.value("stream_snapshot_ms_p50")),
+			fmtNum(cur.value("stream_snapshot_ms_p95")),
+			fmtNum(cur.value("stream_snapshot_ms_p99")))
+	}
+	fmt.Fprintln(w)
 
 	if eps := endpoints(cur); len(eps) > 0 {
 		fmt.Fprintf(w, "%-22s %10s %8s %10s %10s %10s\n",
@@ -340,11 +348,7 @@ func render(w io.Writer, prev, cur *sample, base string) {
 				fmtNum(cur.fams.Value("shard_events_total", "shard", id)),
 				fmtNum(labeledRate(prev, cur, "shard_events_total", "shard", id)))
 		}
-		fmt.Fprintf(w, "merge      %12s merges   p50 %sms  p95 %sms  p99 %sms\n\n",
-			fmtNum(histCount(cur, "shard_merge_ms")),
-			fmtNum(cur.value("shard_merge_ms_p50")),
-			fmtNum(cur.value("shard_merge_ms_p95")),
-			fmtNum(cur.value("shard_merge_ms_p99")))
+		fmt.Fprintln(w)
 	}
 
 	if cur.fams.Get("detect_alerts_active") != nil {

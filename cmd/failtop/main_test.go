@@ -26,6 +26,10 @@ func fixturePage(t *testing.T, ingested int64) http.Handler {
 	h := reg.Histogram("stream.apply_ms", 1, 10)
 	h.Observe(0.5)
 	h.Observe(2)
+	sh := reg.Histogram("stream.snapshot_ms", 0.1, 1)
+	sh.Observe(0.05)
+	sh.Observe(0.2)
+	sh.Observe(0.3)
 	reg.Set("stream.watermark_unix_seconds", float64(time.Now().Add(-90*time.Second).Unix()))
 	reg.Set("mempool.stream.batch.hits", 30)
 	reg.Set("mempool.stream.batch.misses", 10)
@@ -49,6 +53,7 @@ func TestScrapeAndRender(t *testing.T) {
 
 	for _, want := range []string{
 		"ingest", "500 events", "/v1/events", "watermark lag 1m30s",
+		"snapshot", "3 reads",
 		"pool", "stream_batch", "75", // 30 hits / 40 = 75% hit rate
 		"memory", "heap",
 	} {
@@ -59,6 +64,9 @@ func TestScrapeAndRender(t *testing.T) {
 	// Engine apply quantiles surfaced from the histogram's sketch.
 	if math.IsNaN(cur.value("stream_apply_ms_p50")) {
 		t.Error("stream_apply_ms_p50 missing from scrape")
+	}
+	if strings.Contains(page, "reads    p50 -") {
+		t.Errorf("snapshot quantile did not render from the histogram:\n%s", page)
 	}
 }
 

@@ -713,6 +713,9 @@ type Snapshot struct {
 	Recent []Alert `json:"recent"`
 }
 
+// leadRanks are the lead-time quantiles a snapshot reads (p50, p95).
+var leadRanks = []float64{0.5, 0.95}
+
 // Snapshot assembles the current detection state. Safe to call
 // concurrently with the engine's Observe* hooks.
 func (d *Detector) Snapshot() *Snapshot {
@@ -734,8 +737,9 @@ func (d *Detector) Snapshot() *Snapshot {
 	}
 	if d.leadDays.N() > 0 {
 		s.LeadDaysMean = d.leadDays.Mean()
-		s.LeadDaysP50 = d.leadQ.Query(0.5)
-		s.LeadDaysP95 = d.leadQ.Query(0.95)
+		var q [2]float64
+		d.leadQ.Quantiles(leadRanks, q[:])
+		s.LeadDaysP50, s.LeadDaysP95 = q[0], q[1]
 	}
 	var active []*machineState
 	for _, st := range d.machines {

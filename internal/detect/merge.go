@@ -67,8 +67,9 @@ func Merge(ds []*Detector) *Snapshot {
 	}
 	if lead.N() > 0 {
 		s.LeadDaysMean = lead.Mean()
-		s.LeadDaysP50 = leadQ.Query(0.5)
-		s.LeadDaysP95 = leadQ.Query(0.95)
+		var q [2]float64
+		leadQ.Quantiles(leadRanks, q[:])
+		s.LeadDaysP50, s.LeadDaysP95 = q[0], q[1]
 	}
 	sortStates(active)
 	s.Active = make([]Alert, 0, len(active))

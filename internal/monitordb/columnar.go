@@ -419,12 +419,11 @@ func (db *DB) Footprint() Footprint {
 
 // RecordFootprint publishes the footprint on the attached metrics registry
 // as the gauges monitordb.series_bytes, .grid_samples and .row_samples
-// (no-ops without one) and returns it.
-func (db *DB) RecordFootprint() Footprint {
+// (no-ops without one).
+func (db *DB) RecordFootprint() {
 	fp := db.Footprint()
 	r := db.registry()
 	r.Set("monitordb.series_bytes", float64(fp.Bytes))
 	r.Set("monitordb.grid_samples", float64(fp.GridSamples))
 	r.Set("monitordb.row_samples", float64(fp.RowSamples))
-	return fp
 }

@@ -142,16 +142,21 @@ func (h *Histogram) export() *HistogramData {
 	if h.n == 0 {
 		return nil
 	}
+	var q [3]float64
+	h.q.Quantiles(exportRanks, q[:])
 	return &HistogramData{
 		Bounds: append([]float64(nil), h.bounds...),
 		Counts: append([]int64(nil), h.counts...),
 		Count:  h.n,
 		Sum:    h.sum,
-		P50:    h.q.Query(0.5),
-		P95:    h.q.Query(0.95),
-		P99:    h.q.Query(0.99),
+		P50:    q[0],
+		P95:    q[1],
+		P99:    q[2],
 	}
 }
+
+// exportRanks are the quantiles export reads from one sort of the sketch.
+var exportRanks = []float64{0.5, 0.95, 0.99}
 
 // Registry is a named metric store: counters, gauges and histograms keyed
 // by dotted names ("ingest.join_hits"). The zero value is not usable; call

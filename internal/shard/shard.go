@@ -58,20 +58,22 @@ type Options struct {
 	// Nil when detection is off.
 	Detectors []*detect.Detector
 
-	// Registry, when non-nil, receives the shard.* families and — for
-	// multi-shard routers — the fleet-aggregate stream.* and detect.*
-	// gauges, published when it is read (Publish is its collector).
+	// Registry, when non-nil, receives the stream.snapshot_ms histogram
+	// and — for multi-shard routers — the shard.* families and the
+	// fleet-aggregate stream.* and detect.* gauges, published when it is
+	// read (Publish is its collector).
 	Registry *obs.Registry
 }
 
 // Router routes event batches across shard engines and merges their reads.
-// A single-engine router is a pure passthrough: no labels, no published
-// families — byte-for-byte the pre-sharding daemon.
+// A single-engine router is a passthrough: no labels and no published
+// families beyond the snapshot latency every router records.
 type Router struct {
 	engines   []*stream.Engine
 	detectors []*detect.Detector
 	reg       *obs.Registry
 	closed    atomic.Bool
+	snapMS    *obs.Histogram // SnapshotMetric
 
 	// scratch pools the per-call routing buffers.
 	scratch sync.Pool
@@ -83,9 +85,14 @@ type Router struct {
 // errClosed fails every apply issued after Close.
 var errClosed = errors.New("shard: router closed")
 
-// mergeBucketsMS are the shard.merge_ms histogram bounds: snapshot merges
-// are O(weeks + classes + failing machines), well under a second.
-var mergeBucketsMS = []float64{0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000}
+// SnapshotMetric is the histogram of Router.Snapshot latency in
+// milliseconds, the cross-shard merge included.
+const SnapshotMetric = "stream.snapshot_ms"
+
+// snapshotBucketsMS are the SnapshotMetric bounds: a snapshot is
+// O(weeks + classes + buffered sketch items), well under a millisecond
+// at the small study's scale.
+var snapshotBucketsMS = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 50, 100, 1000}
 
 // New builds a router over pre-built shard engines. The engines must share
 // one observation window; Detectors, when given, must be parallel to
@@ -102,6 +109,7 @@ func New(opts Options) (*Router, error) {
 		engines:     opts.Engines,
 		detectors:   opts.Detectors,
 		reg:         opts.Registry,
+		snapMS:      opts.Registry.Histogram(SnapshotMetric, snapshotBucketsMS...),
 		gauges:      stream.NewGaugeNames(""),
 		shardEvents: make([]string, n),
 	}
@@ -268,16 +276,13 @@ func keyOf(ev *stream.Event) model.MachineID {
 	return ""
 }
 
-// Snapshot merges the per-shard snapshots into the single-engine shape,
-// recording the merge cost in the shard.merge_ms histogram.
+// Snapshot merges the per-shard snapshots into the single-engine shape
+// (one engine's own snapshot at one shard), recording its latency in the
+// SnapshotMetric histogram.
 func (r *Router) Snapshot() *stream.Snapshot {
-	if len(r.engines) == 1 {
-		return r.engines[0].Snapshot()
-	}
 	t0 := time.Now()
 	s := stream.MergeSnapshot(r.engines)
-	r.reg.Histogram("shard.merge_ms", mergeBucketsMS...).
-		Observe(float64(time.Since(t0)) / float64(time.Millisecond))
+	r.snapMS.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 	return s
 }
 

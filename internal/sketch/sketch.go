@@ -4,11 +4,13 @@
 // mergeable quantile sketch built from fixed-size compacting buffers — a
 // deterministic KLL-style summary that answers rank queries over an
 // unbounded stream with bounded memory and no random draws, so observed
-// pipeline runs stay byte-identical.
+// pipeline runs stay byte-identical. A quantile read sorts the sketch's
+// items once per call and answers every rank it asks from that one sort.
 package sketch
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -118,14 +120,23 @@ const DefaultK = 256
 // the same stream always yields the same sketch, which the observability
 // layer's byte-identical-output rule requires.
 //
-// Memory is O(k log(n/k)); query cost is O(total buffered items). The zero
-// value is not usable — call NewQuantile.
+// Memory is O(k log(n/k)); a read sorts the m buffered items once, so
+// Query costs O(m log m) and Quantiles the same for all its ranks. Reads
+// do not write the sketch. The zero value is not usable — call
+// NewQuantile.
 type Quantile struct {
 	k           int
 	levels      [][]float64
 	n           int64
 	minV, maxV  float64
 	compactions int
+}
+
+// weighted is one buffered item and the number of observations it stands
+// for (2^level).
+type weighted struct {
+	v float64
+	w int64
 }
 
 // NewQuantile returns an empty sketch with per-level capacity k (k <= 0
@@ -232,34 +243,76 @@ func (q *Quantile) Max() float64 {
 
 // Query returns the estimated p-quantile, 0 <= p <= 1. The extremes are
 // exact (tracked separately); interior quantiles carry the sketch's rank
-// error. NaN when the sketch is empty or p is out of range.
+// error. NaN when the sketch is empty or p is out of range. A caller that
+// needs several ranks of one sketch asks Quantiles, which sorts once.
 func (q *Quantile) Query(p float64) float64 {
-	if q == nil || q.n == 0 || p < 0 || p > 1 {
-		return math.NaN()
+	var out [1]float64
+	q.Quantiles([]float64{p}, out[:])
+	return out[0]
+}
+
+// Quantiles writes the ps[i]-quantile into out[i], each answer exactly
+// what Query(ps[i]) returns, sorting the buffered items at most once for
+// all of them. out must be at least as long as ps.
+func (q *Quantile) Quantiles(ps, out []float64) {
+	var items []weighted
+	var total int64
+	sorted := false
+	for i, p := range ps {
+		switch {
+		case q == nil || q.n == 0 || p < 0 || p > 1:
+			out[i] = math.NaN()
+		case p == 0:
+			out[i] = q.minV
+		case p == 1:
+			out[i] = q.maxV
+		default:
+			if !sorted {
+				items, total = q.sortedItems()
+				sorted = true
+			}
+			out[i] = rankValue(items, total, p, q.minV)
+		}
 	}
-	if p == 0 {
-		return q.minV
+}
+
+// sortedItems gathers the buffered items level by level with their
+// weights and sorts them by value. The sort is the pdqsort sort.Slice
+// runs, with a comparator that reports "less" exactly when a.v < b.v, so
+// equal values of different weight land in the order sort.Slice over the
+// same gather leaves them.
+func (q *Quantile) sortedItems() ([]weighted, int64) {
+	m := 0
+	for _, buf := range q.levels {
+		m += len(buf)
 	}
-	if p == 1 {
-		return q.maxV
-	}
-	type item struct {
-		v float64
-		w int64
-	}
-	items := make([]item, 0, 4*q.k)
+	items := make([]weighted, 0, m)
 	var total int64
 	for level, buf := range q.levels {
 		w := int64(1) << uint(level)
 		for _, v := range buf {
-			items = append(items, item{v, w})
-			total += w
+			items = append(items, weighted{v, w})
 		}
+		total += w * int64(len(buf))
 	}
+	slices.SortFunc(items, func(a, b weighted) int {
+		if a.v < b.v {
+			return -1
+		}
+		if a.v > b.v {
+			return 1
+		}
+		return 0
+	})
+	return items, total
+}
+
+// rankValue is the interior p-quantile of items sorted by value whose
+// weights sum to total; minV answers when no item is buffered.
+func rankValue(items []weighted, total int64, p, minV float64) float64 {
 	if total == 0 {
-		return q.minV
+		return minV
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].v < items[j].v })
 	// Interpolate linearly between the weighted items' mean-rank positions
 	// (an item of weight w spans w ranks; its position is their average).
 	// For an uncompacted sketch every weight is 1 and this reduces to the

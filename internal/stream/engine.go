@@ -200,10 +200,13 @@ type engineState struct {
 	sysKindCrash     [2][model.NumSystems + 1]int
 
 	// weekly[kind][sys] is the per-week crash count (Fig. 2 numerators);
-	// weeklyFailed the distinct failing servers per week (Table V random
-	// probability).
-	weekly       [2][model.NumSystems + 1][]int
-	weeklyFailed [2][model.NumSystems + 1][]map[model.MachineID]bool
+	// weeklyFailed the distinct failing servers per week and
+	// weeklyFailedN their number (Table V random probability). Snapshots
+	// read only the numbers, so a cross-shard merge sums them; the image
+	// holds the sets, and restore recounts them.
+	weekly        [2][model.NumSystems + 1][]int
+	weeklyFailed  [2][model.NumSystems + 1][]map[model.MachineID]bool
+	weeklyFailedN [2][model.NumSystems + 1][]int
 
 	// classCounts[sys][class] with sys 0 = all (Fig. 1).
 	classCounts map[model.System]map[model.FailureClass]int
@@ -257,6 +260,7 @@ func newEngineState(weeks int) engineState {
 		for s := 0; s <= model.NumSystems; s++ {
 			st.weekly[k][s] = make([]int, weeks)
 			st.weeklyFailed[k][s] = make([]map[model.MachineID]bool, weeks)
+			st.weeklyFailedN[k][s] = make([]int, weeks)
 		}
 	}
 	return st
@@ -739,10 +743,15 @@ func (e *Engine) addTicketLocked(t model.Ticket) {
 	if wi := e.win.WeekIndex(t.Opened); wi >= 0 && wi < len(e.weekly[k][0]) {
 		for _, s := range []int{0, sysIdx} {
 			e.weekly[k][s][wi]++
-			if e.weeklyFailed[k][s][wi] == nil {
-				e.weeklyFailed[k][s][wi] = make(map[model.MachineID]bool)
+			failed := e.weeklyFailed[k][s][wi]
+			if failed == nil {
+				failed = make(map[model.MachineID]bool)
+				e.weeklyFailed[k][s][wi] = failed
 			}
-			e.weeklyFailed[k][s][wi][t.ServerID] = true
+			if _, seen := failed[t.ServerID]; !seen {
+				e.weeklyFailedN[k][s][wi]++
+			}
+			failed[t.ServerID] = true
 			if sysIdx == 0 {
 				break
 			}

@@ -10,7 +10,9 @@ import (
 // / §IV.D / §IV.E statistics are count-based: the raw integer accumulators
 // sum across shards (machines are disjoint by the router's hash ownership,
 // so per-server state like weekly failed sets and recurrence counters never
-// overlaps), and the merged derived floats are computed by the exact same
+// overlaps: the size of a week's fleet-wide failed set is the sum of the
+// shards' sizes, and the merge sums those counts without touching the
+// sets), and the merged derived floats are computed by the exact same
 // assembly code Snapshot uses, so they are bit-identical to the
 // single-engine values. The inter-failure and repair Summary blocks ride on
 // sketch.Moments.Merge / sketch.Quantile.Merge, which are
@@ -65,18 +67,8 @@ func MergeSnapshot(engines []*Engine) *Snapshot {
 				for wi, c := range e.weekly[k][s] {
 					m.weekly[k][s][wi] += c
 				}
-				for wi, failed := range e.weeklyFailed[k][s] {
-					if len(failed) == 0 {
-						continue
-					}
-					dst := m.weeklyFailed[k][s][wi]
-					if dst == nil {
-						dst = make(map[model.MachineID]bool, len(failed))
-						m.weeklyFailed[k][s][wi] = dst
-					}
-					for id := range failed {
-						dst[id] = true
-					}
+				for wi, c := range e.weeklyFailedN[k][s] {
+					m.weeklyFailedN[k][s][wi] += c
 				}
 				rc, src := &m.rec[k][s], e.rec[k][s]
 				rc.failures += src.failures

@@ -374,6 +374,7 @@ func (e *Engine) decodeState(r *binimg.Reader) (engineState, error) {
 					failed[next(model.MachineID(r.Str()))] = r.Bool()
 				}
 				st.weeklyFailed[k][s][wi] = failed
+				st.weeklyFailedN[k][s][wi] = len(failed)
 			}
 		}
 	}

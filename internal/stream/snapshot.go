@@ -58,11 +58,14 @@ func (d *distAcc) summary() stats.Summary {
 	if n >= 2 {
 		s.StdDev = d.m.StdDev()
 	}
-	s.Median = d.q.Query(0.5)
-	s.P25 = d.q.Query(0.25)
-	s.P75 = d.q.Query(0.75)
+	var q [3]float64
+	d.q.Quantiles(quartiles, q[:])
+	s.P25, s.Median, s.P75 = q[0], q[1], q[2]
 	return s
 }
+
+// quartiles are the ranks summary reads from one sort of the sketch.
+var quartiles = []float64{0.25, 0.5, 0.75}
 
 var kinds = [2]model.MachineKind{model.PM, model.VM}
 
@@ -234,10 +237,10 @@ func (e *Engine) randomRecurrentLocked() []core.RandomVsRecurrent {
 			}
 			if servers := e.serverCount[k][s]; servers > 0 {
 				sum := 0.0
-				for _, f := range e.weeklyFailed[k][s] {
-					sum += float64(len(f)) / float64(servers)
+				for _, n := range e.weeklyFailedN[k][s] {
+					sum += float64(n) / float64(servers)
 				}
-				row.Random = sum / float64(len(e.weeklyFailed[k][s]))
+				row.Random = sum / float64(len(e.weeklyFailedN[k][s]))
 			}
 			if row.Random > 0 {
 				row.Ratio = row.Recurrent / row.Random

@@ -1,6 +1,7 @@
 package failscope
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -63,12 +64,9 @@ func smallShardFixture(t *testing.T) *shardFixture {
 	return shardFixtureVal
 }
 
-// replaySharded replays the fixture events through an n-shard router in
-// the given chunk order and returns the merged engine and detection
-// snapshots. chunkOrder indexes into the chunking of events into
-// len(chunkOrder) pieces with the given uneven sizes; nil means one pass
-// in order.
-func replaySharded(t *testing.T, events []StreamEvent, n int, chunks [][]StreamEvent) (*stream.Snapshot, *detect.Snapshot) {
+// newStudyRouter builds an n-shard router over small-study engines, each
+// with its own detector, closed when the test ends.
+func newStudyRouter(t *testing.T, n int) *shard.Router {
 	t.Helper()
 	study := SmallStudy()
 	engines := make([]*stream.Engine, n)
@@ -90,7 +88,16 @@ func replaySharded(t *testing.T, events []StreamEvent, n int, chunks [][]StreamE
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
+	t.Cleanup(rt.Close)
+	return rt
+}
+
+// replaySharded replays the fixture events through an n-shard router in
+// the given chunk order and returns the merged engine and detection
+// snapshots. nil chunks means one pass in order.
+func replaySharded(t *testing.T, events []StreamEvent, n int, chunks [][]StreamEvent) (*stream.Snapshot, *detect.Snapshot) {
+	t.Helper()
+	rt := newStudyRouter(t, n)
 	if chunks == nil {
 		chunks = [][]StreamEvent{events}
 	}
@@ -280,6 +287,48 @@ func TestShardMergeEquivalence(t *testing.T) {
 		relClose(t, "lead days p50", mergedDet.LeadDaysP50, singleDet.LeadDaysP50, 0.05)
 		if dsb := ScoreDetection(mergedDet); dsb.Err() != nil {
 			t.Errorf("n=%d: detection scoreboard gate on merged snapshot: %v", n, dsb.Err())
+		}
+	}
+}
+
+// TestShardMergeMidStream compares the count-derived sections of 2- and
+// 3-shard merged reads with one engine's at five cuts through the stream,
+// while the weeks around the watermark are still filling: the merge sums
+// per-shard weekly failed-server counts, which is the size of the
+// fleet-wide set only because no machine lives on two shards.
+func TestShardMergeMidStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays the small study at three shard counts")
+	}
+	fx := smallShardFixture(t)
+	routers := []*shard.Router{newStudyRouter(t, 1), newStudyRouter(t, 2), newStudyRouter(t, 3)}
+	lo := 0
+	for cut := 1; cut <= 5; cut++ {
+		hi := cut * len(fx.events) / 6
+		for _, rt := range routers {
+			if err := rt.Apply(fx.events[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo = hi
+		single := routers[0].Snapshot()
+		random := false
+		for _, row := range single.Report.RandomRecurrent {
+			random = random || row.Random > 0
+		}
+		if !random {
+			t.Fatalf("cut %d/6: no failed servers yet, so the cut proves nothing", cut)
+		}
+		for _, rt := range routers[1:] {
+			merged := rt.Snapshot()
+			label := fmt.Sprintf("cut %d/6, n=%d", cut, rt.Shards())
+			if merged.Events != single.Events || merged.CrashTickets != single.CrashTickets ||
+				!merged.Watermark.Equal(single.Watermark) {
+				t.Errorf("%s: events %d crash %d watermark %v, want %d %d %v", label,
+					merged.Events, merged.CrashTickets, merged.Watermark,
+					single.Events, single.CrashTickets, single.Watermark)
+			}
+			checkCountSections(t, label, merged.Report, single.Report)
 		}
 	}
 }
